@@ -40,7 +40,6 @@ from .metrology import (
     EstimationResult,
     FidelityBreakdown,
     ModeSums,
-    calibrate_phases,
     cramer_rao,
     fidelity_two_mode,
     mach_zehnder_bound,
@@ -70,7 +69,6 @@ __all__ = [
     "acceleration_from_h",
     "assemble_symplectic",
     "build_scenario_series",
-    "calibrate_phases",
     "check_physical",
     "cramer_rao",
     "evaluate_series",

@@ -22,7 +22,6 @@ from . import kernels
 from .gaussian import GaussianState, partial_trace, symplectic_form
 
 _UNIT_PHASE_TOL = 1e-12
-_DIAG_TOL = 0.0  # first-order diagonals must be exact zeros
 
 
 def m_block(alpha_mn: complex, beta_mn: complex) -> np.ndarray:
@@ -145,17 +144,24 @@ class SymplecticTransform:
         return float(np.abs(self.matrix @ omega @ self.matrix.T - omega).max())
 
 
-def assemble_symplectic(coeffs: BogoliubovCoefficients) -> SymplecticTransform:
-    """Real 2N x 2N matrix with 2x2 blocks m_block(alpha_mn, beta_mn)."""
-    diff = coeffs.alpha - coeffs.beta
-    total = coeffs.alpha + coeffs.beta
-    n = coeffs.n_modes
-    s = np.empty((2 * n, 2 * n))
+def symplectic_blocks(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Real (2m x 2n) matrix of 2x2 blocks m_block(alpha_ij, beta_ij) for m x n inputs."""
+    diff = alpha - beta
+    total = alpha + beta
+    m, n = diff.shape
+    s = np.empty((2 * m, 2 * n))
     s[0::2, 0::2] = diff.real
     s[0::2, 1::2] = total.imag
     s[1::2, 0::2] = -diff.imag
     s[1::2, 1::2] = total.real
-    return SymplecticTransform(dim=2 * n, matrix=s)
+    return s
+
+
+def assemble_symplectic(coeffs: BogoliubovCoefficients) -> SymplecticTransform:
+    """Real 2N x 2N matrix with 2x2 blocks m_block(alpha_mn, beta_mn)."""
+    return SymplecticTransform(
+        dim=2 * coeffs.n_modes, matrix=symplectic_blocks(coeffs.alpha, coeffs.beta)
+    )
 
 
 def _check_mode_pair(series, k, kprime):
@@ -187,10 +193,7 @@ def transform_reduced(
     blocks, so only the coefficient rows of the two target modes are touched.
     """
     _check_mode_pair(series, k, kprime)
-    coeffs = evaluate_series(series, h)
-    rows = np.array([k - 1, kprime - 1])
-    alpha_rows = np.ascontiguousarray(coeffs.alpha[rows])
-    beta_rows = np.ascontiguousarray(coeffs.beta[rows])
+    alpha_rows, beta_rows = _series_rows(series, h, [k - 1, kprime - 1])
     psi_k, psi_kp, phi = _initial_blocks(initial)
     cov = kernels.reduced_transform(
         alpha_rows,
@@ -203,6 +206,24 @@ def transform_reduced(
     )
     moments = _reduced_moments(alpha_rows, beta_rows, k - 1, kprime - 1, initial)
     return GaussianState(2, moments, cov)
+
+
+def _series_rows(series, h, rows):
+    """Rows of evaluate_series(series, h).alpha and .beta, built without the full matrices.
+
+    Same elementwise arithmetic as evaluate_series, so the rows are bit-identical.
+    """
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    diag = np.zeros((len(rows), series.n_modes), dtype=complex)
+    diag[np.arange(len(rows)), rows] = series.G[rows]
+    alpha = diag + h * series.alpha1[rows]
+    beta = h * series.beta1[rows]
+    if series.alpha2 is not None:
+        alpha = alpha + h * h * series.alpha2[rows]
+    if series.beta2 is not None:
+        beta = beta + h * h * series.beta2[rows]
+    return alpha, beta
 
 
 def _reduced_moments(alpha_rows, beta_rows, k, kp, initial):

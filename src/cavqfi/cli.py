@@ -32,7 +32,6 @@ from .cavity import (
 from .errors import CavqfiError, ConfigError, NoInformationError, NumericError
 from .gaussian import initial_product_squeezed
 from .metrology import (
-    calibrate_phases,
     cramer_rao,
     fidelity_two_mode,
     mode_sums,
@@ -184,39 +183,29 @@ class SweepRecord:
 
 
 def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_numeric=False):
-    """Full single-point evaluation: series, calibration, QFI, bounds.
+    """Full single-point evaluation: series, QFI, bounds.
 
-    The closed-form phase inputs are calibrated against the numeric QFI on a
-    moderate-squeezing grid (they cannot be read off the published
-    expressions), then the analytic QFI is evaluated at the scenario
-    squeezing.  Returns a plain dict of floats.
+    The QFI is the matrix-form H0 of qfi_analytic_h0 at the scenario
+    squeezing, computed straight from the series with no fitted inputs.
+    With want_numeric, the fidelity-ladder QFI of the same point is added
+    as "qfi_numeric"; its numeric failures propagate.  Returns a plain dict
+    of floats.
     """
     series = build_scenario_series(scenario)
-
-    def state_at(r, h):
-        return transform_reduced(
-            initial_product_squeezed(r, r), series, h, scenario.k, scenario.kprime
-        )
-
-    phi_k, phi_kp, resid = calibrate_phases(
-        series, scenario.k, scenario.kprime, state_at, policy=policy
-    )
-    qfi = qfi_analytic_h0(
-        series, scenario.squeezing, phi_k, phi_kp, scenario.k, scenario.kprime
-    )
+    qfi = qfi_analytic_h0(series, scenario.squeezing, scenario.k, scenario.kprime)
     out = {
         "tau_s": scenario.tau,
         "r": scenario.squeezing,
         "qfi": qfi,
-        "phi_k": phi_k,
-        "phi_kprime": phi_kp,
-        "calibration_residual": resid,
     }
     sums = mode_sums(series, scenario.k, scenario.kprime)
     out["tail_estimate"] = sums.tail_estimate
     if want_numeric:
+        initial = initial_product_squeezed(scenario.squeezing, scenario.squeezing)
         out["qfi_numeric"] = qfi_numeric(
-            lambda h: state_at(scenario.squeezing, h), 0.0, policy
+            lambda h: transform_reduced(initial, series, h, scenario.k, scenario.kprime),
+            0.0,
+            policy,
         )
     h_probe = None
     if scenario.a_probe is not None:
@@ -401,10 +390,13 @@ def cmd_qfi(args):
     point = evaluate_scenario(scenario, policy, want_numeric=True)
     if point["qfi"] <= 0.0:
         raise NoInformationError("QFI is zero: no information about the drive amplitude")
+    ladder = point["qfi_numeric"]
+    point["cross_check_residual"] = (
+        abs(point["qfi"] - ladder) / abs(ladder) if ladder else math.inf
+    )
     print(f"QFI (analytic H0)   : {_fmt(point['qfi'])}")
     print(f"QFI (numeric ladder): {_fmt(point['qfi_numeric'])}")
-    print(f"phase inputs        : phi_k = {point['phi_k']:.12f}, phi_kprime = {point['phi_kprime']:.12f}")
-    print(f"calibration residual: {point['calibration_residual']:.3e}")
+    print(f"cross-check residual: {point['cross_check_residual']:.3e}")
     print(f"delta_h bound       : {_fmt(point['delta_h'])}")
     print(f"delta_a bound (m/s2): {_fmt(point['delta_a_m_per_s2'])}")
     print(f"truncation tail est : {_fmt(point['tail_estimate'])}")

@@ -13,8 +13,8 @@ Kernels:
   * time-dependent first-order coefficient matrices for a sinusoidally
     driven cavity (n_max^2 closed-form entries, rebuilt per tau),
   * the reduced two-mode covariance transform (per-spectator-mode 2x2
-    products summed over the truncation range, called once per fidelity
-    evaluation inside QFI step ladders and parameter sweeps).
+    products summed over the truncation range, called once per matrix-form
+    QFI and once per fidelity evaluation inside QFI step ladders).
 """
 
 from __future__ import annotations

@@ -7,11 +7,13 @@ algebraically 1/(Pi - sqrt(Pi^2 - Delta)); the superficially similar
 1/(Pi + sqrt(...)) variant coincides for pure states but fails F(s, s) = 1
 for mixed ones, so it is not used.
 
-The QFI comes in two independent routes: a finite-difference step ladder on
-the fidelity with Richardson extrapolation (qfi_numeric), and the closed-form
-leading-order expression consuming first-order series data and spectator-mode
-sums (qfi_analytic_h0).  The two are cross-validated against each other in
-the test suite.
+The QFI comes in two independent routes.  Production uses the matrix form
+qfi_analytic_h0: H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 for the transformed
+covariance sigma(h) = P + h V + h^2 W, built from rows k and k' of the series
+in the frame where P is diagonal, with no fitted inputs.  The finite-difference
+step ladder on the fidelity with Richardson extrapolation (qfi_numeric) is the
+independent cross-check: ``cavqfi qfi`` reports both, and the test suite
+compares them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import math
 import mpmath
 import numpy as np
 
-from .bogoliubov import BogoliubovSeries
+from . import kernels
+from .bogoliubov import BogoliubovSeries, symplectic_blocks
 from .errors import (
     ConditioningError,
     NoInformationError,
@@ -230,7 +233,7 @@ def qfi_numeric(
 
 
 # ---------------------------------------------------------------------------
-# mode sums and the closed-form leading-order QFI
+# mode sums and the matrix-form leading-order QFI
 # ---------------------------------------------------------------------------
 
 
@@ -308,150 +311,56 @@ def mode_sums(series: BogoliubovSeries, k: int, kprime: int) -> ModeSums:
     )
 
 
-def qfi_analytic_h0(
-    series: BogoliubovSeries,
-    r: float,
-    phi_k: float,
-    phi_kprime: float,
-    k: int,
-    kprime: int,
-) -> float:
-    """Leading-order QFI H0 from first-order series data and spectator sums.
+def qfi_analytic_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> float:
+    """Leading-order QFI H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 in matrix form.
 
-    Both modes carry the same squeezing r.  Obtained by expanding the exact
-    limit H0 = tr(P^-1 W) - tr((P^-1 V)^2)/4 of the fidelity pipeline, where
-    sigma(dh) = P + dh V + dh^2 W is the transformed covariance at leading
-    orders; the expansion is validated term by term against the numeric
-    ladder in the cross-validation tests.
+    Both modes start squeezed by r; sigma(h) = P + h V + h^2 W is the
+    covariance of modes (k, k') under the series, built from rows k and k'
+    of its coefficient matrices (Gaussian QFI from sigma and its
+    derivatives: Monras, arXiv:1303.3682; Safranek, Lee and Fuentes,
+    arXiv:1502.07924).
 
-    phi_k and phi_kprime are the phase angles attached to the squared
-    first-order data of each mode; they are not defined independently of the
-    derivation and are calibrated per scenario against qfi_numeric (see
-    calibrate_phases), which recovers phi_i = 2 arg(G_i).
-
-    With w_i = exp(-i phi_i), A = alpha1[k, k'], B = beta1[k, k'],
-    C = alpha1[k', k], D = beta1[k', k], row-spectator sums
-    F_i = sum_m (|alpha1[i, m]|^2 + |beta1[i, m]|^2) and phase sums
-    S_i = sum_m alpha1[i, m] beta1[i, m] over m not in {k, k'}:
-
-      H0 = 2 cosh(2r) (F_k + F_k') + 4 sinh(2r) Re[w_k S_k + w_k' S_k']
-         + cosh^2(2r) (|A|^2 + |B|^2 + |C|^2 + |D|^2)
-         - sinh^2(2r) Re[w_k (A^2 + B^2) + w_k' (C^2 + D^2)]
-         + sinh(4r) Re[w_k A B + w_k' C D] - sinh(4r) Re[A conj(B) + C conj(D)]
-         - 2 Re[conj(G_k G_k') A C] - 2 Re[conj(G_k) G_k' B conj(D)]
-
-    For canonical series the row sums equal the column sums of mode_sums and
-    Re[w_i S_i] = -Re[G^{alphabeta}_{ii}] at the calibrated phases.
+    The rows are first multiplied by conj(G_k) and conj(G_k'), which undoes
+    the free rotation of each mode; H0 is invariant under that fixed
+    symplectic change of frame, and in the rotated frame P is exactly
+    D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  With M1, M2 the 4x4 block
+    matrices of the rotated (k, k') entries of each order,
+      V = M1 D + (M1 D)^T,
+      W = sum_n M1_in s_n M1_jn^T (the reduced transform) + M2 D + (M2 D)^T,
+    where s_n is the initial block of mode n (squeezed on k, k', vacuum
+    elsewhere), and
+      H0 = sum_i W_ii / D_i - (1/4) sum_ij V_ij^2 / (D_i D_j).
+    Nothing inverts a lab-frame P: at r = 10 its entries reach e^{20} and
+    their roundoff alone exceeds its smallest eigenvalue e^{-20}.
     """
     n = series.n_modes
     if max(k, kprime) > n:
         raise NumericError("series truncation does not cover the mode pair")
     if k == kprime:
         raise ValueError("k and kprime must differ")
-    ki, kpi = k - 1, kprime - 1
-    mask = np.ones(n, dtype=bool)
-    mask[ki] = False
-    mask[kpi] = False
-    a1, b1 = series.alpha1, series.beta1
-    row_k_a, row_k_b = a1[ki, mask], b1[ki, mask]
-    row_kp_a, row_kp_b = a1[kpi, mask], b1[kpi, mask]
-    a = a1[ki, kpi]
-    b = b1[ki, kpi]
-    c = a1[kpi, ki]
-    d = b1[kpi, ki]
-    g_k = series.G[ki]
-    g_kp = series.G[kpi]
-    w_k = np.exp(-1j * phi_k)
-    w_kp = np.exp(-1j * phi_kprime)
+    rows = [k - 1, kprime - 1]
+    rotate = np.conj(series.G[rows])[:, None]
 
-    c2 = math.cosh(2.0 * r)
-    s2 = math.sinh(2.0 * r)
-    s4 = math.sinh(4.0 * r)
+    def rotated(mat):
+        if mat is None:
+            return np.zeros((2, n), dtype=complex)
+        return rotate * mat[rows]
 
-    f_rows = float(
-        np.sum(np.abs(row_k_a) ** 2 + np.abs(row_k_b) ** 2)
-        + np.sum(np.abs(row_kp_a) ** 2 + np.abs(row_kp_b) ** 2)
+    a1, b1 = rotated(series.alpha1), rotated(series.beta1)
+    d = np.array([math.exp(2.0 * r), math.exp(-2.0 * r)] * 2)
+    squeezed = np.diag(d[:2])
+
+    w = kernels.reduced_transform(
+        a1, b1, rows[0], rows[1], squeezed, squeezed, np.zeros((2, 2))
     )
-    s_k = complex(np.sum(row_k_a * row_k_b))
-    s_kp = complex(np.sum(row_kp_a * row_kp_b))
-
-    total = 2.0 * c2 * f_rows
-    total += 4.0 * s2 * (w_k * s_k + w_kp * s_kp).real
-    total += c2 * c2 * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-    total += -s2 * s2 * (w_k * (a * a + b * b) + w_kp * (c * c + d * d)).real
-    total += s4 * (w_k * a * b + w_kp * c * d).real
-    total += -s4 * (a * np.conj(b) + c * np.conj(d)).real
-    total += -2.0 * (np.conj(g_k) * np.conj(g_kp) * a * c).real
-    total += -2.0 * (np.conj(g_k) * g_kp * b * np.conj(d)).real
-    return float(total)
-
-
-def _phase_response(series, r, k, kprime):
-    """Split H0(phi_k, phi_kp) = base + [cos_k, sin_k, cos_kp, sin_kp] . resp.
-
-    The closed form is affine in (cos phi_i, sin phi_i), so plus/minus
-    evaluations at 0 and pi/2 isolate each component exactly.
-    """
-    h = lambda pk, pkp: qfi_analytic_h0(series, r, pk, pkp, k, kprime)
-    e_00 = h(0.0, 0.0)
-    resp = np.empty(4)
-    resp[0] = 0.5 * (e_00 - h(math.pi, 0.0))
-    resp[1] = 0.5 * (h(math.pi / 2, 0.0) - h(-math.pi / 2, 0.0))
-    resp[2] = 0.5 * (e_00 - h(0.0, math.pi))
-    resp[3] = 0.5 * (h(0.0, math.pi / 2) - h(0.0, -math.pi / 2))
-    base = e_00 - resp[0] - resp[2]
-    return base, resp
-
-
-def calibrate_phases(
-    series: BogoliubovSeries,
-    k: int,
-    kprime: int,
-    state_at,
-    r_grid=(0.5, 1.0, 1.5, 2.0),
-    policy: NumericPolicy = DEFAULT_POLICY,
-):
-    """Determine (phi_k, phi_kprime) by matching qfi_analytic_h0 to qfi_numeric.
-
-    The closed form is linear in (cos phi_k, sin phi_k, cos phi_k', sin
-    phi_k'); each r in the grid contributes one linear equation with the
-    numeric QFI at h = 0 as the right-hand side.  r = 0 carries no phase
-    information (all phase terms are sinh-weighted), so the grid should stay
-    at r > 0.  Returns (phi_k, phi_kprime, max_rel_residual); the residual is
-    evaluated at the recovered phases over the calibration grid.
-    """
-    from scipy.optimize import least_squares
-
-    rows = []
-    rhs = []
-    bases = []
-    for r in r_grid:
-        base, resp = _phase_response(series, r, k, kprime)
-        numeric = qfi_numeric(lambda x, _r=r: state_at(_r, x), 0.0, policy)
-        rows.append(resp)
-        rhs.append(numeric - base)
-        bases.append(base)
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    target = rhs + np.asarray(bases)
-    weights = 1.0 / np.maximum(np.abs(target), 1e-300)
-
-    # linear solve in (cos, sin) pairs for the starting point, then refine on
-    # the circle: the unconstrained solution drifts off |w| = 1 when the
-    # sinh-family response columns are nearly collinear
-    sol, *_ = np.linalg.lstsq(rows * weights[:, None], rhs * weights, rcond=None)
-    start = np.array([math.atan2(sol[1], sol[0]), math.atan2(sol[3], sol[2])])
-
-    def residuals(phis):
-        pred = np.array(
-            [qfi_analytic_h0(series, r, phis[0], phis[1], k, kprime) for r in r_grid]
-        )
-        return (pred - target) * weights
-
-    fit = least_squares(residuals, start, method="lm")
-    phi_k, phi_kp = float(fit.x[0]), float(fit.x[1])
-    max_rel = float(np.max(np.abs(residuals(fit.x))))
-    return phi_k, phi_kp, max_rel
+    m1 = symplectic_blocks(a1[:, rows], b1[:, rows]) * d
+    v = m1 + m1.T
+    if series.alpha2 is not None or series.beta2 is not None:
+        m2 = symplectic_blocks(
+            rotated(series.alpha2)[:, rows], rotated(series.beta2)[:, rows]
+        ) * d
+        w = w + m2 + m2.T
+    return float(np.sum(np.diag(w) / d) - 0.25 * np.sum(v * v / np.outer(d, d)))
 
 
 # ---------------------------------------------------------------------------

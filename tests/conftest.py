@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -63,6 +65,24 @@ def fock_squeezed_overlap_sq(r, cutoff=60):
     gen = 0.5 * r * (a.T @ a.T - a @ a)
     psi = scipy.linalg.expm(gen)[:, 0]
     return float(psi[0] ** 2)
+
+
+def child_env(**overrides):
+    """Environment for a child interpreter that imports this session's cavqfi.
+
+    The parent environment is kept; the directory holding the imported
+    ``cavqfi`` package goes first on ``PYTHONPATH``, however the suite was
+    started (``PYTHONPATH=src``, an editable install, pytest's ``pythonpath``),
+    and ``overrides`` replace any inherited values.
+    """
+    import cavqfi
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cavqfi.__file__)))
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root + (os.pathsep + inherited if inherited else "")
+    env.update(overrides)
+    return env
 
 
 @pytest.fixture

@@ -138,6 +138,22 @@ def test_oracle_equivalence_random_draws(rng):
         assert np.abs(red.cov - full.cov).max() <= 1e-12 * scale
 
 
+def test_oracle_equivalence_second_order(rng):
+    # the reduced transform builds only rows k and k' of the coefficients,
+    # including the optional h^2 terms, and must match the full assembly
+    n = 6
+    canon = canonical_series(rng, n)
+    second = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)]
+    for alpha2, beta2 in ((second[0], None), (None, second[1]), tuple(second)):
+        series = BogoliubovSeries(n, canon.G, canon.alpha1, canon.beta1, alpha2, beta2)
+        init = initial_product_squeezed(0.7, -0.4)
+        for h in (0.0, 3e-4, 0.2):
+            red = transform_reduced(init, series, h, 2, 5)
+            full = transform_full_oracle(init, series, h, 2, 5)
+            scale = max(1.0, np.abs(full.cov).max())
+            assert np.abs(red.cov - full.cov).max() <= 1e-12 * scale
+
+
 def test_single_mode_squeezer_through_oracle():
     # exact squeezer on mode 1 of a two-mode truncation; series holds it as
     # the first-order matrix with h = 1 (exactness is not required by the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavqfi.cli import main
+from conftest import child_env
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -19,11 +20,19 @@ FAST_SCENARIO = {
 }
 
 
-def test_qfi_defaults_exit_zero(capsys):
-    assert main(["qfi"]) == 0
+def test_qfi_defaults_exit_zero(tmp_path, capsys):
+    out_path = tmp_path / "qfi.json"
+    assert main(["qfi", "--out", str(out_path), "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert "QFI (analytic H0)" in out
     assert "QFI (numeric ladder)" in out
+    residual = float(out.split("cross-check residual: ")[1].split()[0])
+    payload = json.loads(out_path.read_text())
+    assert payload["cross_check_residual"] == pytest.approx(
+        abs(payload["qfi"] - payload["qfi_numeric"]) / payload["qfi_numeric"], rel=1e-12
+    )
+    assert residual == pytest.approx(payload["cross_check_residual"], rel=1e-3)
+    assert residual <= 1e-6
 
 
 def test_qfi_reference_numbers(capsys):
@@ -189,6 +198,33 @@ def test_sweep_workers_match_serial(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_off_lattice_converged_in_nmax(tmp_path):
+    # two off-lattice durations at r = 2 where a per-point phase fit once
+    # misfitted at n_max 50 (by 6.2e-4 and by a factor of 3.8); the QFI must
+    # not depend on the truncation beyond its converged digits
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": {"squeezing_r": 2.0},
+            "sweep": {
+                "parameter": "tau",
+                "start": 10.293056712267909,
+                "stop": 17.8869724053911,
+                "count": 2,
+                "spacing": "linear",
+            },
+        },
+    )
+    qfis = {}
+    for nmax in (50, 200):
+        out = tmp_path / f"nmax{nmax}.csv"
+        assert main(["sweep", "--config", cfg, "--nmax", str(nmax), "--out", str(out)]) == 0
+        qfis[nmax] = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert len(qfis[50]) == 2
+    for low, high in zip(qfis[50], qfis[200]):
+        assert abs(low - high) <= 1e-8 * abs(high)
+
+
 def test_sweep_over_a_adds_axis_column(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -294,3 +330,29 @@ def test_figure2_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["records"]) == 6
     assert {rec["r"] for rec in payload["records"]} == {8.0, 9.0, 10.0}
+
+
+def test_figure2_does_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency: a figure2 run must not load it
+    import subprocess
+    import sys
+
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": {"n_max": 30},
+            "sweep": {"parameter": "tau", "start": 0.5, "stop": 1.0, "count": 2, "spacing": "linear"},
+        },
+    )
+    out = tmp_path / "fig.csv"
+    code = (
+        "import sys; from cavqfi.cli import main; "
+        f"code = main(['figure2', '--config', {cfg!r}, '--out', {str(out)!r}]); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["0", "False"]
+    assert len(out.read_text().strip().splitlines()) == 7

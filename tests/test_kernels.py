@@ -3,6 +3,7 @@ import pytest
 
 from cavqfi import kernels
 from cavqfi.cavity import static_matrices
+from conftest import child_env
 
 numba_required = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
 
@@ -55,26 +56,6 @@ def test_active_backend_consistent():
         assert kernels.time_dependent_coefficients is kernels.time_dependent_coefficients_numpy
 
 
-def _child_env(backend):
-    """Environment for a child interpreter that imports this session's cavqfi.
-
-    The parent environment is kept; the directory holding the imported
-    ``cavqfi`` package goes first on ``PYTHONPATH``, however the suite was
-    started (``PYTHONPATH=src``, an editable install, pytest's ``pythonpath``),
-    and ``CAVQFI_KERNELS`` is replaced by ``backend``.
-    """
-    import os
-
-    import cavqfi
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cavqfi.__file__)))
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = package_root + (os.pathsep + inherited if inherited else "")
-    env["CAVQFI_KERNELS"] = backend
-    return env
-
-
 def test_numpy_fallback_selectable_via_env():
     import subprocess
     import sys
@@ -87,7 +68,7 @@ def test_numpy_fallback_selectable_via_env():
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=_child_env("numpy"),
+        env=child_env(CAVQFI_KERNELS="numpy"),
         capture_output=True,
         text=True,
     )
@@ -98,7 +79,7 @@ def test_numpy_fallback_selectable_via_env():
     # read; an invalid value must be refused, which shows that it is read
     bad = subprocess.run(
         [sys.executable, "-c", "import cavqfi.kernels"],
-        env=_child_env("bogus"),
+        env=child_env(CAVQFI_KERNELS="bogus"),
         capture_output=True,
         text=True,
     )

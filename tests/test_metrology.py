@@ -1,19 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from cavqfi import (
+    BogoliubovSeries,
     CavityScenario,
     GaussianState,
     build_scenario_series,
-    calibrate_phases,
     cramer_rao,
     fidelity_two_mode,
     initial_product_squeezed,
     mach_zehnder_bound,
     mach_zehnder_qfi,
-    mode_frequency,
     mode_sums,
     qfi_analytic_h0,
     qfi_numeric,
@@ -220,15 +220,15 @@ def test_qfi_numeric_no_plateau_carries_ladder(rng):
 
 
 # ---------------------------------------------------------------------------
-# analytic QFI and calibration
+# matrix-form analytic QFI
 # ---------------------------------------------------------------------------
 
 
 def test_analytic_zero_series_is_zero():
     from cavqfi import trivial_series
 
-    assert qfi_analytic_h0(trivial_series(4), 0.0, 0.0, 0.0, 1, 2) == 0.0
-    assert qfi_analytic_h0(trivial_series(4), 2.0, 0.3, -0.7, 1, 2) == 0.0
+    assert qfi_analytic_h0(trivial_series(4), 0.0, 1, 2) == 0.0
+    assert qfi_analytic_h0(trivial_series(4), 2.0, 1, 2) == 0.0
 
 
 def test_analytic_r0_reduction(rng):
@@ -239,7 +239,7 @@ def test_analytic_r0_reduction(rng):
     expected = 2.0 * (
         sums.f_alpha_k + sums.f_beta_k + sums.f_alpha_kprime + sums.f_beta_kprime
     ) + 4.0 * abs(series.alpha1[0, 1]) ** 2
-    got = qfi_analytic_h0(series, 0.0, 0.0, 0.0, 1, 2)
+    got = qfi_analytic_h0(series, 0.0, 1, 2)
     assert got == pytest.approx(expected, rel=1e-10)
     numeric = qfi_numeric(
         lambda h: transform_reduced(initial_product_squeezed(0, 0), series, h, 1, 2), 0.0
@@ -247,46 +247,110 @@ def test_analytic_r0_reduction(rng):
     assert got == pytest.approx(numeric, rel=1e-5)
 
 
-def test_analytic_matches_numeric_at_known_phases(rng):
+def test_analytic_matches_numeric(rng):
     series = canonical_series(rng, 6)
-    phi_k = 2 * np.angle(series.G[0])
-    phi_kp = 2 * np.angle(series.G[1])
     for r in (0.0, 0.6, 1.4):
         init = initial_product_squeezed(r, r)
         numeric = qfi_numeric(lambda h: transform_reduced(init, series, h, 1, 2), 0.0)
-        analytic = qfi_analytic_h0(series, r, phi_k, phi_kp, 1, 2)
+        analytic = qfi_analytic_h0(series, r, 1, 2)
         assert analytic == pytest.approx(numeric, rel=1e-5)
 
 
 def test_analytic_range_check(rng):
     series = canonical_series(rng, 3)
     with pytest.raises(NumericError):
-        qfi_analytic_h0(series, 1.0, 0.0, 0.0, 1, 5)
-
-
-def test_calibration_recovers_phases_cavity():
-    sc, series = scenario_series(tau=0.23)
-
-    def state_at(r, h):
-        return transform_reduced(initial_product_squeezed(r, r), series, h, 1, 2)
-
-    phi_k, phi_kp, resid = calibrate_phases(series, 1, 2, state_at)
-    assert resid <= 1e-4
-    w = lambda p: np.exp(-1j * p)
-    w1 = mode_frequency(1, sc)
-    w2 = mode_frequency(2, sc)
-    assert abs(w(phi_k) - w(-2 * w1 * sc.tau)) <= 1e-6
-    assert abs(w(phi_kp) - w(-2 * w2 * sc.tau)) <= 1e-6
+        qfi_analytic_h0(series, 1.0, 1, 5)
 
 
 def test_analytic_symmetric_under_pair_swap(rng):
     series = canonical_series(rng, 6)
-    phi_1 = 2 * np.angle(series.G[0])
-    phi_2 = 2 * np.angle(series.G[1])
     for r in (0.0, 0.9):
-        forward = qfi_analytic_h0(series, r, phi_1, phi_2, 1, 2)
-        swapped = qfi_analytic_h0(series, r, phi_2, phi_1, 2, 1)
+        forward = qfi_analytic_h0(series, r, 1, 2)
+        swapped = qfi_analytic_h0(series, r, 2, 1)
         assert swapped == pytest.approx(forward, rel=1e-12)
+
+
+def mp_matrix_form_h0(series, r, k, kprime, dps=60):
+    """H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 evaluated in mpmath, lab frame.
+
+    P, V and W are the h^0, h^1 and h^2 coefficients of
+    sigma_ij(h) = sum_n M_in(h) sigma0_n M_jn(h)^T with the 2x2 blocks
+    M_in(h) = m_block(G_i delta_in + h alpha1_in, h beta1_in), summed over
+    every mode n of the series; P^-1 is an mpmath inverse.
+    """
+    with mpmath.workdps(dps):
+
+        def block(a, b):
+            a, b = mpmath.mpc(a), mpmath.mpc(b)
+            return mpmath.matrix(
+                [[mpmath.re(a - b), mpmath.im(a + b)], [-mpmath.im(a - b), mpmath.re(a + b)]]
+            )
+
+        pair = (k - 1, kprime - 1)
+        e2r = mpmath.exp(2 * mpmath.mpf(r))
+        sigma0 = [
+            mpmath.diag([e2r, 1 / e2r]) if n in pair else mpmath.eye(2)
+            for n in range(series.n_modes)
+        ]
+        m0 = [[block(series.G[i] if n == i else 0, 0) for n in range(series.n_modes)] for i in pair]
+        m1 = [
+            [block(series.alpha1[i, n], series.beta1[i, n]) for n in range(series.n_modes)]
+            for i in pair
+        ]
+        p, v, w = mpmath.zeros(4), mpmath.zeros(4), mpmath.zeros(4)
+        for bi in range(2):
+            for bj in range(2):
+                for n in range(series.n_modes):
+                    s0 = sigma0[n]
+                    parts = (
+                        m0[bi][n] * s0 * m0[bj][n].T,
+                        m1[bi][n] * s0 * m0[bj][n].T + m0[bi][n] * s0 * m1[bj][n].T,
+                        m1[bi][n] * s0 * m1[bj][n].T,
+                    )
+                    for target, part in zip((p, v, w), parts):
+                        for a in range(2):
+                            for b in range(2):
+                                target[2 * bi + a, 2 * bj + b] += part[a, b]
+        p_inv = p**-1
+        x = p_inv * v
+        pw = p_inv * w
+        return sum(pw[i, i] for i in range(4)) - sum((x * x)[i, i] for i in range(4)) / 4
+
+
+@pytest.mark.parametrize(
+    "r, tau, pinned, pinned_rel",
+    [
+        (10.0, 30.0, 7.646724067264e15, 1e-12),  # reference point, on the round-trip lattice
+        (10.0, 2.00013, 7.7147772197e14, 1e-10),
+        (10.0, 17.8869724053911, None, None),
+        (2.0, 10.293056712267909, None, None),
+    ],
+)
+def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel):
+    # off the lattice at r = 10, float64 routes through a lab-frame P fail
+    # (P's roundoff exceeds its e^{-2r} eigenvalue); the rotated-frame form
+    # must still match the extended-precision evaluation
+    _, series = scenario_series(tau=tau, squeezing=r)
+    exact = mp_matrix_form_h0(series, r, 1, 2)
+    got = qfi_analytic_h0(series, r, 1, 2)
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+    if pinned is not None:
+        assert abs(float(exact) - pinned) <= pinned_rel * pinned
+
+
+def test_analytic_second_order_passive_mixer_on_vacuum(rng):
+    # a passive mixer (beta = 0) maps the vacuum to itself, so the exact QFI
+    # is zero; that needs the second-order diagonal alpha2 fixed by the
+    # Bogoliubov identity, Re(conj(G_m) alpha2_mm) = -sum_n |alpha1_mn|^2 / 2,
+    # and the first-order data alone would report a positive QFI
+    canon = canonical_series(rng, 6)
+    zeros = np.zeros_like(canon.beta1)
+    first_order = BogoliubovSeries(6, canon.G, canon.alpha1, zeros)
+    completion = np.diag(-0.5 * canon.G * np.sum(np.abs(canon.alpha1) ** 2, axis=1))
+    completed = BogoliubovSeries(6, canon.G, canon.alpha1, zeros, alpha2=completion)
+    scale = qfi_analytic_h0(first_order, 0.0, 1, 2)
+    assert scale > 1.0
+    assert abs(qfi_analytic_h0(completed, 0.0, 1, 2)) <= 1e-14 * scale
 
 
 def test_mode_sums_zero_series():
