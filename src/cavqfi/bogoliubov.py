@@ -26,13 +26,8 @@ _UNIT_PHASE_TOL = 1e-12
 
 def m_block(alpha_mn: complex, beta_mn: complex) -> np.ndarray:
     """2x2 symplectic block for one (alpha, beta) coefficient pair."""
-    a = complex(alpha_mn)
-    b = complex(beta_mn)
-    return np.array(
-        [
-            [(a - b).real, (a + b).imag],
-            [-(a - b).imag, (a + b).real],
-        ]
+    return kernels.symplectic_blocks(
+        np.array([[alpha_mn]], dtype=complex), np.array([[beta_mn]], dtype=complex)
     )
 
 
@@ -144,23 +139,10 @@ class SymplecticTransform:
         return float(np.abs(self.matrix @ omega @ self.matrix.T - omega).max())
 
 
-def symplectic_blocks(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Real (2m x 2n) matrix of 2x2 blocks m_block(alpha_ij, beta_ij) for m x n inputs."""
-    diff = alpha - beta
-    total = alpha + beta
-    m, n = diff.shape
-    s = np.empty((2 * m, 2 * n))
-    s[0::2, 0::2] = diff.real
-    s[0::2, 1::2] = total.imag
-    s[1::2, 0::2] = -diff.imag
-    s[1::2, 1::2] = total.real
-    return s
-
-
 def assemble_symplectic(coeffs: BogoliubovCoefficients) -> SymplecticTransform:
     """Real 2N x 2N matrix with 2x2 blocks m_block(alpha_mn, beta_mn)."""
     return SymplecticTransform(
-        dim=2 * coeffs.n_modes, matrix=symplectic_blocks(coeffs.alpha, coeffs.beta)
+        dim=2 * coeffs.n_modes, matrix=kernels.symplectic_blocks(coeffs.alpha, coeffs.beta)
     )
 
 

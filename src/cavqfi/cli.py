@@ -13,7 +13,6 @@ conditioning), 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -300,24 +299,15 @@ def _apply_axis(scenario, name, value):
     raise ConfigError(f"unknown sweep parameter {name}")
 
 
-def _sweep_worker(args):
-    scenario, policy, name, value = args
-    point = evaluate_scenario(_apply_axis(scenario, name, value), policy)
-    extra = ()
-    if name == "a":
-        extra = (("a_probe_m_per_s2", value),)
-    elif name == "omega":
-        extra = (("omega_rad_per_s", value),)
-    return _record_from_point(point, extra)
+_AXIS_COLUMNS = {"a": "a_probe_m_per_s2", "omega": "omega_rad_per_s"}
 
 
-def run_sweep(scenario, policy, name, values, workers=1):
-    tasks = [(scenario, policy, name, v) for v in values]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_worker, tasks))
-    else:
-        records = [_sweep_worker(t) for t in tasks]
+def run_sweep(scenario, policy, name, values):
+    records = []
+    for value in values:
+        point = evaluate_scenario(_apply_axis(scenario, name, value), policy)
+        extra = ((_AXIS_COLUMNS[name], value),) if name in _AXIS_COLUMNS else ()
+        records.append(_record_from_point(point, extra))
     return records
 
 
@@ -428,7 +418,7 @@ def cmd_sweep(args):
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a sweep section in the config")
     name, values = _sweep_axis(cfg["sweep"])
-    records = run_sweep(scenario, policy, name, values, workers=args.workers)
+    records = run_sweep(scenario, policy, name, values)
     out, fmt = resolve_output(cfg, args)
     _emit_records(records, out, fmt)
     return 0
@@ -458,7 +448,7 @@ def cmd_figure2(args):
     records = []
     for r in FIGURE2_SQUEEZINGS:
         base = dataclasses.replace(scenario, squeezing=r)
-        records.extend(run_sweep(base, policy, "tau", taus, workers=args.workers))
+        records.extend(run_sweep(base, policy, "tau", taus))
     out, fmt = resolve_output(cfg, args)
     _emit_records(records, out, fmt)
     return 0
@@ -571,7 +561,6 @@ def build_parser():
     common.add_argument("--config", default=None, help="path to JSON run configuration")
     common.add_argument("--out", default=None, help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     common.add_argument("--nmax", type=int, default=None, help="override mode truncation")
 
     sub.add_parser("qfi", parents=[common], help="single-point QFI and bounds")
@@ -595,9 +584,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

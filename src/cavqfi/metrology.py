@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from . import kernels
-from .bogoliubov import BogoliubovSeries, symplectic_blocks
+from .bogoliubov import BogoliubovSeries
 from .errors import (
     ConditioningError,
     NoInformationError,
@@ -353,10 +353,10 @@ def qfi_analytic_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> 
     w = kernels.reduced_transform(
         a1, b1, rows[0], rows[1], squeezed, squeezed, np.zeros((2, 2))
     )
-    m1 = symplectic_blocks(a1[:, rows], b1[:, rows]) * d
+    m1 = kernels.symplectic_blocks(a1[:, rows], b1[:, rows]) * d
     v = m1 + m1.T
     if series.alpha2 is not None or series.beta2 is not None:
-        m2 = symplectic_blocks(
+        m2 = kernels.symplectic_blocks(
             rotated(series.alpha2)[:, rows], rotated(series.beta2)[:, rows]
         ) * d
         w = w + m2 + m2.T

@@ -1,9 +1,10 @@
-"""Numeric policy: tolerances, truncation and step-ladder choices in one place.
+"""Numeric policy: tolerances, precision and step-ladder choices in one place.
 
 Every tolerance used by the library is a field here, so tests and the CLI can
 pin or override them without touching call sites.  The environment variable
 ``CAVQFI_NUMERIC_POLICY`` may hold a JSON object whose keys override fields of
-the default policy (e.g. ``CAVQFI_NUMERIC_POLICY='{"n_max": 100}'``).
+the default policy (e.g. ``CAVQFI_NUMERIC_POLICY='{"extended_dps": 60}'``).
+The mode truncation is a scenario field (``n_max``), not a policy field.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ class NumericPolicy:
     # covariance-matrix invariants
     symmetry_tol: float = 1e-12
     uncertainty_floor: float = -1e-10   # min eigenvalue of sigma + i*Omega
-    # symplectic checks
-    symplectic_tol_exact: float = 1e-8
     # fidelity branch handling
     branch_clamp: float = 1e-10          # clamp Pi^2 - Delta in [-clamp, 0] to 0
     # switch the 4x4 determinant work to mpmath above this covariance magnitude;
@@ -36,8 +35,6 @@ class NumericPolicy:
     dh_curvature_max: float = 1e-4
     plateau_rtol: float = 1e-3           # successive Richardson estimates within 0.1%
     plateau_abs_floor: float = 1e-12     # below this the ladder counts as zero
-    # mode truncation
-    n_max: int = 50
     # validity of the perturbative expansion: flag when H0 * h^2 >= threshold
     validity_threshold: float = 1e-2
 
@@ -62,7 +59,7 @@ def policy_from_mapping(mapping, base: NumericPolicy = DEFAULT_POLICY) -> Numeri
     for key, value in mapping.items():
         if key == "dh_ladder":
             value = tuple(float(v) for v in value)
-        elif key in ("n_max", "extended_dps"):
+        elif key == "extended_dps":
             value = int(value)
         elif key in _FLOAT_FIELDS:
             value = float(value)

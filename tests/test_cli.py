@@ -73,6 +73,24 @@ def test_unknown_scenario_field_exit_two(tmp_path, capsys):
     assert main(["qfi", "--config", cfg]) == 2
 
 
+def test_removed_options_refused(tmp_path, monkeypatch, capsys):
+    from cavqfi.errors import ConfigError
+    from cavqfi.policy import DEFAULT_POLICY, policy_from_env
+
+    # sweeps run serially; there is no --workers flag
+    with pytest.raises(SystemExit) as exc:
+        main(["figure2", "--workers", "2"])
+    assert exc.value.code == 2
+    # the truncation is scenario.n_max; a policy n_max is an unknown field,
+    # not a silent no-op
+    cfg = write_config(tmp_path, {"numeric_policy": {"n_max": 100}})
+    assert main(["qfi", "--config", cfg]) == 2
+    assert "n_max" in capsys.readouterr().err
+    monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"n_max": 12}')
+    with pytest.raises(ConfigError):
+        policy_from_env(DEFAULT_POLICY)
+
+
 def test_validity_flagged(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -183,21 +201,6 @@ def test_sweep_deterministic_and_round_trip(tmp_path):
             assert float(text) == val or (np.isnan(float(text)) and np.isnan(val))
 
 
-def test_sweep_workers_match_serial(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "scenario": FAST_SCENARIO,
-            "sweep": {"parameter": "r", "start": 0.5, "stop": 2.0, "count": 4, "spacing": "linear"},
-        },
-    )
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "parallel.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--workers", "3"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_sweep_off_lattice_converged_in_nmax(tmp_path):
     # two off-lattice durations at r = 2 where a per-point phase fit once
     # misfitted at n_max 50 (by 6.2e-4 and by a factor of 3.8); the QFI must
@@ -267,9 +270,9 @@ def test_numeric_policy_env_override(monkeypatch):
     from cavqfi.policy import DEFAULT_POLICY, policy_from_env
     from cavqfi.errors import ConfigError
 
-    monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"n_max": 12, "plateau_rtol": 0.002}')
+    monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"extended_dps": 60, "plateau_rtol": 0.002}')
     policy = policy_from_env(DEFAULT_POLICY)
-    assert policy.n_max == 12
+    assert policy.extended_dps == 60
     assert policy.plateau_rtol == 0.002
     monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"bogus_field": 1}')
     with pytest.raises(ConfigError):
@@ -309,7 +312,7 @@ def test_sweep_over_omega_axis(tmp_path):
 def test_figure2_default_grid_snapped(tmp_path):
     # no config: the tau grid must be snapped to multiples of 2 L / c_s
     out = tmp_path / "fig_default.csv"
-    assert main(["figure2", "--out", str(out), "--workers", "4"]) == 0
+    assert main(["figure2", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     period = 2.0 * 1e-6 / 1e-3
     taus = sorted({float(line.split(",")[0]) for line in lines[1:]})
