@@ -39,12 +39,11 @@ from .gaussian import (
 from .metrology import (
     EstimationResult,
     FidelityBreakdown,
-    ModeSums,
+    H0Result,
     cramer_rao,
     fidelity_two_mode,
     mach_zehnder_bound,
     mach_zehnder_qfi,
-    mode_sums,
     qfi_analytic_h0,
     qfi_numeric,
     validity_check,
@@ -61,7 +60,7 @@ __all__ = [
     "EstimationResult",
     "FidelityBreakdown",
     "GaussianState",
-    "ModeSums",
+    "H0Result",
     "NumericPolicy",
     "PhysicalityReport",
     "SymplecticForm",
@@ -79,7 +78,6 @@ __all__ = [
     "mach_zehnder_bound",
     "mach_zehnder_qfi",
     "mode_frequency",
-    "mode_sums",
     "partial_trace",
     "policy_from_env",
     "purity",

@@ -33,7 +33,6 @@ from .gaussian import initial_product_squeezed
 from .metrology import (
     cramer_rao,
     fidelity_two_mode,
-    mode_sums,
     qfi_analytic_h0,
     qfi_numeric,
 )
@@ -108,14 +107,20 @@ def load_config(path):
     return cfg
 
 
+def _section(mapping, name, allowed):
+    """The object mapping[name] ({} when absent); anything else, or an unknown key, is refused."""
+    section = mapping.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be an object")
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    return section
+
+
 def resolve_output(cfg, args):
     """Output destination: CLI flags win over the config's output section."""
-    section = cfg.get("output", {})
-    if not isinstance(section, dict):
-        raise ConfigError("output section must be an object")
-    unknown = set(section) - {"path", "format"}
-    if unknown:
-        raise ConfigError(f"unknown output fields: {sorted(unknown)}")
+    section = _section(cfg, "output", {"path", "format"})
     out = args.out if args.out is not None else section.get("path")
     fmt = args.format if args.format is not None else section.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -125,13 +130,7 @@ def resolve_output(cfg, args):
 
 def scenario_from_config(cfg, nmax_override=None):
     raw = dict(DEFAULT_SCENARIO)
-    user = cfg.get("scenario", {})
-    if not isinstance(user, dict):
-        raise ConfigError("scenario section must be an object")
-    unknown = set(user) - set(DEFAULT_SCENARIO)
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    raw.update(user)
+    raw.update(_section(cfg, "scenario", DEFAULT_SCENARIO))
     if nmax_override is not None:
         raw["n_max"] = nmax_override
     kwargs = {}
@@ -156,49 +155,28 @@ def policy_from_config(cfg):
     return policy
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRecord:
-    tau_s: float
-    r: float
-    qfi: float
-    delta_h: float
-    delta_a_m_per_s2: float
-    validity_margin: float
-    tail_estimate: float
-    extra: tuple = ()
-
-    def row(self):
-        vals = [
-            self.tau_s,
-            self.r,
-            self.qfi,
-            self.delta_h,
-            self.delta_a_m_per_s2,
-            self.validity_margin,
-            self.tail_estimate,
-        ]
-        vals.extend(v for _, v in self.extra)
-        return vals
-
-
 def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_numeric=False):
     """Full single-point evaluation: series, QFI, bounds.
 
     The QFI is the matrix-form H0 of qfi_analytic_h0 at the scenario
     squeezing, computed straight from the series with no fitted inputs.
-    With want_numeric, the fidelity-ladder QFI of the same point is added
-    as "qfi_numeric"; its numeric failures propagate.  Returns a plain dict
-    of floats.
+    "tail_estimate" is the share of H0 carried by the modes above
+    n_max // 2 (nan when n_max // 2 does not cover the pair), from the same
+    one sum.  With want_numeric, the fidelity-ladder QFI of the same point
+    is added as "qfi_numeric"; its numeric failures propagate.  Returns a
+    plain dict of floats.
     """
     series = build_scenario_series(scenario)
-    qfi = qfi_analytic_h0(series, scenario.squeezing, scenario.k, scenario.kprime)
+    h0 = qfi_analytic_h0(
+        series, scenario.squeezing, scenario.k, scenario.kprime, return_diagnostics=True
+    )
+    qfi = h0.value
     out = {
         "tau_s": scenario.tau,
         "r": scenario.squeezing,
         "qfi": qfi,
+        "tail_estimate": h0.truncation_change,
     }
-    sums = mode_sums(series, scenario.k, scenario.kprime)
-    out["tail_estimate"] = sums.tail_estimate
     if want_numeric:
         initial = initial_product_squeezed(scenario.squeezing, scenario.squeezing)
         out["qfi_numeric"] = qfi_numeric(
@@ -236,19 +214,6 @@ def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_nume
     return out
 
 
-def _record_from_point(point, extra=()):
-    return SweepRecord(
-        tau_s=point["tau_s"],
-        r=point["r"],
-        qfi=point["qfi"],
-        delta_h=point["delta_h"],
-        delta_a_m_per_s2=point["delta_a_m_per_s2"],
-        validity_margin=point["validity_margin"],
-        tail_estimate=point["tail_estimate"],
-        extra=tuple(extra),
-    )
-
-
 # ---------------------------------------------------------------------------
 # sweep machinery
 # ---------------------------------------------------------------------------
@@ -256,12 +221,8 @@ def _record_from_point(point, extra=()):
 _SWEEP_PARAMETERS = ("tau", "r", "a", "omega")
 
 
-def _sweep_axis(section):
-    if not isinstance(section, dict):
-        raise ConfigError("sweep section must be an object")
-    unknown = set(section) - {"parameter", "start", "stop", "count", "spacing"}
-    if unknown:
-        raise ConfigError(f"unknown sweep fields: {sorted(unknown)}")
+def _sweep_axis(cfg):
+    section = _section(cfg, "sweep", {"parameter", "start", "stop", "count", "spacing"})
     try:
         name = section["parameter"]
         start = float(section["start"])
@@ -303,12 +264,15 @@ _AXIS_COLUMNS = {"a": "a_probe_m_per_s2", "omega": "omega_rad_per_s"}
 
 
 def run_sweep(scenario, policy, name, values):
-    records = []
+    """Point dicts of evaluate_scenario along one axis; an a or omega value
+    is stored under its _AXIS_COLUMNS name."""
+    points = []
     for value in values:
         point = evaluate_scenario(_apply_axis(scenario, name, value), policy)
-        extra = ((_AXIS_COLUMNS[name], value),) if name in _AXIS_COLUMNS else ()
-        records.append(_record_from_point(point, extra))
-    return records
+        if name in _AXIS_COLUMNS:
+            point[_AXIS_COLUMNS[name]] = value
+        points.append(point)
+    return points
 
 
 def snapped_tau_grid(scenario, start, stop, count):
@@ -357,15 +321,15 @@ def _write_json(path, payload):
             fh.write(text)
 
 
-def _emit_records(records, out, fmt):
+def _emit_records(points, out, fmt):
     header = list(CSV_COLUMNS)
-    if records and records[0].extra:
-        header.extend(name for name, _ in records[0].extra)
+    if points:
+        header.extend(c for c in _AXIS_COLUMNS.values() if c in points[0])
+    rows = [[p[c] for c in header] for p in points]
     if fmt == "csv":
-        _write_csv(out, header, [r.row() for r in records])
+        _write_csv(out, header, rows)
     else:
-        payload = {"records": [dict(zip(header, r.row())) for r in records]}
-        _write_json(out, payload)
+        _write_json(out, {"records": [dict(zip(header, row)) for row in rows]})
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +353,7 @@ def cmd_qfi(args):
     print(f"cross-check residual: {point['cross_check_residual']:.3e}")
     print(f"delta_h bound       : {_fmt(point['delta_h'])}")
     print(f"delta_a bound (m/s2): {_fmt(point['delta_a_m_per_s2'])}")
-    print(f"truncation tail est : {_fmt(point['tail_estimate'])}")
+    print(f"truncation change   : {_fmt(point['tail_estimate'])}")
     print(
         "max valid accel     : "
         f"{_fmt(point['max_valid_acceleration_m_per_s2'])} m/s^2 "
@@ -403,9 +367,8 @@ def cmd_qfi(args):
         )
     out, fmt = resolve_output(cfg, args)
     if out is not None:
-        record = _record_from_point(point)
         if fmt == "csv":
-            _write_csv(out, CSV_COLUMNS, [record.row()])
+            _write_csv(out, CSV_COLUMNS, [[point[c] for c in CSV_COLUMNS]])
         else:
             _write_json(out, dict(point))
     return 0
@@ -417,7 +380,7 @@ def cmd_sweep(args):
     scenario = scenario_from_config(cfg, args.nmax)
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a sweep section in the config")
-    name, values = _sweep_axis(cfg["sweep"])
+    name, values = _sweep_axis(cfg)
     records = run_sweep(scenario, policy, name, values)
     out, fmt = resolve_output(cfg, args)
     _emit_records(records, out, fmt)
@@ -439,7 +402,7 @@ def cmd_figure2(args):
     policy = policy_from_config(cfg)
     scenario = scenario_from_config(cfg, args.nmax)
     if "sweep" in cfg:
-        name, taus = _sweep_axis(cfg["sweep"])
+        name, taus = _sweep_axis(cfg)
         if name != "tau":
             raise ConfigError("figure2 sweeps over tau only")
     else:
@@ -454,12 +417,8 @@ def cmd_figure2(args):
     return 0
 
 
-def _fidelity_state(section, scenario, series, what):
-    if not isinstance(section, dict):
-        raise ConfigError(f"fidelity.{what} must be an object")
-    unknown = set(section) - {"squeezing_r_k", "squeezing_r_kprime", "amplitude_h"}
-    if unknown:
-        raise ConfigError(f"unknown fidelity state fields: {sorted(unknown)}")
+def _fidelity_state(fidelity, what, scenario, series):
+    section = _section(fidelity, what, {"squeezing_r_k", "squeezing_r_kprime", "amplitude_h"})
     r_k = float(section.get("squeezing_r_k", scenario.squeezing))
     r_kp = float(section.get("squeezing_r_kprime", scenario.squeezing))
     h = float(section.get("amplitude_h", 0.0))
@@ -472,10 +431,10 @@ def cmd_fidelity(args):
     cfg = load_config(args.config)
     policy = policy_from_config(cfg)
     scenario = scenario_from_config(cfg, args.nmax)
-    section = cfg.get("fidelity", {})
+    section = _section(cfg, "fidelity", {"state_a", "state_b"})
     series = build_scenario_series(scenario)
-    state_a = _fidelity_state(section.get("state_a", {}), scenario, series, "state_a")
-    state_b = _fidelity_state(section.get("state_b", {}), scenario, series, "state_b")
+    state_a = _fidelity_state(section, "state_a", scenario, series)
+    state_b = _fidelity_state(section, "state_b", scenario, series)
     fb = fidelity_two_mode(state_a, state_b, policy)
     payload = {
         "gamma": fb.gamma,
@@ -499,7 +458,7 @@ def cmd_fidelity(args):
 def cmd_coeffs(args):
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg, args.nmax)
-    static = bool(cfg.get("coeffs", {}).get("static", False)) or args.static
+    static = bool(_section(cfg, "coeffs", {"static"}).get("static", False)) or args.static
     if static:
         alpha, beta = static_matrices(scenario.n_max)
         alpha = alpha.astype(complex)

@@ -6,11 +6,12 @@ Kernels:
     tau),
   * ``reduced_transform``: the reduced two-mode covariance transform
     (per-spectator-mode 2x2 products summed over the truncation range,
-    called once per matrix-form QFI and once per fidelity evaluation inside
-    QFI step ladders),
+    called once per fidelity evaluation inside QFI step ladders),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
     coefficient pairs, shared by both transform paths and the matrix-form
-    QFI.
+    QFI, which sums the squares of its entries directly (it reads only the
+    diagonal of the transformed covariance, so it needs no reduced
+    transform).
 
 Callers reach the first two as ``kernels.time_dependent_coefficients`` and
 ``kernels.reduced_transform``; perfbench's per-layer tracer wraps those two

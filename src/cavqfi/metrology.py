@@ -10,7 +10,9 @@ for mixed ones, so it is not used.
 The QFI comes in two independent routes.  Production uses the matrix form
 qfi_analytic_h0: H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 for the transformed
 covariance sigma(h) = P + h V + h^2 W, built from rows k and k' of the series
-in the frame where P is diagonal, with no fitted inputs.  The finite-difference
+in the frame where P is diagonal, with no fitted inputs.  H0 is a sum of
+per-column terms, so the same sum also measures how much of H0 the modes
+above a halved truncation carry.  The finite-difference
 step ladder on the fidelity with Richardson extrapolation (qfi_numeric) is the
 independent cross-check: ``cavqfi qfi`` reports both, and the test suite
 compares them.
@@ -233,85 +235,23 @@ def qfi_numeric(
 
 
 # ---------------------------------------------------------------------------
-# mode sums and the matrix-form leading-order QFI
+# the matrix-form leading-order QFI
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
-class ModeSums:
-    f_alpha_k: float
-    f_beta_k: float
-    f_alpha_kprime: float
-    f_beta_kprime: float
-    g_alphabeta_kk: complex
-    g_alphabeta_kpkp: complex
-    tail_estimate: float
+class H0Result:
+    value: float
+    truncation_change: float
 
 
-def _tail_estimate(terms):
-    """Conservative tail bound for a truncated spectator sum.
-
-    Uses the envelope of the last available terms with an assumed power-law
-    decay no faster than the fitted one (floored at p = 2), scaled so that
-    doubling the truncation stays within the estimate even when individual
-    terms oscillate with detuning.
-    """
-    mags = np.abs(np.asarray(terms, dtype=complex))
-    nz = mags[mags > 0]
-    if nz.size < 4:
-        return float(mags.sum())
-    n = mags.size
-    window = max(4, n // 5)
-    head = np.max(mags[-2 * window : -window]) if n >= 2 * window else np.max(mags[:window])
-    last = np.max(mags[-window:])
-    if last == 0.0:
-        return 0.0
-    if head > last > 0:
-        p = math.log(head / last) / math.log(2.0)
-        p = min(max(p, 2.0), 8.0)
-    else:
-        p = 2.0
-    return float(2.0 * last * n / (p - 1.0))
-
-
-def mode_sums(series: BogoliubovSeries, k: int, kprime: int) -> ModeSums:
-    """Spectator sums f_alpha^i, f_beta^i and G^{alphabeta}_ii over n not in {k, k'}.
-
-    f_alpha^i = sum |alpha1_{n i}|^2, f_beta^i likewise, and
-    G^{alphabeta}_{ii} = sum alpha1_{n i} conj(beta1_{n i}), with a
-    conservative truncation-tail estimate for the whole bundle.
-    """
-    n = series.n_modes
-    if max(k, kprime) > n:
-        raise ValueError("mode indices exceed truncation range")
-    mask = np.ones(n, dtype=bool)
-    mask[k - 1] = False
-    mask[kprime - 1] = False
-    a1, b1 = series.alpha1, series.beta1
-    ak = a1[mask, k - 1]
-    bk = b1[mask, k - 1]
-    akp = a1[mask, kprime - 1]
-    bkp = b1[mask, kprime - 1]
-    tail = max(
-        _tail_estimate(np.abs(ak) ** 2),
-        _tail_estimate(np.abs(bk) ** 2),
-        _tail_estimate(np.abs(akp) ** 2),
-        _tail_estimate(np.abs(bkp) ** 2),
-        _tail_estimate(ak * np.conj(bk)),
-        _tail_estimate(akp * np.conj(bkp)),
-    )
-    return ModeSums(
-        f_alpha_k=float(np.sum(np.abs(ak) ** 2)),
-        f_beta_k=float(np.sum(np.abs(bk) ** 2)),
-        f_alpha_kprime=float(np.sum(np.abs(akp) ** 2)),
-        f_beta_kprime=float(np.sum(np.abs(bkp) ** 2)),
-        g_alphabeta_kk=complex(np.sum(ak * np.conj(bk))),
-        g_alphabeta_kpkp=complex(np.sum(akp * np.conj(bkp))),
-        tail_estimate=tail,
-    )
-
-
-def qfi_analytic_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> float:
+def qfi_analytic_h0(
+    series: BogoliubovSeries,
+    r: float,
+    k: int,
+    kprime: int,
+    return_diagnostics: bool = False,
+):
     """Leading-order QFI H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 in matrix form.
 
     Both modes start squeezed by r; sigma(h) = P + h V + h^2 W is the
@@ -323,15 +263,22 @@ def qfi_analytic_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> 
     The rows are first multiplied by conj(G_k) and conj(G_k'), which undoes
     the free rotation of each mode; H0 is invariant under that fixed
     symplectic change of frame, and in the rotated frame P is exactly
-    D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  With M1, M2 the 4x4 block
-    matrices of the rotated (k, k') entries of each order,
-      V = M1 D + (M1 D)^T,
-      W = sum_n M1_in s_n M1_jn^T (the reduced transform) + M2 D + (M2 D)^T,
-    where s_n is the initial block of mode n (squeezed on k, k', vacuum
-    elsewhere), and
-      H0 = sum_i W_ii / D_i - (1/4) sum_ij V_ij^2 / (D_i D_j).
+    D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  With s the 4 x 2n block
+    layout of the rotated first-order rows, M1 = s[:, pair] D and M2 the
+    4x4 block matrix of the rotated second-order (k, k') entries,
+      V = M1 + M1^T,
+      W_ii = sum_c s_ic^2 w_c + 2 M2_ii D_i,
+    where w_c is the initial variance of column c (D on the columns of k and
+    k', vacuum 1 elsewhere).  H0 reads only that diagonal of W, so
+      H0 = sum_ic s_ic^2 w_c / D_i - (1/4) sum_ij V_ij^2 / (D_i D_j) + 2 tr(M2).
     Nothing inverts a lab-frame P: at r = 10 its entries reach e^{20} and
     their roundoff alone exceeds its smallest eigenvalue e^{-20}.
+
+    With return_diagnostics, an H0Result also carries the truncation change
+    (H0(n_max) - H0(n_max // 2)) / H0: the per-column terms of modes above
+    n_max // 2, whose partial sum is exactly what the halved truncation
+    drops.  It is nan when n_max // 2 does not cover the pair and 0.0 when
+    H0 is zero.
     """
     n = series.n_modes
     if max(k, kprime) > n:
@@ -339,6 +286,7 @@ def qfi_analytic_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> 
     if k == kprime:
         raise ValueError("k and kprime must differ")
     rows = [k - 1, kprime - 1]
+    pair = [2 * rows[0], 2 * rows[0] + 1, 2 * rows[1], 2 * rows[1] + 1]
     rotate = np.conj(series.G[rows])[:, None]
 
     def rotated(mat):
@@ -346,21 +294,30 @@ def qfi_analytic_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> 
             return np.zeros((2, n), dtype=complex)
         return rotate * mat[rows]
 
-    a1, b1 = rotated(series.alpha1), rotated(series.beta1)
     d = np.array([math.exp(2.0 * r), math.exp(-2.0 * r)] * 2)
-    squeezed = np.diag(d[:2])
-
-    w = kernels.reduced_transform(
-        a1, b1, rows[0], rows[1], squeezed, squeezed, np.zeros((2, 2))
-    )
-    m1 = kernels.symplectic_blocks(a1[:, rows], b1[:, rows]) * d
+    s = kernels.symplectic_blocks(rotated(series.alpha1), rotated(series.beta1))
+    weight = np.ones(2 * n)
+    weight[pair] = d
+    terms = s * s * weight / d[:, None]
+    m1 = s[:, pair] * d
     v = m1 + m1.T
+    value = terms.sum() - 0.25 * np.sum(v * v / np.outer(d, d))
     if series.alpha2 is not None or series.beta2 is not None:
         m2 = kernels.symplectic_blocks(
             rotated(series.alpha2)[:, rows], rotated(series.beta2)[:, rows]
-        ) * d
-        w = w + m2 + m2.T
-    return float(np.sum(np.diag(w) / d) - 0.25 * np.sum(v * v / np.outer(d, d)))
+        )
+        value += 2.0 * np.trace(m2)
+    value = float(value)
+    if not return_diagnostics:
+        return value
+    half = n // 2
+    if half < max(k, kprime):
+        change = math.nan
+    elif value == 0.0:
+        change = 0.0
+    else:
+        change = float(terms[:, 2 * half :].sum() / value)
+    return H0Result(value, change)
 
 
 # ---------------------------------------------------------------------------

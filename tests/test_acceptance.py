@@ -196,7 +196,7 @@ def test_criterion_8_figure2_properties():
     for r in FIGURE2_SQUEEZINGS:
         base = dataclasses.replace(scenario, squeezing=r)
         records = run_sweep(base, DEFAULT_POLICY, "tau", taus)
-        curves[r] = np.array([rec.delta_a_m_per_s2 for rec in records])
+        curves[r] = np.array([rec["delta_a_m_per_s2"] for rec in records])
     decreasing = all(np.all(np.diff(curves[r]) < 0) for r in FIGURE2_SQUEEZINGS)
     ordered = bool(
         np.all(curves[10.0] < curves[9.0]) and np.all(curves[9.0] < curves[8.0])

@@ -111,6 +111,21 @@ def test_validity_ok_for_small_probe(tmp_path, capsys):
     assert "[OK]" in out
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("fidelity", {"state_c": {"amplitude_h": 1e-3}}),
+        ("fidelity", 3),
+        ("coeffs", {"statik": True}),
+        ("coeffs", True),
+    ],
+)
+def test_malformed_section_exit_two(tmp_path, capsys, command, section):
+    cfg = write_config(tmp_path, {"scenario": {"n_max": 4}, command: section})
+    assert main([command, "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_fidelity_identical_states(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -226,6 +241,22 @@ def test_sweep_off_lattice_converged_in_nmax(tmp_path):
     assert len(qfis[50]) == 2
     for low, high in zip(qfis[50], qfis[200]):
         assert abs(low - high) <= 1e-8 * abs(high)
+
+
+def test_sweep_truncation_change_nan_when_half_misses_pair(tmp_path):
+    # at n_max 3, n_max // 2 = 1 does not cover the pair (1, 2)
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": FAST_SCENARIO,
+            "sweep": {"parameter": "tau", "start": 0.1, "stop": 1.0, "count": 2},
+        },
+    )
+    out = tmp_path / "nmax3.csv"
+    assert main(["sweep", "--config", cfg, "--nmax", "3", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    tails = [float(line.split(",")[6]) for line in lines[1:]]
+    assert len(tails) == 2 and all(np.isnan(t) for t in tails)
 
 
 def test_sweep_over_a_adds_axis_column(tmp_path):

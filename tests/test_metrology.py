@@ -8,13 +8,13 @@ from cavqfi import (
     BogoliubovSeries,
     CavityScenario,
     GaussianState,
+    H0Result,
     build_scenario_series,
     cramer_rao,
     fidelity_two_mode,
     initial_product_squeezed,
     mach_zehnder_bound,
     mach_zehnder_qfi,
-    mode_sums,
     qfi_analytic_h0,
     qfi_numeric,
     transform_reduced,
@@ -229,16 +229,21 @@ def test_analytic_zero_series_is_zero():
 
     assert qfi_analytic_h0(trivial_series(4), 0.0, 1, 2) == 0.0
     assert qfi_analytic_h0(trivial_series(4), 2.0, 1, 2) == 0.0
+    # a zero H0 reports a zero truncation change, not 0/0
+    zero = qfi_analytic_h0(trivial_series(4), 2.0, 1, 2, return_diagnostics=True)
+    assert zero == H0Result(0.0, 0.0)
 
 
 def test_analytic_r0_reduction(rng):
     # at r = 0 the closed form reduces to 2 (f-sums) + 4 |alpha1_kk'|^2 for
     # canonical series, which the numeric ladder confirms independently
     series = canonical_series(rng, 6)
-    sums = mode_sums(series, 1, 2)
-    expected = 2.0 * (
-        sums.f_alpha_k + sums.f_beta_k + sums.f_alpha_kprime + sums.f_beta_kprime
-    ) + 4.0 * abs(series.alpha1[0, 1]) ** 2
+    # f-sums: |alpha1_nk|^2 and |beta1_nk|^2 over spectators n not in {k, k'},
+    # in the columns of k and k'
+    f_sums = sum(
+        np.sum(np.abs(mat[2:, col]) ** 2) for mat in (series.alpha1, series.beta1) for col in (0, 1)
+    )
+    expected = 2.0 * f_sums + 4.0 * abs(series.alpha1[0, 1]) ** 2
     got = qfi_analytic_h0(series, 0.0, 1, 2)
     assert got == pytest.approx(expected, rel=1e-10)
     numeric = qfi_numeric(
@@ -353,25 +358,31 @@ def test_analytic_second_order_passive_mixer_on_vacuum(rng):
     assert abs(qfi_analytic_h0(completed, 0.0, 1, 2)) <= 1e-14 * scale
 
 
-def test_mode_sums_zero_series():
-    from cavqfi import trivial_series
-
-    sums = mode_sums(trivial_series(5), 1, 2)
-    assert sums.f_alpha_k == 0.0
-    assert sums.g_alphabeta_kk == 0.0
-    assert sums.tail_estimate == 0.0
-
-
-def test_mode_sums_doubling_within_tail():
-    base = dict(length=1e-6, sound_speed=1e-3, k=1, kprime=2, squeezing=1.0, tau=0.3)
-    s50 = mode_sums(build_scenario_series(CavityScenario(**base, n_max=50)), 1, 2)
-    s100 = mode_sums(build_scenario_series(CavityScenario(**base, n_max=100)), 1, 2)
-    for field in ("f_alpha_k", "f_beta_k", "f_alpha_kprime", "f_beta_kprime"):
-        assert abs(getattr(s100, field) - getattr(s50, field)) <= s50.tail_estimate
-    assert abs(s100.g_alphabeta_kk - s50.g_alphabeta_kk) <= s50.tail_estimate
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_truncation_change_matches_halved_build(r):
+    # the n_max // 2 series is the leading block of the n_max series, so the
+    # partial sum over the upper columns is exactly H0(n_max) - H0(n_max // 2)
+    _, full = scenario_series(tau=2.00013, squeezing=r, n_max=50)
+    _, half = scenario_series(tau=2.00013, squeezing=r, n_max=25)
+    res = qfi_analytic_h0(full, r, 1, 2, return_diagnostics=True)
+    assert res.value == qfi_analytic_h0(full, r, 1, 2)
+    dropped = res.value - qfi_analytic_h0(half, r, 1, 2)
+    assert res.truncation_change > 0.0
+    assert abs(res.truncation_change * res.value - dropped) <= 4 * np.finfo(float).eps * res.value
 
 
-def test_mode_sums_dominated_by_resonant_spectators():
+@pytest.mark.parametrize(
+    "r, tau", [(1.0, 0.3), (2.0, 10.293056712267909), (2.0, 17.8869724053911)]
+)
+def test_truncation_change_bounds_doubling(r, tau):
+    _, s50 = scenario_series(tau=tau, squeezing=r, n_max=50)
+    _, s100 = scenario_series(tau=tau, squeezing=r, n_max=100)
+    res = qfi_analytic_h0(s50, r, 1, 2, return_diagnostics=True)
+    h100 = qfi_analytic_h0(s100, r, 1, 2)
+    assert abs(h100 - res.value) / res.value <= res.truncation_change
+
+
+def test_spectator_sum_dominated_by_resonant_spectators():
     _, series = scenario_series(tau=0.4)
     # at the sum resonance of modes (1, 2) the co-resonant mode-mixing
     # channels are (4 -> 1) and (5 -> 2)
@@ -379,8 +390,8 @@ def test_mode_sums_dominated_by_resonant_spectators():
     assert magnitudes.argmax() == 3
     magnitudes2 = np.abs(series.alpha1[:, 1]) ** 2
     assert magnitudes2.argmax() == 4
-    sums = mode_sums(series, 1, 2)
-    assert magnitudes[3] / sums.f_alpha_k > 0.99
+    # spectators of column 1: every mode but k = 1 and k' = 2
+    assert magnitudes[3] / np.sum(magnitudes[2:]) > 0.99
 
 
 def test_static_spectator_sums_dominated_by_nearest_odd():
