@@ -128,25 +128,37 @@ def drive_integral(x: float, omega: float, tau: float) -> complex:
     return complex(kernels.phase_integral(np.asarray(x, dtype=float), omega, tau))
 
 
+def mode_frequencies(scenario: CavityScenario) -> np.ndarray:
+    """Angular frequencies w_1 .. w_{n_max} of the truncated mode set (rad/s)."""
+    return np.array([mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)])
+
+
+def free_phases(scenario: CavityScenario) -> np.ndarray:
+    """Lab-frame zeroth-order phases G_m = e^{-i w_m tau} of the free rotation.
+
+    Multiplying row m of the interaction-picture series by G_m gives the
+    lab-frame series.
+    """
+    return np.exp(-1j * mode_frequencies(scenario) * scenario.tau)
+
+
 def sinusoidal_coefficients(scenario: CavityScenario) -> BogoliubovSeries:
     """First-order series for sinusoidal motion over the truncated mode set.
 
     Entry (m, n): the static coefficient times the mode-frequency sum or
-    difference and the closed-form drive integral, with the free-evolution
-    phase e^{-i w_m tau} attached to the row mode; zeroth order is
-    G_m = e^{-i w_m tau}.  At the sum resonance omega = w_k + w_kp the
+    difference and the closed-form drive integral.  The series is in the
+    interaction picture, so zeroth order is G = 1 (free_phases gives the
+    lab-frame rotation).  At the sum resonance omega = w_k + w_kp the
     corresponding |beta1| entries grow linearly in tau with slope
     |beta_static| (w_k + w_kp) / 2.
     """
-    omegas = np.array(
-        [mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)]
-    )
     alpha_static, beta_static = static_matrices(scenario.n_max)
     alpha1, beta1 = kernels.time_dependent_coefficients(
-        omegas, scenario.drive_omega, scenario.tau, alpha_static, beta_static
+        mode_frequencies(scenario), scenario.drive_omega, scenario.tau, alpha_static, beta_static
     )
-    g = np.exp(-1j * omegas * scenario.tau)
-    return BogoliubovSeries(scenario.n_max, g, alpha1, beta1)
+    return BogoliubovSeries(
+        scenario.n_max, np.ones(scenario.n_max, dtype=complex), alpha1, beta1
+    )
 
 
 def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:

@@ -25,11 +25,12 @@ from .cavity import (
     CavityScenario,
     acceleration_from_h,
     build_scenario_series,
+    free_phases,
     h_from_acceleration,
     static_matrices,
 )
 from .errors import CavqfiError, ConfigError, NoInformationError, NumericError
-from .gaussian import initial_product_squeezed
+from .gaussian import GaussianState, initial_product_squeezed
 from .metrology import (
     cramer_rao,
     fidelity_two_mode,
@@ -134,16 +135,18 @@ def scenario_from_config(cfg, nmax_override=None):
     if nmax_override is not None:
         raw["n_max"] = nmax_override
     kwargs = {}
-    for field, attr in _SCENARIO_KEYS.items():
-        value = raw[field]
-        if field in ("mode_k", "mode_kprime", "n_max"):
-            value = int(value)
-        elif value is not None:
-            value = float(value)
-        kwargs[attr] = value
     try:
+        for field, attr in _SCENARIO_KEYS.items():
+            value = raw[field]
+            if field in ("mode_k", "mode_kprime", "n_max"):
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValueError(f"{field} must be an integer, got {value}")
+                value = int(value)
+            elif value is not None:
+                value = float(value)
+            kwargs[attr] = value
         return CavityScenario(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
@@ -159,12 +162,17 @@ def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_nume
     """Full single-point evaluation: series, QFI, bounds.
 
     The QFI is the matrix-form H0 of qfi_analytic_h0 at the scenario
-    squeezing, computed straight from the series with no fitted inputs.
-    "tail_estimate" is the share of H0 carried by the modes above
-    n_max // 2 (nan when n_max // 2 does not cover the pair), from the same
-    one sum.  With want_numeric, the fidelity-ladder QFI of the same point
-    is added as "qfi_numeric"; its numeric failures propagate.  Returns a
-    plain dict of floats.
+    squeezing, computed straight from the interaction-picture series with
+    no fitted inputs.  "tail_estimate" is the share of H0 carried by the
+    modes above n_max // 2 (nan when n_max // 2 does not cover the pair),
+    from the same one sum.  With want_numeric, the fidelity-ladder QFI of
+    the same point is added as "qfi_numeric"; its numeric failures
+    propagate.  The ladder runs in the un-squeezed frame: every transformed
+    state is mapped by t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}), which takes
+    the h = 0 state to the vacuum.  t is symplectic, so the fidelities are
+    unchanged (Banchi, Braunstein and Pirandola, arXiv:1507.01941), and
+    near the vacuum they take the float64 path.  Returns a plain dict of
+    floats.
     """
     series = build_scenario_series(scenario)
     h0 = qfi_analytic_h0(
@@ -178,12 +186,15 @@ def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_nume
         "tail_estimate": h0.truncation_change,
     }
     if want_numeric:
-        initial = initial_product_squeezed(scenario.squeezing, scenario.squeezing)
-        out["qfi_numeric"] = qfi_numeric(
-            lambda h: transform_reduced(initial, series, h, scenario.k, scenario.kprime),
-            0.0,
-            policy,
-        )
+        r = scenario.squeezing
+        initial = initial_product_squeezed(r, r)
+        t = np.array([math.exp(-r), math.exp(r)] * 2)
+
+        def unsqueezed(h):
+            state = transform_reduced(initial, series, h, scenario.k, scenario.kprime)
+            return GaussianState(2, state.first_moments * t, state.cov * np.outer(t, t))
+
+        out["qfi_numeric"] = qfi_numeric(unsqueezed, 0.0, policy)
     h_probe = None
     if scenario.a_probe is not None:
         h_probe = h_from_acceleration(scenario.a_probe, scenario)
@@ -458,15 +469,19 @@ def cmd_fidelity(args):
 def cmd_coeffs(args):
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg, args.nmax)
-    static = bool(_section(cfg, "coeffs", {"static"}).get("static", False)) or args.static
-    if static:
+    static = _section(cfg, "coeffs", {"static"}).get("static", False)
+    if not isinstance(static, bool):
+        raise ConfigError("coeffs.static must be true or false")
+    if static or args.static:
         alpha, beta = static_matrices(scenario.n_max)
         alpha = alpha.astype(complex)
         beta = beta.astype(complex)
         g = np.ones(scenario.n_max, dtype=complex)
     else:
+        # the series is in the interaction picture; dump the lab frame
         series = build_scenario_series(scenario)
-        alpha, beta, g = series.alpha1, series.beta1, series.G
+        g = free_phases(scenario)
+        alpha, beta = g[:, None] * series.alpha1, g[:, None] * series.beta1
     header = ["m", "n", "alpha1_re", "alpha1_im", "beta1_re", "beta1_im", "g_m_re", "g_m_im"]
     rows = []
     n = scenario.n_max

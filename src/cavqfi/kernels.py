@@ -40,22 +40,22 @@ def phase_integral(x, omega, tau):
 
 
 def time_dependent_coefficients(omegas, omega_drive, tau, alpha_static, beta_static):
-    """First-order coefficient matrices alpha1(tau), beta1(tau).
+    """First-order coefficient matrices alpha1(tau), beta1(tau), interaction picture.
 
-    Entry (m, n) carries the free-evolution phase of the row mode:
-      alpha1[m, n] = i e^{-i w_m tau} alpha_static[m, n] (w_m - w_n) I(w_m - w_n)
-      beta1[m, n]  = i e^{-i w_m tau} beta_static[m, n]  (w_m + w_n) I(w_m + w_n)
-    with I the sinusoidal drive integral above.  Attaching the phase to the
-    row index is what keeps the first-order transformation canonical
-    (alpha alpha^dag - beta beta^dag = 1 and alpha beta^T symmetric hold to
-    O(h^2)); the column-phase reading breaks the beta symmetry condition.
+      alpha1[m, n] = i alpha_static[m, n] (w_m - w_n) I(w_m - w_n)
+      beta1[m, n]  = i beta_static[m, n]  (w_m + w_n) I(w_m + w_n)
+    with I the sinusoidal drive integral above.  The free rotation is left
+    out: the lab-frame series is diag(G) + h diag(G) alpha1, with
+    G_m = e^{-i w_m tau} multiplying row m.  That frame change is a diagonal
+    unitary, so the series is canonical in both frames (alpha alpha^dag -
+    beta beta^dag = 1 and alpha beta^T symmetric hold to O(h^2)), and at
+    h = 0 the interaction-picture map is the identity.
     """
     omegas = np.asarray(omegas, dtype=float)
     diff = omegas[:, None] - omegas[None, :]
     total = omegas[:, None] + omegas[None, :]
-    row_phase = (1j * np.exp(-1j * omegas * tau))[:, None]
-    alpha1 = row_phase * alpha_static * diff * phase_integral(diff, omega_drive, tau)
-    beta1 = row_phase * beta_static * total * phase_integral(total, omega_drive, tau)
+    alpha1 = 1j * alpha_static * diff * phase_integral(diff, omega_drive, tau)
+    beta1 = 1j * beta_static * total * phase_integral(total, omega_drive, tau)
     return alpha1, beta1
 
 

@@ -7,6 +7,10 @@ algebraically 1/(Pi - sqrt(Pi^2 - Delta)); the superficially similar
 1/(Pi + sqrt(...)) variant coincides for pure states but fails F(s, s) = 1
 for mixed ones, so it is not used.
 
+The 4x4 determinants run in float64 unless the covariance entries exceed
+policy.extended_precision_above; then they run in mpmath, which is imported
+only on that path.
+
 The QFI comes in two independent routes.  Production uses the matrix form
 qfi_analytic_h0: H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 for the transformed
 covariance sigma(h) = P + h V + h^2 W, built from rows k and k' of the series
@@ -15,7 +19,9 @@ per-column terms, so the same sum also measures how much of H0 the modes
 above a halved truncation carry.  The finite-difference
 step ladder on the fidelity with Richardson extrapolation (qfi_numeric) is the
 independent cross-check: ``cavqfi qfi`` reports both, and the test suite
-compares them.
+compares them.  ``cavqfi qfi`` feeds the ladder un-squeezed states of the
+interaction-picture series, which sit near the vacuum, so its fidelities
+stay on the float64 path.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import mpmath
 import numpy as np
 
 from . import kernels
@@ -82,6 +87,8 @@ def _fidelity_float(cov1, cov2, policy):
 
 
 def _fidelity_mp(cov1, cov2, policy):
+    import mpmath
+
     with mpmath.workdps(policy.extended_dps):
         m1 = mpmath.matrix(cov1.tolist())
         m2 = mpmath.matrix(cov2.tolist())
@@ -263,7 +270,9 @@ def qfi_analytic_h0(
     The rows are first multiplied by conj(G_k) and conj(G_k'), which undoes
     the free rotation of each mode; H0 is invariant under that fixed
     symplectic change of frame, and in the rotated frame P is exactly
-    D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  With s the 4 x 2n block
+    D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  Cavity series are built in
+    the interaction picture (G = 1), where the rotation changes nothing; a
+    general series may carry G != 1.  With s the 4 x 2n block
     layout of the rotated first-order rows, M1 = s[:, pair] D and M2 the
     4x4 block matrix of the rotated second-order (k, k') entries,
       V = M1 + M1^T,

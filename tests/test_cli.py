@@ -35,6 +35,39 @@ def test_qfi_defaults_exit_zero(tmp_path, capsys):
     assert residual <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "r, tau",
+    [(10.0, 2.00013), (8.0, 2.00013), (10.0, 17.8869724053911), (5.0, 17.8869724053911)],
+)
+def test_qfi_off_lattice_cross_check(tmp_path, capsys, r, tau):
+    # off the round-trip lattice a lab-frame ladder at r >= 5 failed its
+    # conditioning or plateau checks (exit 1); the interaction picture keeps
+    # it solvable
+    out_path = tmp_path / "qfi.json"
+    cfg = write_config(tmp_path, {"scenario": {"squeezing_r": r, "duration_s": tau}})
+    assert main(["qfi", "--config", cfg, "--out", str(out_path), "--format", "json"]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["cross_check_residual"] <= 1e-6
+
+
+def test_qfi_reference_ladder_stays_on_float_path(monkeypatch, capsys):
+    # the ladder runs on un-squeezed states near the vacuum, so at most the
+    # first pilot step needs the extended-precision fidelity
+    from cavqfi import metrology
+
+    calls = []
+    fidelity_mp = metrology._fidelity_mp
+
+    def counted(*args):
+        calls.append(1)
+        return fidelity_mp(*args)
+
+    monkeypatch.setattr(metrology, "_fidelity_mp", counted)
+    assert main(["qfi"]) == 0
+    assert "cross-check residual" in capsys.readouterr().out
+    assert len(calls) <= 1
+
+
 def test_qfi_reference_numbers(capsys):
     # reference parameter set: r = 10, modes (1, 2), resonant drive, N = 1e11
     assert main(["qfi"]) == 0
@@ -64,6 +97,15 @@ def test_qfi_no_information_exit_one(tmp_path, capsys):
 
 def test_config_error_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": {"mode_k": 1, "mode_kprime": 3}})
+    assert main(["qfi", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n_max", "3.7"), ("n_max", 3.7), ("mode_k", 1.5), ("squeezing_r", "abc")]
+)
+def test_scenario_value_malformed_exit_two(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, {"scenario": {field: value}})
     assert main(["qfi", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -176,6 +218,39 @@ def test_coeffs_static_values(tmp_path):
     assert a12 == pytest.approx(-0.28657958412537813, rel=1e-12)
     assert b12 == pytest.approx(0.010614058671310303, rel=1e-12)
     assert table[(1, 3)][0] == 0.0  # same parity
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_coeffs_static_must_be_boolean(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, {"scenario": {"n_max": 3}, "coeffs": {"static": value}})
+    assert main(["coeffs", "--config", cfg]) == 2
+    assert "coeffs.static" in capsys.readouterr().err
+
+
+def test_coeffs_dumps_lab_frame(tmp_path):
+    # the series is held in the interaction picture; coeffs puts the free
+    # rotation back: g_m = e^{-i w_m tau} and row m of each matrix times g_m
+    from cavqfi import CavityScenario, build_scenario_series
+
+    tau = 2.00013
+    cfg = write_config(tmp_path, {"scenario": {"duration_s": tau, "n_max": 5}})
+    out_path = tmp_path / "coeffs.csv"
+    assert main(["coeffs", "--config", cfg, "--out", str(out_path)]) == 0
+    table = np.array(
+        [[float(v) for v in line.split(",")] for line in out_path.read_text().splitlines()[1:]]
+    )
+    m = table[:, 0].astype(int)
+    g = table[:, 6] + 1j * table[:, 7]
+    omegas = np.pi * m * 1e-3 / 1e-6
+    assert np.max(np.abs(g - np.exp(-1j * omegas * tau))) <= 1e-15
+    series = build_scenario_series(
+        CavityScenario(length=1e-6, sound_speed=1e-3, k=1, kprime=2, squeezing=10.0, tau=tau, n_max=5)
+    )
+    rows, cols = m - 1, table[:, 1].astype(int) - 1
+    for column, matrix in ((2, series.alpha1), (4, series.beta1)):
+        lab = g * matrix[rows, cols]
+        dumped = table[:, column] + 1j * table[:, column + 1]
+        assert np.max(np.abs(dumped - lab)) <= 1e-15 * np.max(np.abs(lab))
 
 
 def test_sweep_requires_section(tmp_path, capsys):
@@ -366,8 +441,9 @@ def test_figure2_json_format(tmp_path):
     assert {rec["r"] for rec in payload["records"]} == {8.0, 9.0, 10.0}
 
 
-def test_figure2_does_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency: a figure2 run must not load it
+def test_figure2_does_not_import_scipy_or_mpmath(tmp_path):
+    # scipy is a test-only dependency and mpmath serves only the
+    # extended-precision fidelity: a figure2 run must load neither
     import subprocess
     import sys
 
@@ -382,11 +458,11 @@ def test_figure2_does_not_import_scipy(tmp_path):
     code = (
         "import sys; from cavqfi.cli import main; "
         f"code = main(['figure2', '--config', {cfg!r}, '--out', {str(out)!r}]); "
-        "print(code, 'scipy' in sys.modules)"
+        "print(code, 'scipy' in sys.modules, 'mpmath' in sys.modules)"
     )
     child = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["0", "False"]
+    assert child.stdout.split() == ["0", "False", "False"]
     assert len(out.read_text().strip().splitlines()) == 7

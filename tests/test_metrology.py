@@ -21,6 +21,7 @@ from cavqfi import (
     vacuum,
     validity_check,
 )
+from cavqfi.cavity import free_phases
 from cavqfi.errors import NoInformationError, NoPlateauError, NumericError
 from cavqfi.gaussian import thermal_two_mode
 from conftest import canonical_series, random_physical_two_mode, random_symplectic
@@ -143,6 +144,38 @@ def scenario_series(tau=0.3, **overrides):
     params.update(overrides)
     sc = CavityScenario(**params)
     return sc, build_scenario_series(sc)
+
+
+def lab_frame_copy(scenario, series):
+    """The lab-frame series: row m of each matrix times G_m = e^{-i w_m tau}."""
+    g = free_phases(scenario)
+    return BogoliubovSeries(series.n_modes, g, g[:, None] * series.alpha1, g[:, None] * series.beta1)
+
+
+@pytest.mark.parametrize("tau", [30.0, 2.00013, 17.8869724053911])
+@pytest.mark.parametrize("r", [0.5, 2.0, 5.0])
+def test_interaction_and_lab_frames_agree(r, tau):
+    # the frames differ by a diagonal unitary applied after the drive, a
+    # fixed symplectic map on both states, so H0 and every fidelity match
+    sc, series = scenario_series(tau=tau, squeezing=r)
+    lab = lab_frame_copy(sc, series)
+    h0 = qfi_analytic_h0(series, r, 1, 2)
+    assert abs(qfi_analytic_h0(lab, r, 1, 2) - h0) <= 1e-12 * h0
+    init = initial_product_squeezed(r, r)
+    h = math.sqrt(1e-2 / h0)  # 1 - F near 1e-3
+
+    def fid(s):
+        return fidelity_two_mode(
+            transform_reduced(init, s, 0.0, 1, 2), transform_reduced(init, s, h, 1, 2)
+        ).fidelity
+
+    f = fid(series)
+    assert 1e-4 < 1.0 - f < 1e-2
+    # the float64 lab-frame covariance rotates entries of size e^{2r} into
+    # directions of variance e^{-2r}, so its own roundoff bounds the
+    # agreement by eps e^{4r} (1e-7 at r = 5; 7.7e-9 seen off the lattice)
+    tol = max(1e-12, np.finfo(float).eps * math.exp(4.0 * r))
+    assert abs(fid(lab) - f) <= tol * f
 
 
 def test_qfi_numeric_constant_map_is_zero():
@@ -333,12 +366,15 @@ def mp_matrix_form_h0(series, r, k, kprime, dps=60):
 )
 def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel):
     # off the lattice at r = 10, float64 routes through a lab-frame P fail
-    # (P's roundoff exceeds its e^{-2r} eigenvalue); the rotated-frame form
-    # must still match the extended-precision evaluation
-    _, series = scenario_series(tau=tau, squeezing=r)
+    # (P's roundoff exceeds its e^{-2r} eigenvalue); the interaction-frame
+    # form must still match the extended-precision evaluation, in its own
+    # frame and in the lab frame
+    sc, series = scenario_series(tau=tau, squeezing=r)
     exact = mp_matrix_form_h0(series, r, 1, 2)
     got = qfi_analytic_h0(series, r, 1, 2)
     assert abs(got - exact) <= 1e-12 * abs(exact)
+    lab_exact = mp_matrix_form_h0(lab_frame_copy(sc, series), r, 1, 2)
+    assert abs(got - lab_exact) <= 1e-12 * abs(lab_exact)
     if pinned is not None:
         assert abs(float(exact) - pinned) <= pinned_rel * pinned
 
