@@ -11,7 +11,6 @@ from .bogoliubov import (
     SymplecticTransform,
     assemble_symplectic,
     evaluate_series,
-    m_block,
     transform_full_oracle,
     transform_reduced,
     trivial_series,
@@ -74,7 +73,6 @@ __all__ = [
     "fidelity_two_mode",
     "h_from_acceleration",
     "initial_product_squeezed",
-    "m_block",
     "mach_zehnder_bound",
     "mach_zehnder_qfi",
     "mode_frequency",

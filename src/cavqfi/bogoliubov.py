@@ -5,11 +5,16 @@ perturbative series in the dimensionless drive amplitude h
 (BogoliubovSeries): alpha(h) = diag(G) + h alpha1 (+ h^2 alpha2),
 beta(h) = h beta1 (+ h^2 beta2).
 
+Rows k and k' of the real symplectic matrix S(h) have one block form,
+``pair_rows``: S(h) = R0 + h S1 + h^2 S2, with R0 the zeroth-order rotation
+on the pair columns.  Both the reduced transform and the matrix-form QFI
+(metrology.qfi_analytic_h0) read it.
+
 Two transform paths are provided for a two-mode initial state embedded in an
 otherwise-vacuum field: ``transform_full_oracle`` builds the full 2N x 2N
 symplectic matrix and conjugates the full covariance (ground truth), while
-``transform_reduced`` assembles only the two target-mode blocks plus the
-spectator vacuum sum and must agree with the oracle to roundoff.
+``transform_reduced`` forms only rows k and k' from ``pair_rows`` and must
+agree with the oracle to roundoff.
 """
 
 from __future__ import annotations
@@ -22,13 +27,6 @@ from . import kernels
 from .gaussian import GaussianState, partial_trace, symplectic_form
 
 _UNIT_PHASE_TOL = 1e-12
-
-
-def m_block(alpha_mn: complex, beta_mn: complex) -> np.ndarray:
-    """2x2 symplectic block for one (alpha, beta) coefficient pair."""
-    return kernels.symplectic_blocks(
-        np.array([[alpha_mn]], dtype=complex), np.array([[beta_mn]], dtype=complex)
-    )
 
 
 def _frozen(arr, dtype):
@@ -140,7 +138,7 @@ class SymplecticTransform:
 
 
 def assemble_symplectic(coeffs: BogoliubovCoefficients) -> SymplecticTransform:
-    """Real 2N x 2N matrix with 2x2 blocks m_block(alpha_mn, beta_mn)."""
+    """Real 2N x 2N matrix of the 2x2 blocks of kernels.symplectic_blocks."""
     return SymplecticTransform(
         dim=2 * coeffs.n_modes, matrix=kernels.symplectic_blocks(coeffs.alpha, coeffs.beta)
     )
@@ -154,11 +152,40 @@ def _check_mode_pair(series, k, kprime):
             raise ValueError(f"mode {m} outside truncation range 1..{series.n_modes}")
 
 
-def _initial_blocks(initial: GaussianState):
-    if initial.num_modes != 2:
-        raise ValueError("initial state must have exactly two modes")
-    cov = initial.cov
-    return cov[0:2, 0:2], cov[2:4, 2:4], cov[0:2, 2:4]
+def pair_columns(k: int, kprime: int) -> list:
+    """Columns (x_k, p_k, x_k', p_k') of modes k, k' (1-based) in the 2N block layout."""
+    return [2 * k - 2, 2 * k - 1, 2 * kprime - 2, 2 * kprime - 1]
+
+
+def pair_rows(series: BogoliubovSeries, k: int, kprime: int):
+    """Rows k, k' of the series in block form: S(h) = R0 + h S1 + h^2 S2.
+
+    R0 is the 4x4 zeroth-order rotation, the blocks of G_k and G_k' on its
+    diagonal; it fills the pair_columns(k, kprime) of S(0), whose other
+    columns are zero.  S1 and S2 are the real (4, 2N) symplectic_blocks of
+    rows k, k' of the first and second order; S2 is None when the series
+    has no second order.  Rows 0, 1 of each belong to mode k, rows 2, 3 to
+    mode k'.
+    """
+    _check_mode_pair(series, k, kprime)
+    rows = [k - 1, kprime - 1]
+
+    def blocks(alpha, beta):
+        zeros = np.zeros((2, series.n_modes), dtype=complex)
+        return kernels.symplectic_blocks(
+            zeros if alpha is None else alpha[rows], zeros if beta is None else beta[rows]
+        )
+
+    # block(G_m, 0) of kernels.symplectic_blocks on the pair's own columns,
+    # written out: for a 2x2 input that call's fixed overhead would be most
+    # of what H0 pays for the rotation
+    r0 = np.zeros((4, 4))
+    for i, g in enumerate(series.G[rows].tolist()):
+        r0[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[g.real, g.imag], [-g.imag, g.real]]
+    s2 = None
+    if series.alpha2 is not None or series.beta2 is not None:
+        s2 = blocks(series.alpha2, series.beta2)
+    return r0, blocks(series.alpha1, series.beta1), s2
 
 
 def transform_reduced(
@@ -171,54 +198,21 @@ def transform_reduced(
     """Fast path: 4x4 covariance of modes (k, kprime) after the series transform.
 
     The initial two-mode state lives on (k, kprime); all other modes start in
-    vacuum.  Obtained from the s sigma s^T oracle restricted to the (k, kprime)
-    blocks, so only the coefficient rows of the two target modes are touched.
+    vacuum.  Only rows k, k' of S(h) are formed, from pair_rows, and
+    kernels.reduced_transform conjugates the initial covariance with them.
     """
-    _check_mode_pair(series, k, kprime)
-    alpha_rows, beta_rows = _series_rows(series, h, [k - 1, kprime - 1])
-    psi_k, psi_kp, phi = _initial_blocks(initial)
-    cov = kernels.reduced_transform(
-        alpha_rows,
-        beta_rows,
-        k - 1,
-        kprime - 1,
-        np.ascontiguousarray(psi_k),
-        np.ascontiguousarray(psi_kp),
-        np.ascontiguousarray(phi),
-    )
-    moments = _reduced_moments(alpha_rows, beta_rows, k - 1, kprime - 1, initial)
-    return GaussianState(2, moments, cov)
-
-
-def _series_rows(series, h, rows):
-    """Rows of evaluate_series(series, h).alpha and .beta, built without the full matrices.
-
-    Same elementwise arithmetic as evaluate_series, so the rows are bit-identical.
-    """
+    if initial.num_modes != 2:
+        raise ValueError("initial state must have exactly two modes")
     if h < 0:
         raise ValueError("h must be >= 0")
-    diag = np.zeros((len(rows), series.n_modes), dtype=complex)
-    diag[np.arange(len(rows)), rows] = series.G[rows]
-    alpha = diag + h * series.alpha1[rows]
-    beta = h * series.beta1[rows]
-    if series.alpha2 is not None:
-        alpha = alpha + h * h * series.alpha2[rows]
-    if series.beta2 is not None:
-        beta = beta + h * h * series.beta2[rows]
-    return alpha, beta
-
-
-def _reduced_moments(alpha_rows, beta_rows, k, kp, initial):
-    if not initial.first_moments.any():
-        return np.zeros(4)
-    out = np.zeros(4)
-    for i in (0, 1):
-        blk_k = m_block(alpha_rows[i, k], beta_rows[i, k])
-        blk_kp = m_block(alpha_rows[i, kp], beta_rows[i, kp])
-        out[2 * i : 2 * i + 2] = (
-            blk_k @ initial.first_moments[0:2] + blk_kp @ initial.first_moments[2:4]
-        )
-    return out
+    r0, s1, s2 = pair_rows(series, k, kprime)
+    pair = pair_columns(k, kprime)
+    s = h * s1
+    if s2 is not None:
+        s += h * h * s2
+    s[:, pair] += r0
+    cov = kernels.reduced_transform(s, pair, initial.cov)
+    return GaussianState(2, s[:, pair] @ initial.first_moments, cov)
 
 
 def transform_full_oracle(
@@ -234,19 +228,15 @@ def transform_full_oracle(
     applies S sigma S^T with the fully assembled symplectic matrix, then
     partial-traces to (k, kprime).
     """
+    if initial.num_modes != 2:
+        raise ValueError("initial state must have exactly two modes")
     _check_mode_pair(series, k, kprime)
     n = series.n_modes
-    psi_k, psi_kp, phi = _initial_blocks(initial)
+    pair = pair_columns(k, kprime)
     cov = np.eye(2 * n)
-    sk = slice(2 * (k - 1), 2 * k)
-    skp = slice(2 * (kprime - 1), 2 * kprime)
-    cov[sk, sk] = psi_k
-    cov[skp, skp] = psi_kp
-    cov[sk, skp] = phi
-    cov[skp, sk] = phi.T
+    cov[np.ix_(pair, pair)] = initial.cov
     moments = np.zeros(2 * n)
-    moments[sk] = initial.first_moments[0:2]
-    moments[skp] = initial.first_moments[2:4]
+    moments[pair] = initial.first_moments
 
     s = assemble_symplectic(evaluate_series(series, h)).matrix
     full_cov = s @ cov @ s.T

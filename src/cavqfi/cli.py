@@ -37,7 +37,7 @@ from .metrology import (
     qfi_analytic_h0,
     qfi_numeric,
 )
-from .policy import DEFAULT_POLICY, policy_from_env, policy_from_mapping
+from .policy import DEFAULT_POLICY, config_number, policy_from_env, policy_from_mapping
 
 CSV_COLUMNS = (
     "tau_s",
@@ -81,7 +81,9 @@ _SCENARIO_KEYS = {
 
 
 def _fmt(x) -> str:
-    """Full round-trip precision (17 significant digits) scientific notation."""
+    """Integers as they are, floats at full round-trip precision (17 significant digits)."""
+    if isinstance(x, int):
+        return str(x)
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return "nan"
     return f"{float(x):.16e}"
@@ -135,27 +137,22 @@ def scenario_from_config(cfg, nmax_override=None):
     if nmax_override is not None:
         raw["n_max"] = nmax_override
     kwargs = {}
+    for field, attr in _SCENARIO_KEYS.items():
+        value = raw[field]
+        # only the fields that default to None may be null
+        if value is not None or DEFAULT_SCENARIO[field] is not None:
+            value = config_number(
+                value, f"scenario.{field}", integer=field in ("mode_k", "mode_kprime", "n_max")
+            )
+        kwargs[attr] = value
     try:
-        for field, attr in _SCENARIO_KEYS.items():
-            value = raw[field]
-            if field in ("mode_k", "mode_kprime", "n_max"):
-                if isinstance(value, float) and not value.is_integer():
-                    raise ValueError(f"{field} must be an integer, got {value}")
-                value = int(value)
-            elif value is not None:
-                value = float(value)
-            kwargs[attr] = value
         return CavityScenario(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
 def policy_from_config(cfg):
-    policy = policy_from_env(DEFAULT_POLICY)
-    section = cfg.get("numeric_policy", {})
-    if section:
-        policy = policy_from_mapping(section, policy)
-    return policy
+    return policy_from_mapping(cfg.get("numeric_policy", {}), policy_from_env(DEFAULT_POLICY))
 
 
 def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_numeric=False):
@@ -229,23 +226,22 @@ def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_nume
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-_SWEEP_PARAMETERS = ("tau", "r", "a", "omega")
+# sweep axis -> CavityScenario field
+_SWEEP_AXES = {"tau": "tau", "r": "squeezing", "a": "a_probe", "omega": "omega"}
 
 
 def _sweep_axis(cfg):
     section = _section(cfg, "sweep", {"parameter", "start", "stop", "count", "spacing"})
     try:
         name = section["parameter"]
-        start = float(section["start"])
-        stop = float(section["stop"])
-        count = int(section["count"])
+        start = config_number(section["start"], "sweep.start")
+        stop = config_number(section["stop"], "sweep.stop")
+        count = config_number(section["count"], "sweep.count", integer=True, minimum=2)
     except KeyError as exc:
         raise ConfigError(f"sweep section missing {exc}") from exc
     spacing = section.get("spacing", "linear")
-    if name not in _SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep parameter must be one of {_SWEEP_PARAMETERS}")
-    if count < 2:
-        raise ConfigError("sweep count must be >= 2")
+    if name not in _SWEEP_AXES:
+        raise ConfigError(f"sweep parameter must be one of {tuple(_SWEEP_AXES)}")
     if not start < stop:
         raise ConfigError("sweep start must be < stop")
     if spacing == "linear":
@@ -259,18 +255,6 @@ def _sweep_axis(cfg):
     return name, [float(v) for v in values]
 
 
-def _apply_axis(scenario, name, value):
-    if name == "tau":
-        return dataclasses.replace(scenario, tau=value)
-    if name == "r":
-        return dataclasses.replace(scenario, squeezing=value)
-    if name == "a":
-        return dataclasses.replace(scenario, a_probe=value)
-    if name == "omega":
-        return dataclasses.replace(scenario, omega=value)
-    raise ConfigError(f"unknown sweep parameter {name}")
-
-
 _AXIS_COLUMNS = {"a": "a_probe_m_per_s2", "omega": "omega_rad_per_s"}
 
 
@@ -279,7 +263,9 @@ def run_sweep(scenario, policy, name, values):
     is stored under its _AXIS_COLUMNS name."""
     points = []
     for value in values:
-        point = evaluate_scenario(_apply_axis(scenario, name, value), policy)
+        point = evaluate_scenario(
+            dataclasses.replace(scenario, **{_SWEEP_AXES[name]: value}), policy
+        )
         if name in _AXIS_COLUMNS:
             point[_AXIS_COLUMNS[name]] = value
         points.append(point)
@@ -311,36 +297,35 @@ def snapped_tau_grid(scenario, start, stop, count):
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_csv(path, header, rows):
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_records(out, fmt, header, rows):
+    if fmt == "csv":
+        _write_csv(out, header, rows)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_json(out, {"records": [dict(zip(header, row)) for row in rows]})
 
 
 def _emit_records(points, out, fmt):
     header = list(CSV_COLUMNS)
     if points:
         header.extend(c for c in _AXIS_COLUMNS.values() if c in points[0])
-    rows = [[p[c] for c in header] for p in points]
-    if fmt == "csv":
-        _write_csv(out, header, rows)
-    else:
-        _write_json(out, {"records": [dict(zip(header, row)) for row in rows]})
+    _write_records(out, fmt, header, [[p[c] for c in header] for p in points])
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +415,12 @@ def cmd_figure2(args):
 
 def _fidelity_state(fidelity, what, scenario, series):
     section = _section(fidelity, what, {"squeezing_r_k", "squeezing_r_kprime", "amplitude_h"})
-    r_k = float(section.get("squeezing_r_k", scenario.squeezing))
-    r_kp = float(section.get("squeezing_r_kprime", scenario.squeezing))
-    h = float(section.get("amplitude_h", 0.0))
+    prefix = f"fidelity.{what}."
+    r_k = config_number(section.get("squeezing_r_k", scenario.squeezing), prefix + "squeezing_r_k")
+    r_kp = config_number(
+        section.get("squeezing_r_kprime", scenario.squeezing), prefix + "squeezing_r_kprime"
+    )
+    h = config_number(section.get("amplitude_h", 0.0), prefix + "amplitude_h", minimum=0.0)
     return transform_reduced(
         initial_product_squeezed(r_k, r_kp), series, h, scenario.k, scenario.kprime
     )
@@ -483,40 +471,13 @@ def cmd_coeffs(args):
         g = free_phases(scenario)
         alpha, beta = g[:, None] * series.alpha1, g[:, None] * series.beta1
     header = ["m", "n", "alpha1_re", "alpha1_im", "beta1_re", "beta1_im", "g_m_re", "g_m_im"]
-    rows = []
-    n = scenario.n_max
-    for m in range(n):
-        for j in range(n):
-            rows.append(
-                [
-                    m + 1,
-                    j + 1,
-                    alpha[m, j].real,
-                    alpha[m, j].imag,
-                    beta[m, j].real,
-                    beta[m, j].imag,
-                    g[m].real,
-                    g[m].imag,
-                ]
-            )
+    rows = [
+        [m + 1, j + 1, a.real, a.imag, b.real, b.imag, g[m].real, g[m].imag]
+        for m in range(scenario.n_max)
+        for j, (a, b) in enumerate(zip(alpha[m], beta[m]))
+    ]
     out, fmt = resolve_output(cfg, args)
-    if fmt == "json":
-        payload = {
-            "records": [dict(zip(header, row)) for row in rows],
-        }
-        _write_json(out, payload)
-    else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join([str(int(row[0])), str(int(row[1]))] + [_fmt(v) for v in row[2:]])
-            )
-        text = "\n".join(lines) + "\n"
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            with open(out, "w") as fh:
-                fh.write(text)
+    _write_records(out, fmt, header, rows)
     return 0
 
 

@@ -4,14 +4,12 @@ Kernels:
   * ``time_dependent_coefficients``: first-order coefficient matrices for a
     sinusoidally driven cavity (n_max^2 closed-form entries, rebuilt per
     tau),
-  * ``reduced_transform``: the reduced two-mode covariance transform
-    (per-spectator-mode 2x2 products summed over the truncation range,
-    called once per fidelity evaluation inside QFI step ladders),
+  * ``reduced_transform``: the reduced two-mode covariance transform, two
+    matrix products on the (4, 2N) block rows k, k' of S(h) (called once per
+    fidelity evaluation inside QFI step ladders),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
-    coefficient pairs, shared by both transform paths and the matrix-form
-    QFI, which sums the squares of its entries directly (it reads only the
-    diagonal of the transformed covariance, so it needs no reduced
-    transform).
+    coefficient pairs, which builds both the full symplectic matrix of the
+    oracle and the block rows of bogoliubov.pair_rows.
 
 Callers reach the first two as ``kernels.time_dependent_coefficients`` and
 ``kernels.reduced_transform``; perfbench's per-layer tracer wraps those two
@@ -76,38 +74,18 @@ def symplectic_blocks(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return s
 
 
-def reduced_transform(alpha_rows, beta_rows, k, kp, psi_k, psi_kp, phi):
-    """4x4 covariance of modes (k, kp) after the transformation.
+def reduced_transform(rows, pair, sigma0):
+    """4x4 covariance of modes (k, k') after the transformation.
 
-    alpha_rows/beta_rows are the coefficient rows (k, kp) over all modes,
-    shape (2, n_modes) complex; k, kp are 0-based column indices; psi_k,
-    psi_kp, phi are the 2x2 blocks of the initial two-mode covariance.
-    All other modes are assumed to start in vacuum, which contributes the
-    spectator sum over m not in {k, kp} of M_im M_jm^T.
+    rows is the real (4, 2N) block form of rows k, k' of S(h), pair the four
+    columns of modes k, k' and sigma0 their initial 4x4 covariance.  All
+    other modes start in vacuum (covariance 1), so with spect the rows with
+    the pair columns zeroed the result is
+    spect spect^T + rows[:, pair] sigma0 rows[:, pair]^T.
     """
-    n = alpha_rows.shape[1]
-    # rows[i][m] is the 2x2 block of row i, mode m
-    rows = np.ascontiguousarray(
-        symplectic_blocks(alpha_rows, beta_rows).reshape(2, 2, n, 2).transpose(0, 2, 1, 3)
-    )
-
-    mask = np.ones(n, dtype=bool)
-    mask[k] = False
-    mask[kp] = False
-
-    out = np.empty((4, 4))
-    for i in (0, 1):
-        for j in (0, 1):
-            if j < i:
-                continue
-            mi, mj = rows[i], rows[j]
-            block = np.einsum("mab,mcb->ac", mi[mask], mj[mask])
-            block += mi[k] @ psi_k @ mj[k].T
-            block += mi[kp] @ psi_kp @ mj[kp].T
-            block += mi[k] @ phi @ mj[kp].T
-            block += mi[kp] @ phi.T @ mj[k].T
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
-            if j > i:
-                out[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block.T
+    own = rows[:, pair]
+    spect = rows.copy()
+    spect[:, pair] = 0.0
+    out = spect @ spect.T + own @ sigma0 @ own.T
     # symmetrize away the last bits of roundoff
     return 0.5 * (out + out.T)

@@ -31,8 +31,7 @@ import math
 
 import numpy as np
 
-from . import kernels
-from .bogoliubov import BogoliubovSeries
+from .bogoliubov import BogoliubovSeries, pair_columns, pair_rows
 from .errors import (
     ConditioningError,
     NoInformationError,
@@ -267,14 +266,13 @@ def qfi_analytic_h0(
     derivatives: Monras, arXiv:1303.3682; Safranek, Lee and Fuentes,
     arXiv:1502.07924).
 
-    The rows are first multiplied by conj(G_k) and conj(G_k'), which undoes
-    the free rotation of each mode; H0 is invariant under that fixed
-    symplectic change of frame, and in the rotated frame P is exactly
-    D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  Cavity series are built in
-    the interaction picture (G = 1), where the rotation changes nothing; a
-    general series may carry G != 1.  With s the 4 x 2n block
-    layout of the rotated first-order rows, M1 = s[:, pair] D and M2 the
-    4x4 block matrix of the rotated second-order (k, k') entries,
+    The rows come from bogoliubov.pair_rows, S(h) = R0 + h S1 + h^2 S2, and
+    are first rotated by R0^T, which undoes the free rotation of each mode;
+    H0 is invariant under that fixed symplectic change of frame, and in the
+    rotated frame P is exactly D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).
+    Cavity series are built in the interaction picture (G = 1, R0 = 1),
+    where the rotation changes nothing; a general series may carry G != 1.
+    With s = R0^T S1, M1 = s[:, pair] D and M2 = (R0^T S2)[:, pair],
       V = M1 + M1^T,
       W_ii = sum_c s_ic^2 w_c + 2 M2_ii D_i,
     where w_c is the initial variance of column c (D on the columns of k and
@@ -292,30 +290,18 @@ def qfi_analytic_h0(
     n = series.n_modes
     if max(k, kprime) > n:
         raise NumericError("series truncation does not cover the mode pair")
-    if k == kprime:
-        raise ValueError("k and kprime must differ")
-    rows = [k - 1, kprime - 1]
-    pair = [2 * rows[0], 2 * rows[0] + 1, 2 * rows[1], 2 * rows[1] + 1]
-    rotate = np.conj(series.G[rows])[:, None]
-
-    def rotated(mat):
-        if mat is None:
-            return np.zeros((2, n), dtype=complex)
-        return rotate * mat[rows]
-
+    r0, s1, s2 = pair_rows(series, k, kprime)
+    pair = pair_columns(k, kprime)
     d = np.array([math.exp(2.0 * r), math.exp(-2.0 * r)] * 2)
-    s = kernels.symplectic_blocks(rotated(series.alpha1), rotated(series.beta1))
+    s = r0.T @ s1
     weight = np.ones(2 * n)
     weight[pair] = d
     terms = s * s * weight / d[:, None]
     m1 = s[:, pair] * d
     v = m1 + m1.T
     value = terms.sum() - 0.25 * np.sum(v * v / np.outer(d, d))
-    if series.alpha2 is not None or series.beta2 is not None:
-        m2 = kernels.symplectic_blocks(
-            rotated(series.alpha2)[:, rows], rotated(series.beta2)[:, rows]
-        )
-        value += 2.0 * np.trace(m2)
+    if s2 is not None:
+        value += 2.0 * np.trace((r0.T @ s2)[:, pair])
     value = float(value)
     if not return_diagnostics:
         return value

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 
 from .errors import ConfigError
@@ -44,26 +45,48 @@ class NumericPolicy:
 
 DEFAULT_POLICY = NumericPolicy()
 
-_FLOAT_FIELDS = {
-    f.name for f in dataclasses.fields(NumericPolicy) if f.type in ("float", float)
-}
+
+def config_number(value, what, integer=False, minimum=None):
+    """A JSON number from a config or CAVQFI_NUMERIC_POLICY, as float (or int).
+
+    Every configured number passes through here.  Booleans, strings, null
+    and other types are refused, as are a non-integral value where an
+    integer is required and a value below ``minimum``; each raises
+    ConfigError naming ``what``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if integer:
+        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise ConfigError(f"{what} is out of range") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value!r}")
+    return value
 
 
 def policy_from_mapping(mapping, base: NumericPolicy = DEFAULT_POLICY) -> NumericPolicy:
     """Build a policy from a dict of overrides; unknown keys are an error."""
-    known = {f.name for f in dataclasses.fields(NumericPolicy)}
-    bad = set(mapping) - known
+    if not isinstance(mapping, dict):
+        raise ConfigError("numeric_policy must be an object")
+    types = {f.name: f.type for f in dataclasses.fields(NumericPolicy)}
+    bad = set(mapping) - set(types)
     if bad:
         raise ConfigError(f"unknown numeric_policy fields: {sorted(bad)}")
     fixed = {}
     for key, value in mapping.items():
+        what = f"numeric_policy.{key}"
         if key == "dh_ladder":
-            value = tuple(float(v) for v in value)
-        elif key == "extended_dps":
-            value = int(value)
-        elif key in _FLOAT_FIELDS:
-            value = float(value)
-        fixed[key] = value
+            if not isinstance(value, (list, tuple)) or len(value) != 3:
+                raise ConfigError(f"{what} must be a list of 3 numbers")
+            fixed[key] = tuple(config_number(v, what) for v in value)
+        else:
+            fixed[key] = config_number(value, what, integer=types[key] in ("int", int))
     return base.replace(**fixed)
 
 

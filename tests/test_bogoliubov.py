@@ -7,28 +7,45 @@ from cavqfi import (
     assemble_symplectic,
     evaluate_series,
     initial_product_squeezed,
-    m_block,
     transform_full_oracle,
     transform_reduced,
     trivial_series,
     vacuum,
 )
-from cavqfi.bogoliubov import series_symplectic_defect
+from cavqfi.bogoliubov import pair_columns, pair_rows, series_symplectic_defect
 from conftest import canonical_series
 
 
-def test_m_block_identity():
-    assert np.array_equal(m_block(1, 0), np.eye(2))
+def test_pair_rows_match_full_assembly(rng):
+    # R0, S1 and S2 against rows k, k' of the fully assembled S(h); S1 and
+    # S2 are separated by evaluating at two amplitudes
+    n = 6
+    canon = canonical_series(rng, n)
+    second = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)]
+    for alpha2, beta2 in ((None, None), (second[0], None), (None, second[1]), tuple(second)):
+        series = BogoliubovSeries(n, canon.G, canon.alpha1, canon.beta1, alpha2, beta2)
+        for k, kp in ((2, 5), (4, 1)):
+            r0, s1, s2 = pair_rows(series, k, kp)
+            pair = pair_columns(k, kp)
+            assert pair == [2 * k - 2, 2 * k - 1, 2 * kp - 2, 2 * kp - 1]
+            assert (s2 is None) == (alpha2 is None and beta2 is None)
+            assert s1.shape == (4, 2 * n) and r0.shape == (4, 4)
 
+            def full_rows(h):
+                return assemble_symplectic(evaluate_series(series, h)).matrix[pair]
 
-def test_m_block_phase_rotation():
-    assert np.allclose(m_block(1j, 0), [[0.0, 1.0], [-1.0, 0.0]])
-
-
-def test_m_block_single_mode_squeezer():
-    s = 0.8
-    blk = m_block(np.cosh(s), np.sinh(s))
-    assert np.allclose(blk, np.diag([np.exp(-s), np.exp(s)]))
+            at0 = full_rows(0.0)
+            assert np.array_equal(at0[:, pair], r0)
+            assert not np.delete(at0, pair, axis=1).any()
+            (h1, d1), (h2, d2) = ((h, full_rows(h) - at0) for h in (0.5, 1.0))
+            order2 = (d2 / h2 - d1 / h1) / (h2 - h1)
+            assert np.abs(d1 / h1 - h1 * order2 - s1).max() <= 1e-13
+            assert np.abs(order2 - (0.0 if s2 is None else s2)).max() <= 1e-13
+            for h in (1e-4, 3e-2, 0.5, 2.0):
+                rows = h * s1 + (0.0 if s2 is None else h * h * s2)
+                rows[:, pair] += r0
+                full = full_rows(h)
+                assert np.abs(rows - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
 
 
 def test_assemble_identity_coefficients():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -37,12 +38,18 @@ def test_qfi_defaults_exit_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "r, tau",
-    [(10.0, 2.00013), (8.0, 2.00013), (10.0, 17.8869724053911), (5.0, 17.8869724053911)],
+    list(
+        itertools.product(
+            (2.0, 5.0, 8.0, 9.0, 10.0),
+            (30.0, 200.0, 2.00013, 10.293056712267909, 17.8869724053911),
+        )
+    ),
 )
 def test_qfi_off_lattice_cross_check(tmp_path, capsys, r, tau):
-    # off the round-trip lattice a lab-frame ladder at r >= 5 failed its
-    # conditioning or plateau checks (exit 1); the interaction picture keeps
-    # it solvable
+    # the grid behind the README's large-squeezing bound, on and off the
+    # round-trip lattice; off it a lab-frame ladder at r >= 5 failed its
+    # conditioning or plateau checks (exit 1), and the interaction picture
+    # keeps it solvable
     out_path = tmp_path / "qfi.json"
     cfg = write_config(tmp_path, {"scenario": {"squeezing_r": r, "duration_s": tau}})
     assert main(["qfi", "--config", cfg, "--out", str(out_path), "--format", "json"]) == 0
@@ -102,7 +109,14 @@ def test_config_error_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("n_max", "3.7"), ("n_max", 3.7), ("mode_k", 1.5), ("squeezing_r", "abc")]
+    "field, value",
+    [
+        ("n_max", "3.7"),
+        ("n_max", 3.7),
+        ("mode_k", 1.5),
+        ("squeezing_r", "abc"),
+        pytest.param("squeezing_r", 10**400, id="squeezing_r-huge_int"),
+    ],
 )
 def test_scenario_value_malformed_exit_two(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"scenario": {field: value}})
@@ -160,11 +174,45 @@ def test_validity_ok_for_small_probe(tmp_path, capsys):
         ("fidelity", 3),
         ("coeffs", {"statik": True}),
         ("coeffs", True),
+        ("sweep", {"parameter": "tau", "start": "abc", "stop": 2.0, "count": 3}),
+        ("sweep", {"parameter": "tau", "start": None, "stop": 2.0, "count": 3}),
+        ("sweep", {"parameter": "tau", "start": 1.0, "stop": 2.0, "count": "x"}),
+        ("sweep", {"parameter": "tau", "start": 1.0, "stop": 2.0, "count": 3.7}),
+        ("fidelity", {"state_a": {"amplitude_h": "x"}}),
+        ("fidelity", {"state_a": {"amplitude_h": -1}}),
     ],
 )
 def test_malformed_section_exit_two(tmp_path, capsys, command, section):
     cfg = write_config(tmp_path, {"scenario": {"n_max": 4}, command: section})
     assert main([command, "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, policy",
+    [
+        ("config", 5),
+        ("config", []),
+        ("config", {"extended_dps": "abc"}),
+        ("config", {"extended_dps": 40.7}),
+        ("config", {"extended_dps": True}),
+        ("config", {"plateau_rtol": "x"}),
+        ("config", {"plateau_rtol": True}),
+        ("config", {"dh_ladder": 5}),
+        ("config", {"dh_ladder": [1e-4]}),
+        ("config", {"dh_ladder": [1e-4, 5e-5, 2.5e-5, 1e-5]}),
+        ("env", {"extended_dps": "x"}),
+    ],
+)
+def test_malformed_numeric_policy_exit_two(tmp_path, monkeypatch, capsys, source, policy):
+    # every policy number is a JSON number of the field's type; dh_ladder
+    # holds exactly three of them
+    payload = {"scenario": {"n_max": 4, "squeezing_r": 2.0}}
+    if source == "env":
+        monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", json.dumps(policy))
+    else:
+        payload["numeric_policy"] = policy
+    assert main(["qfi", "--config", write_config(tmp_path, payload)]) == 2
     assert "config error" in capsys.readouterr().err
 
 

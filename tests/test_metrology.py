@@ -313,7 +313,7 @@ def mp_matrix_form_h0(series, r, k, kprime, dps=60):
 
     P, V and W are the h^0, h^1 and h^2 coefficients of
     sigma_ij(h) = sum_n M_in(h) sigma0_n M_jn(h)^T with the 2x2 blocks
-    M_in(h) = m_block(G_i delta_in + h alpha1_in, h beta1_in), summed over
+    M_in(h) = block(G_i delta_in + h alpha1_in, h beta1_in), summed over
     every mode n of the series; P^-1 is an mpmath inverse.
     """
     with mpmath.workdps(dps):
