@@ -8,7 +8,6 @@ Cramer-Rao acceleration bounds for the driven-cavity accelerometer scenario.
 from .bogoliubov import (
     BogoliubovCoefficients,
     BogoliubovSeries,
-    SymplecticTransform,
     assemble_symplectic,
     evaluate_series,
     transform_full_oracle,
@@ -21,13 +20,11 @@ from .cavity import (
     build_scenario_series,
     h_from_acceleration,
     mode_frequency,
-    sinusoidal_coefficients,
     static_first_order,
 )
 from .gaussian import (
     GaussianState,
     PhysicalityReport,
-    SymplecticForm,
     check_physical,
     initial_product_squeezed,
     partial_trace,
@@ -45,7 +42,6 @@ from .metrology import (
     mach_zehnder_qfi,
     qfi_analytic_h0,
     qfi_numeric,
-    validity_check,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy, policy_from_env
 
@@ -62,8 +58,6 @@ __all__ = [
     "H0Result",
     "NumericPolicy",
     "PhysicalityReport",
-    "SymplecticForm",
-    "SymplecticTransform",
     "acceleration_from_h",
     "assemble_symplectic",
     "build_scenario_series",
@@ -81,12 +75,10 @@ __all__ = [
     "purity",
     "qfi_analytic_h0",
     "qfi_numeric",
-    "sinusoidal_coefficients",
     "static_first_order",
     "symplectic_form",
     "transform_full_oracle",
     "transform_reduced",
     "trivial_series",
     "vacuum",
-    "validity_check",
 ]

@@ -42,7 +42,6 @@ class BogoliubovCoefficients:
     n_modes: int
     alpha: np.ndarray
     beta: np.ndarray
-    exact: bool = False
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=complex)
@@ -117,31 +116,18 @@ def evaluate_series(series: BogoliubovSeries, h: float) -> BogoliubovCoefficient
         alpha = alpha + h * h * series.alpha2
     if series.beta2 is not None:
         beta = beta + h * h * series.beta2
-    return BogoliubovCoefficients(series.n_modes, alpha, beta, exact=False)
+    return BogoliubovCoefficients(series.n_modes, alpha, beta)
 
 
-@dataclasses.dataclass(frozen=True)
-class SymplecticTransform:
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix must be {self.dim}x{self.dim}")
-        object.__setattr__(self, "matrix", _frozen(mat, float))
-
-    def symplectic_defect(self) -> float:
-        """|| S Omega S^T - Omega ||_max; ~1e-15 for exact transforms, O(h^2) for series."""
-        omega = symplectic_form(self.dim // 2).matrix
-        return float(np.abs(self.matrix @ omega @ self.matrix.T - omega).max())
+def assemble_symplectic(coeffs: BogoliubovCoefficients) -> np.ndarray:
+    """Real 2N x 2N matrix of the 2x2 blocks of kernels.symplectic_blocks (read-only)."""
+    return _frozen(kernels.symplectic_blocks(coeffs.alpha, coeffs.beta), float)
 
 
-def assemble_symplectic(coeffs: BogoliubovCoefficients) -> SymplecticTransform:
-    """Real 2N x 2N matrix of the 2x2 blocks of kernels.symplectic_blocks."""
-    return SymplecticTransform(
-        dim=2 * coeffs.n_modes, matrix=kernels.symplectic_blocks(coeffs.alpha, coeffs.beta)
-    )
+def symplectic_defect(s: np.ndarray) -> float:
+    """|| S Omega S^T - Omega ||_max; ~1e-15 for exact transforms, O(h^2) for series."""
+    omega = symplectic_form(s.shape[0] // 2)
+    return float(np.abs(s @ omega @ s.T - omega).max())
 
 
 def _check_mode_pair(series, k, kprime):
@@ -238,7 +224,7 @@ def transform_full_oracle(
     moments = np.zeros(2 * n)
     moments[pair] = initial.first_moments
 
-    s = assemble_symplectic(evaluate_series(series, h)).matrix
+    s = assemble_symplectic(evaluate_series(series, h))
     full_cov = s @ cov @ s.T
     full_cov = 0.5 * (full_cov + full_cov.T)
     full = GaussianState(n, s @ moments, full_cov)
@@ -253,4 +239,4 @@ def trivial_series(n_modes: int) -> BogoliubovSeries:
 
 def series_symplectic_defect(series: BogoliubovSeries, h: float) -> float:
     """Convenience: symplectic defect of the series evaluated at h (O(h^2))."""
-    return assemble_symplectic(evaluate_series(series, h)).symplectic_defect()
+    return symplectic_defect(assemble_symplectic(evaluate_series(series, h)))

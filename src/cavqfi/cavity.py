@@ -1,9 +1,10 @@
 """Oscillating-cavity accelerometer scenario: spectrum, drive response, units.
 
 The cavity holds a phononic field with Dirichlet walls; mode angular
-frequencies are w_n = prefactor * n * c_s / L.  The default prefactor is pi,
-which reproduces w_n = 2*pi*500*n Hz for L = 1 um and c_s = 1e-3 m/s (the
-reference parameter set used throughout).  The drive is a sinusoidal
+frequencies are w_n = pi * n * c_s / L, which gives w_n = 2*pi*500*n Hz for
+the reference parameter set (the CavityScenario defaults: L = 1 um,
+c_s = 1e-3 m/s, modes 1 and 2 at their sum resonance, r = 10, tau = 30 s,
+N = 1e11).  The drive is a sinusoidal
 acceleration a(t) = a sin(omega t) whose dimensionless amplitude is
 h = a L / c_s^2; all first-order response coefficients below carry the
 per-unit-h shape, with the amplitude factored out.
@@ -19,30 +20,27 @@ import numpy as np
 from . import kernels
 from .bogoliubov import BogoliubovSeries
 
-SPEED_OF_LIGHT = 2.99792458e8
-
 
 @dataclasses.dataclass(frozen=True)
 class CavityScenario:
     """Physical parameters of one accelerometer configuration.
 
-    omega = None selects the particle-creation resonance w_k + w_kprime.
-    a_probe is an optional acceleration at which validity margins are
-    evaluated; the device itself is h-agnostic at leading order.
+    The defaults are the reference parameter set.  omega = None selects the
+    particle-creation resonance w_k + w_kprime.  a_probe is an optional
+    acceleration at which validity margins are evaluated; the device itself
+    is h-agnostic at leading order.
     """
 
-    length: float              # L, m
-    sound_speed: float         # c_s, m/s
-    k: int
-    kprime: int
-    squeezing: float           # r, same for both modes
-    tau: float                 # drive duration, s
+    length: float = 1e-6           # L, m
+    sound_speed: float = 1e-3      # c_s, m/s
+    k: int = 1
+    kprime: int = 2
+    squeezing: float = 10.0        # r, same for both modes
+    tau: float = 30.0              # drive duration, s
     omega: float | None = None     # drive angular frequency, rad/s
-    light_speed: float = SPEED_OF_LIGHT
     n_max: int = 50
     n_measurements: float = 1e11
     a_probe: float | None = None   # m/s^2
-    spectrum_prefactor: float = math.pi
 
     def __post_init__(self):
         if self.length <= 0 or self.sound_speed <= 0:
@@ -63,10 +61,6 @@ class CavityScenario:
             raise ValueError("n_measurements must be >= 1")
 
     @property
-    def refractive_index(self) -> float:
-        return self.light_speed / self.sound_speed
-
-    @property
     def drive_omega(self) -> float:
         if self.omega is not None:
             return self.omega
@@ -77,7 +71,7 @@ def mode_frequency(n: int, scenario: CavityScenario) -> float:
     """Angular frequency of mode n (rad/s)."""
     if n < 1:
         raise ValueError("mode number must be >= 1")
-    return scenario.spectrum_prefactor * n * scenario.sound_speed / scenario.length
+    return math.pi * n * scenario.sound_speed / scenario.length
 
 
 def h_from_acceleration(a: float, scenario: CavityScenario) -> float:
@@ -123,11 +117,6 @@ def static_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def drive_integral(x: float, omega: float, tau: float) -> complex:
-    """Closed form of int_0^tau sin(omega t) e^{i x t} dt (resonance-safe)."""
-    return complex(kernels.phase_integral(np.asarray(x, dtype=float), omega, tau))
-
-
 def mode_frequencies(scenario: CavityScenario) -> np.ndarray:
     """Angular frequencies w_1 .. w_{n_max} of the truncated mode set (rad/s)."""
     return np.array([mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)])
@@ -142,7 +131,7 @@ def free_phases(scenario: CavityScenario) -> np.ndarray:
     return np.exp(-1j * mode_frequencies(scenario) * scenario.tau)
 
 
-def sinusoidal_coefficients(scenario: CavityScenario) -> BogoliubovSeries:
+def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     """First-order series for sinusoidal motion over the truncated mode set.
 
     Entry (m, n): the static coefficient times the mode-frequency sum or
@@ -159,13 +148,6 @@ def sinusoidal_coefficients(scenario: CavityScenario) -> BogoliubovSeries:
     return BogoliubovSeries(
         scenario.n_max, np.ones(scenario.n_max, dtype=complex), alpha1, beta1
     )
-
-
-def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
-    """Full first-order series for the scenario (validated entry point)."""
-    if scenario.n_max < max(scenario.k, scenario.kprime):
-        raise ValueError("n_max must cover both chosen modes")
-    return sinusoidal_coefficients(scenario)
 
 
 def resonant_beta_slope(scenario: CavityScenario) -> float:

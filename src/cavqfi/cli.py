@@ -49,26 +49,11 @@ CSV_COLUMNS = (
     "tail_estimate",
 )
 
-# reference parameter set: L = 1 um, c_s = 1e-3 m/s (mode spectrum
-# 2 pi 500 n Hz), modes 1 and 2 driven at their sum resonance, N = 1e11
-DEFAULT_SCENARIO = {
-    "length_m": 1e-6,
-    "sound_speed_m_per_s": 1e-3,
-    "light_speed_m_per_s": 2.99792458e8,
-    "mode_k": 1,
-    "mode_kprime": 2,
-    "squeezing_r": 10.0,
-    "drive_omega_rad_per_s": None,
-    "duration_s": 30.0,
-    "n_max": 50,
-    "n_measurements": 1e11,
-    "probe_acceleration_m_per_s2": None,
-}
-
-_SCENARIO_KEYS = {
+# scenario config name -> CavityScenario field; an absent name takes the
+# field's default (the reference parameter set)
+SCENARIO_FIELDS = {
     "length_m": "length",
     "sound_speed_m_per_s": "sound_speed",
-    "light_speed_m_per_s": "light_speed",
     "mode_k": "k",
     "mode_kprime": "kprime",
     "squeezing_r": "squeezing",
@@ -125,6 +110,9 @@ def resolve_output(cfg, args):
     """Output destination: CLI flags win over the config's output section."""
     section = _section(cfg, "output", {"path", "format"})
     out = args.out if args.out is not None else section.get("path")
+    # open() would take an integer or a boolean as a file descriptor
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"output.path must be a string, got {out!r}")
     fmt = args.format if args.format is not None else section.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("output format must be csv or json")
@@ -132,19 +120,17 @@ def resolve_output(cfg, args):
 
 
 def scenario_from_config(cfg, nmax_override=None):
-    raw = dict(DEFAULT_SCENARIO)
-    raw.update(_section(cfg, "scenario", DEFAULT_SCENARIO))
+    raw = dict(_section(cfg, "scenario", SCENARIO_FIELDS))
     if nmax_override is not None:
         raw["n_max"] = nmax_override
+    fields = {f.name: f for f in dataclasses.fields(CavityScenario)}
     kwargs = {}
-    for field, attr in _SCENARIO_KEYS.items():
-        value = raw[field]
+    for key, value in raw.items():
+        field = fields[SCENARIO_FIELDS[key]]
         # only the fields that default to None may be null
-        if value is not None or DEFAULT_SCENARIO[field] is not None:
-            value = config_number(
-                value, f"scenario.{field}", integer=field in ("mode_k", "mode_kprime", "n_max")
-            )
-        kwargs[attr] = value
+        if value is not None or field.default is not None:
+            value = config_number(value, f"scenario.{key}", integer=field.type in ("int", int))
+        kwargs[field.name] = value
     try:
         return CavityScenario(**kwargs)
     except (TypeError, ValueError) as exc:

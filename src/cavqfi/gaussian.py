@@ -5,6 +5,10 @@ x_n = (a_n + a_n^dag)/sqrt(2), p_n = -i (a_n - a_n^dag)/sqrt(2), and the
 covariance matrix is sigma_ij = <X_i X_j + X_j X_i> - 2 <X_i><X_j>, so the
 vacuum covariance is exactly the identity.  Mode indices in the public API
 are 1-based, matching the mode labels k, k' used throughout.
+
+Two fixed tolerances belong to the state type: SYMMETRY_TOL, the largest
+asymmetry a covariance may carry, and UNCERTAINTY_FLOOR, the lowest
+eigenvalue of sigma + i Omega that check_physical accepts.
 """
 
 from __future__ import annotations
@@ -14,29 +18,25 @@ import dataclasses
 import numpy as np
 
 from .errors import NumericError
-from .policy import DEFAULT_POLICY, NumericPolicy
+
+SYMMETRY_TOL = 1e-12
+UNCERTAINTY_FLOOR = -1e-10
 
 
-def symplectic_form(num_modes: int) -> "SymplecticForm":
-    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
+def symplectic_form(num_modes: int) -> np.ndarray:
+    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode (read-only)."""
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     omega = np.zeros((2 * num_modes, 2 * num_modes))
     omega[0::2, 1::2] = np.eye(num_modes)
     omega[1::2, 0::2] = -np.eye(num_modes)
-    return SymplecticForm(dim=2 * num_modes, matrix=_frozen(omega))
+    return _frozen(omega)
 
 
 def _frozen(arr):
     arr = np.asarray(arr)
     arr.setflags(write=False)
     return arr
-
-
-@dataclasses.dataclass(frozen=True)
-class SymplecticForm:
-    dim: int
-    matrix: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +62,7 @@ class GaussianState:
         if moments.shape != (2 * n,):
             raise ValueError(f"first_moments must have length {2*n}")
         defect = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
-        if defect > DEFAULT_POLICY.symmetry_tol:
+        if defect > SYMMETRY_TOL:
             raise ValueError(f"cov is not symmetric (max asymmetry {defect:.3e})")
         object.__setattr__(self, "cov", _frozen(cov))
         object.__setattr__(self, "first_moments", _frozen(moments))
@@ -135,8 +135,8 @@ class PhysicalityReport:
         return self.ok
 
 
-def check_physical(state: GaussianState, policy: NumericPolicy = DEFAULT_POLICY) -> PhysicalityReport:
-    """Check symmetry and the uncertainty relation eig(sigma + i Omega) >= floor.
+def check_physical(state: GaussianState) -> PhysicalityReport:
+    """Check symmetry and the uncertainty relation eig(sigma + i Omega) >= UNCERTAINTY_FLOOR.
 
     Returns a report rather than raising, so callers can inspect near-misses
     (perturbative transforms violate the bound at second order by design).
@@ -144,12 +144,11 @@ def check_physical(state: GaussianState, policy: NumericPolicy = DEFAULT_POLICY)
     violations = []
     cov = state.cov
     sym_defect = float(np.max(np.abs(cov - cov.T)))
-    if sym_defect > policy.symmetry_tol:
-        violations.append(f"asymmetry {sym_defect:.3e} exceeds {policy.symmetry_tol:.1e}")
-    omega = symplectic_form(state.num_modes).matrix
-    herm = cov + 1j * omega
+    if sym_defect > SYMMETRY_TOL:
+        violations.append(f"asymmetry {sym_defect:.3e} exceeds {SYMMETRY_TOL:.1e}")
+    herm = cov + 1j * symplectic_form(state.num_modes)
     min_eig = float(np.linalg.eigvalsh(herm).min())
-    if min_eig < policy.uncertainty_floor:
+    if min_eig < UNCERTAINTY_FLOOR:
         violations.append(
             f"uncertainty violated: min eig(sigma + i Omega) = {min_eig:.3e}"
         )

@@ -41,7 +41,7 @@ from .errors import (
 from .gaussian import GaussianState, symplectic_form
 from .policy import DEFAULT_POLICY, NumericPolicy
 
-_OMEGA4 = symplectic_form(2).matrix
+_OMEGA4 = symplectic_form(2)
 _I4 = np.eye(4)
 
 
@@ -321,24 +321,6 @@ def qfi_analytic_h0(
 
 
 @dataclasses.dataclass(frozen=True)
-class ValidityResult:
-    valid: bool
-    margin: float
-    threshold: float
-
-    def __bool__(self):
-        return self.valid
-
-
-def validity_check(
-    qfi_h0: float, h: float, policy: NumericPolicy = DEFAULT_POLICY
-) -> ValidityResult:
-    """Perturbative validity: H0 * h^2 must stay well below one."""
-    margin = qfi_h0 * h * h
-    return ValidityResult(margin < policy.validity_threshold, margin, policy.validity_threshold)
-
-
-@dataclasses.dataclass(frozen=True)
 class EstimationResult:
     qfi: float
     qfi_valid: bool
@@ -359,7 +341,8 @@ def cramer_rao(
     """Optimal bounds Delta h = 1/sqrt(N * H) and Delta a = Delta h * c_s^2 / L.
 
     When the probe amplitude h is supplied, the result carries the
-    perturbative validity flag and margin H * h^2.
+    perturbative validity margin H * h^2, and the flag that it stays below
+    policy.validity_threshold.
     """
     if qfi <= 0.0:
         raise NoInformationError("QFI must be positive for a Cramer-Rao bound")
@@ -369,8 +352,10 @@ def cramer_rao(
     delta_a = delta_h * sound_speed**2 / length
     if h is None:
         return EstimationResult(qfi, True, delta_h, delta_a, n_measurements, None)
-    check = validity_check(qfi, h, policy)
-    return EstimationResult(qfi, check.valid, delta_h, delta_a, n_measurements, check.margin)
+    margin = qfi * h * h
+    return EstimationResult(
+        qfi, margin < policy.validity_threshold, delta_h, delta_a, n_measurements, margin
+    )
 
 
 def mach_zehnder_qfi(k_wave: float, T: float) -> float:

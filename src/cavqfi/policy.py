@@ -1,7 +1,10 @@
-"""Numeric policy: tolerances, precision and step-ladder choices in one place.
+"""Numeric policy: the settings a result reads, in one place.
 
-Every tolerance used by the library is a field here, so tests and the CLI can
-pin or override them without touching call sites.  The environment variable
+The fields are the fidelity's branch clamp and its precision switch, the
+finite-difference QFI ladder's steps and plateau test, and the perturbative
+validity threshold; tests and the CLI can pin or override them without
+touching call sites.  Fixed invariant tolerances of the state types live in
+gaussian.py, not here.  The environment variable
 ``CAVQFI_NUMERIC_POLICY`` may hold a JSON object whose keys override fields of
 the default policy (e.g. ``CAVQFI_NUMERIC_POLICY='{"extended_dps": 60}'``).
 The mode truncation is a scenario field (``n_max``), not a policy field.
@@ -21,9 +24,6 @@ ENV_POLICY = "CAVQFI_NUMERIC_POLICY"
 
 @dataclasses.dataclass(frozen=True)
 class NumericPolicy:
-    # covariance-matrix invariants
-    symmetry_tol: float = 1e-12
-    uncertainty_floor: float = -1e-10   # min eigenvalue of sigma + i*Omega
     # fidelity branch handling
     branch_clamp: float = 1e-10          # clamp Pi^2 - Delta in [-clamp, 0] to 0
     # switch the 4x4 determinant work to mpmath above this covariance magnitude;

@@ -33,7 +33,7 @@ def random_symplectic(rng, n_modes, scale=0.5):
     dim = 2 * n_modes
     q = rng.normal(size=(dim, dim)) * scale
     q = 0.5 * (q + q.T)
-    omega = symplectic_form(n_modes).matrix
+    omega = symplectic_form(n_modes)
     return scipy.linalg.expm(omega @ q)
 
 

@@ -23,8 +23,9 @@ from cavqfi import (
     transform_reduced,
     vacuum,
 )
+from cavqfi import kernels
 from cavqfi.bogoliubov import series_symplectic_defect
-from cavqfi.cavity import drive_integral, resonant_beta_slope
+from cavqfi.cavity import resonant_beta_slope
 from cavqfi.cli import evaluate_scenario, main
 from conftest import fock_squeezed_overlap_sq, random_physical_two_mode
 
@@ -233,7 +234,7 @@ def test_criterion_9_resonant_growth_law():
         omega = rng.uniform(0.5, 60.0)
         tau = rng.uniform(0.05, 4.0)
         x = rng.uniform(-80.0, 80.0)
-        closed = drive_integral(x, omega, tau)
+        closed = kernels.phase_integral(x, omega, tau)
         re, _ = scipy.integrate.quad(
             lambda t: math.sin(omega * t) * math.cos(x * t), 0, tau, limit=400
         )

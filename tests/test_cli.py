@@ -1,10 +1,13 @@
+import copy
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from cavqfi.cli import main
+from cavqfi import CavityScenario, NumericPolicy
+from cavqfi.cli import SCENARIO_FIELDS, main
 from conftest import child_env
 
 
@@ -145,6 +148,85 @@ def test_removed_options_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"n_max": 12}')
     with pytest.raises(ConfigError):
         policy_from_env(DEFAULT_POLICY)
+    # settings that no result read are unknown fields in every section and
+    # in the environment
+    for name in ("light_speed_m_per_s", "symmetry_tol", "uncertainty_floor"):
+        monkeypatch.delenv("CAVQFI_NUMERIC_POLICY")
+        for section in ("scenario", "numeric_policy"):
+            cfg = write_config(tmp_path, {section: {name: 1.0}})
+            assert main(["qfi", "--config", cfg]) == 2
+            assert name in capsys.readouterr().err
+        monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", json.dumps({name: 1.0}))
+        with pytest.raises(ConfigError):
+            policy_from_env(DEFAULT_POLICY)
+
+
+# one value per setting that must change what `qfi` or `fidelity` emits (the
+# JSON record, the printed lines or the exit code); a setting missing here
+# fails the guard, so a setting that no result reads cannot land unnoticed
+GUARD_BASE = {
+    "scenario": {"squeezing_r": 2.0, "duration_s": 0.5, "n_max": 8},
+    "fidelity": {
+        "state_a": {"squeezing_r_k": 6.0, "amplitude_h": 1e-4},
+        "state_b": {"squeezing_r_k": 6.0, "amplitude_h": 2e-4},
+    },
+}
+SETTING_CHANGES = {
+    ("numeric_policy", "branch_clamp"): 1.0,
+    ("numeric_policy", "extended_precision_above"): 1e300,
+    ("numeric_policy", "extended_dps"): 15,
+    ("numeric_policy", "dh_ladder"): [1e-3, 5e-4, 2.5e-4],
+    ("numeric_policy", "dh_curvature_target"): 1e-8,
+    ("numeric_policy", "dh_curvature_max"): 1e-7,
+    ("numeric_policy", "plateau_rtol"): 1e-15,
+    ("numeric_policy", "plateau_abs_floor"): 1e30,
+    ("numeric_policy", "validity_threshold"): 0.5,
+    ("scenario", "length_m"): 2e-6,
+    ("scenario", "sound_speed_m_per_s"): 2e-3,
+    ("scenario", "mode_k"): 3,
+    ("scenario", "mode_kprime"): 6,
+    ("scenario", "squeezing_r"): 3.0,
+    ("scenario", "drive_omega_rad_per_s"): 5000.0,
+    ("scenario", "duration_s"): 0.7,
+    ("scenario", "n_max"): 6,
+    ("scenario", "n_measurements"): 1e6,
+    ("scenario", "probe_acceleration_m_per_s2"): 1e-10,
+}
+
+
+def _emitted(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload, "guard.json")
+    seen = []
+    for command in ("qfi", "fidelity"):
+        out = tmp_path / f"{command}.json"
+        out.unlink(missing_ok=True)
+        code = main([command, "--config", cfg, "--out", str(out), "--format", "json"])
+        record = out.read_text() if out.exists() else None
+        seen.append((code, capsys.readouterr().out, record))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "section, name",
+    [("numeric_policy", f.name) for f in dataclasses.fields(NumericPolicy)]
+    + [("scenario", name) for name in SCENARIO_FIELDS],
+)
+def test_every_setting_changes_an_output(tmp_path, capsys, section, name):
+    assert sorted(SCENARIO_FIELDS.values()) == sorted(
+        f.name for f in dataclasses.fields(CavityScenario)
+    )
+    assert (section, name) in SETTING_CHANGES, f"no output-changing value for {section}.{name}"
+    changed = copy.deepcopy(GUARD_BASE)
+    changed.setdefault(section, {})[name] = SETTING_CHANGES[section, name]
+    assert _emitted(tmp_path, capsys, changed) != _emitted(tmp_path, capsys, GUARD_BASE)
+
+
+@pytest.mark.parametrize("path", [True, 7])
+def test_output_path_must_be_string(tmp_path, capsys, path):
+    # open() would take an integer or a boolean as a file descriptor
+    cfg = write_config(tmp_path, {"output": {"path": path}})
+    assert main(["coeffs", "--nmax", "2", "--config", cfg]) == 2
+    assert "output.path" in capsys.readouterr().err
 
 
 def test_validity_flagged(tmp_path, capsys):
@@ -278,7 +360,7 @@ def test_coeffs_static_must_be_boolean(tmp_path, capsys, value):
 def test_coeffs_dumps_lab_frame(tmp_path):
     # the series is held in the interaction picture; coeffs puts the free
     # rotation back: g_m = e^{-i w_m tau} and row m of each matrix times g_m
-    from cavqfi import CavityScenario, build_scenario_series
+    from cavqfi import build_scenario_series
 
     tau = 2.00013
     cfg = write_config(tmp_path, {"scenario": {"duration_s": tau, "n_max": 5}})

@@ -15,12 +15,13 @@ from conftest import random_symplectic
 
 
 def test_symplectic_form_single_mode():
-    om = symplectic_form(1).matrix
+    om = symplectic_form(1)
     assert np.array_equal(om, [[0.0, 1.0], [-1.0, 0.0]])
+    assert not om.flags.writeable
 
 
 def test_symplectic_form_two_modes_block_diagonal():
-    om = symplectic_form(2).matrix
+    om = symplectic_form(2)
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[2, 3] = 1.0
     expected[1, 0] = expected[3, 2] = -1.0
@@ -29,7 +30,7 @@ def test_symplectic_form_two_modes_block_diagonal():
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_symplectic_form_orthogonal(n):
-    om = symplectic_form(n).matrix
+    om = symplectic_form(n)
     assert np.allclose(om @ om.T, np.eye(2 * n))
     assert np.allclose(om @ om, -np.eye(2 * n))
 

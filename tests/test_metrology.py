@@ -19,7 +19,6 @@ from cavqfi import (
     qfi_numeric,
     transform_reduced,
     vacuum,
-    validity_check,
 )
 from cavqfi.cavity import free_phases
 from cavqfi.errors import NoInformationError, NoPlateauError, NumericError
@@ -492,11 +491,11 @@ def test_cramer_rao_validity_flag():
 
 
 def test_validity_check_boundary():
-    res = validity_check(1e16, 1e-9)
-    assert res.margin == pytest.approx(1e-2)
-    assert not res.valid  # margin == threshold flags as out of range
-    assert validity_check(1e16, 1e-10).valid
-    assert validity_check(1e16, 1e-10).margin == pytest.approx(1e-4)
+    res = cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-9)
+    assert res.validity_margin == pytest.approx(1e-2)
+    assert not res.qfi_valid  # margin == threshold flags as out of range
+    assert cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-10).qfi_valid
+    assert cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-10).validity_margin == pytest.approx(1e-4)
 
 
 def test_mach_zehnder_reference():
