@@ -43,7 +43,6 @@ from .metrology import (
     qfi_analytic_h0,
     qfi_numeric,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy, policy_from_env
 
 __version__ = "0.1.0"
 
@@ -51,12 +50,10 @@ __all__ = [
     "BogoliubovCoefficients",
     "BogoliubovSeries",
     "CavityScenario",
-    "DEFAULT_POLICY",
     "EstimationResult",
     "FidelityBreakdown",
     "GaussianState",
     "H0Result",
-    "NumericPolicy",
     "PhysicalityReport",
     "acceleration_from_h",
     "assemble_symplectic",
@@ -71,7 +68,6 @@ __all__ = [
     "mach_zehnder_qfi",
     "mode_frequency",
     "partial_trace",
-    "policy_from_env",
     "purity",
     "qfi_analytic_h0",
     "qfi_numeric",

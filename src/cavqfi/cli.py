@@ -2,9 +2,8 @@
 
 Subcommands: qfi, figure2, fidelity, coeffs, sweep.  Configuration comes from
 a single JSON document (--config); physical quantities carry unit suffixes in
-their field names.  Numeric-policy overrides may come from the
-CAVQFI_NUMERIC_POLICY environment variable (JSON object) and from the
-config's "numeric_policy" section, in that order of increasing precedence.
+their field names.  The numeric tolerances are the constants of
+policy.DEFAULT_POLICY; no config section or environment variable sets them.
 
 Exit codes: 0 success, 1 numeric failure (no information / no plateau /
 conditioning), 2 configuration error.
@@ -16,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -37,7 +37,7 @@ from .metrology import (
     qfi_analytic_h0,
     qfi_numeric,
 )
-from .policy import DEFAULT_POLICY, config_number, policy_from_env, policy_from_mapping
+from .policy import DEFAULT_POLICY
 
 CSV_COLUMNS = (
     "tau_s",
@@ -74,7 +74,7 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-_CONFIG_SECTIONS = {"scenario", "sweep", "fidelity", "coeffs", "output", "numeric_policy"}
+_CONFIG_SECTIONS = {"scenario", "sweep", "fidelity", "coeffs", "output"}
 
 
 def load_config(path):
@@ -119,6 +119,30 @@ def resolve_output(cfg, args):
     return out, fmt
 
 
+def config_number(value, what, integer=False, minimum=None):
+    """A JSON number from a config, as float (or int).
+
+    Every configured number passes through here.  Booleans, strings, null
+    and other types are refused, as are a non-integral value where an
+    integer is required and a value below ``minimum``; each raises
+    ConfigError naming ``what``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if integer:
+        if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise ConfigError(f"{what} is out of range") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value!r}")
+    return value
+
+
 def scenario_from_config(cfg, nmax_override=None):
     raw = dict(_section(cfg, "scenario", SCENARIO_FIELDS))
     if nmax_override is not None:
@@ -137,22 +161,19 @@ def scenario_from_config(cfg, nmax_override=None):
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
-def policy_from_config(cfg):
-    return policy_from_mapping(cfg.get("numeric_policy", {}), policy_from_env(DEFAULT_POLICY))
-
-
-def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_numeric=False):
+def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     """Full single-point evaluation: series, QFI, bounds.
 
     The QFI is the matrix-form H0 of qfi_analytic_h0 at the scenario
     squeezing, computed straight from the interaction-picture series with
     no fitted inputs.  "tail_estimate" is the share of H0 carried by the
     modes above n_max // 2 (nan when n_max // 2 does not cover the pair),
-    from the same one sum.  With want_numeric, the fidelity-ladder QFI of
-    the same point is added as "qfi_numeric"; its numeric failures
-    propagate.  The ladder runs in the un-squeezed frame: every transformed
-    state is mapped by t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}), which takes
-    the h = 0 state to the vacuum.  t is symplectic, so the fidelities are
+    from the same one sum.  With want_numeric and H0 > 0, the
+    fidelity-ladder QFI of the same point is added as "qfi_numeric"; its
+    numeric failures propagate.  At H0 <= 0 no ladder runs: there is no
+    information to cross-check.  The ladder runs in the un-squeezed frame:
+    every transformed state is mapped by t = diag(e^{-r}, e^{r}, e^{-r},
+    e^{r}), which takes the h = 0 state to the vacuum.  t is symplectic, so the fidelities are
     unchanged (Banchi, Braunstein and Pirandola, arXiv:1507.01941), and
     near the vacuum they take the float64 path.  Returns a plain dict of
     floats.
@@ -168,7 +189,7 @@ def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_nume
         "qfi": qfi,
         "tail_estimate": h0.truncation_change,
     }
-    if want_numeric:
+    if want_numeric and qfi > 0.0:
         r = scenario.squeezing
         initial = initial_product_squeezed(r, r)
         t = np.array([math.exp(-r), math.exp(r)] * 2)
@@ -177,7 +198,7 @@ def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_nume
             state = transform_reduced(initial, series, h, scenario.k, scenario.kprime)
             return GaussianState(2, state.first_moments * t, state.cov * np.outer(t, t))
 
-        out["qfi_numeric"] = qfi_numeric(unsqueezed, 0.0, policy)
+        out["qfi_numeric"] = qfi_numeric(unsqueezed, 0.0)
     h_probe = None
     if scenario.a_probe is not None:
         h_probe = h_from_acceleration(scenario.a_probe, scenario)
@@ -188,14 +209,13 @@ def evaluate_scenario(scenario: CavityScenario, policy=DEFAULT_POLICY, want_nume
             scenario.length,
             scenario.sound_speed,
             h=h_probe,
-            policy=policy,
         )
         out["delta_h"] = est.delta_h
         out["delta_a_m_per_s2"] = est.delta_a
         out["qfi_valid"] = est.qfi_valid
         out["validity_margin"] = est.validity_margin
         out["max_valid_acceleration_m_per_s2"] = acceleration_from_h(
-            math.sqrt(policy.validity_threshold / qfi), scenario
+            math.sqrt(DEFAULT_POLICY.validity_threshold / qfi), scenario
         )
     else:
         out["delta_h"] = math.inf
@@ -244,14 +264,12 @@ def _sweep_axis(cfg):
 _AXIS_COLUMNS = {"a": "a_probe_m_per_s2", "omega": "omega_rad_per_s"}
 
 
-def run_sweep(scenario, policy, name, values):
+def run_sweep(scenario, name, values):
     """Point dicts of evaluate_scenario along one axis; an a or omega value
     is stored under its _AXIS_COLUMNS name."""
     points = []
     for value in values:
-        point = evaluate_scenario(
-            dataclasses.replace(scenario, **{_SWEEP_AXES[name]: value}), policy
-        )
+        point = evaluate_scenario(dataclasses.replace(scenario, **{_SWEEP_AXES[name]: value}))
         if name in _AXIS_COLUMNS:
             point[_AXIS_COLUMNS[name]] = value
         points.append(point)
@@ -321,9 +339,8 @@ def _emit_records(points, out, fmt):
 
 def cmd_qfi(args):
     cfg = load_config(args.config)
-    policy = policy_from_config(cfg)
     scenario = scenario_from_config(cfg, args.nmax)
-    point = evaluate_scenario(scenario, policy, want_numeric=True)
+    point = evaluate_scenario(scenario, want_numeric=True)
     if point["qfi"] <= 0.0:
         raise NoInformationError("QFI is zero: no information about the drive amplitude")
     ladder = point["qfi_numeric"]
@@ -339,7 +356,7 @@ def cmd_qfi(args):
     print(
         "max valid accel     : "
         f"{_fmt(point['max_valid_acceleration_m_per_s2'])} m/s^2 "
-        f"(perturbative validity H0*h^2 < {policy.validity_threshold:g})"
+        f"(perturbative validity H0*h^2 < {DEFAULT_POLICY.validity_threshold:g})"
     )
     if scenario.a_probe is not None:
         flag = "OK" if point["qfi_valid"] else "OUT OF VALIDITY RANGE"
@@ -358,12 +375,11 @@ def cmd_qfi(args):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
-    policy = policy_from_config(cfg)
     scenario = scenario_from_config(cfg, args.nmax)
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a sweep section in the config")
     name, values = _sweep_axis(cfg)
-    records = run_sweep(scenario, policy, name, values)
+    records = run_sweep(scenario, name, values)
     out, fmt = resolve_output(cfg, args)
     _emit_records(records, out, fmt)
     return 0
@@ -381,7 +397,6 @@ def cmd_figure2(args):
     tau in the config replaces the grid verbatim.
     """
     cfg = load_config(args.config)
-    policy = policy_from_config(cfg)
     scenario = scenario_from_config(cfg, args.nmax)
     if "sweep" in cfg:
         name, taus = _sweep_axis(cfg)
@@ -393,7 +408,7 @@ def cmd_figure2(args):
     records = []
     for r in FIGURE2_SQUEEZINGS:
         base = dataclasses.replace(scenario, squeezing=r)
-        records.extend(run_sweep(base, policy, "tau", taus))
+        records.extend(run_sweep(base, "tau", taus))
     out, fmt = resolve_output(cfg, args)
     _emit_records(records, out, fmt)
     return 0
@@ -414,13 +429,12 @@ def _fidelity_state(fidelity, what, scenario, series):
 
 def cmd_fidelity(args):
     cfg = load_config(args.config)
-    policy = policy_from_config(cfg)
     scenario = scenario_from_config(cfg, args.nmax)
     section = _section(cfg, "fidelity", {"state_a", "state_b"})
     series = build_scenario_series(scenario)
     state_a = _fidelity_state(section, "state_a", scenario, series)
     state_b = _fidelity_state(section, "state_b", scenario, series)
-    fb = fidelity_two_mode(state_a, state_b, policy)
+    fb = fidelity_two_mode(state_a, state_b)
     payload = {
         "gamma": fb.gamma,
         "lambda1": fb.lambda1,

@@ -8,8 +8,9 @@ algebraically 1/(Pi - sqrt(Pi^2 - Delta)); the superficially similar
 for mixed ones, so it is not used.
 
 The 4x4 determinants run in float64 unless the covariance entries exceed
-policy.extended_precision_above; then they run in mpmath, which is imported
-only on that path.
+extended_precision_above (1e4); then they run in mpmath at extended_dps (40)
+digits, which is imported only on that path.  These and the ladder's step
+and plateau targets are the fixed tolerances of policy.DEFAULT_POLICY.
 
 The QFI comes in two independent routes.  Production uses the matrix form
 qfi_analytic_h0: H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 for the transformed
@@ -39,7 +40,7 @@ from .errors import (
     NumericError,
 )
 from .gaussian import GaussianState, symplectic_form
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 _OMEGA4 = symplectic_form(2)
 _I4 = np.eye(4)
@@ -62,14 +63,14 @@ def _require_zero_means(state: GaussianState):
         )
 
 
-def _clamp(value, scale, policy, what, symmetric=False):
+def _clamp(value, scale, what, symmetric=False):
     """Clamp roundoff-level values to zero; error beyond the trusted band.
 
     With symmetric=True, values inside [-band, +band] collapse to zero: at a
     square-root branch point (pure states have Pi^2 = Delta exactly) keeping
     a +1e-16 residue would be amplified to a 1e-8 error by the root.
     """
-    band = policy.branch_clamp * max(1.0, abs(scale))
+    band = DEFAULT_POLICY.branch_clamp * max(1.0, abs(scale))
     if value < -band:
         raise ConditioningError(f"{what} = {value:.6e} below -{band:.1e}")
     if symmetric and value <= band:
@@ -77,7 +78,7 @@ def _clamp(value, scale, policy, what, symmetric=False):
     return max(value, 0.0)
 
 
-def _fidelity_float(cov1, cov2, policy):
+def _fidelity_float(cov1, cov2):
     gamma = float(np.linalg.det(_OMEGA4 @ cov1 @ _OMEGA4 @ cov2 - _I4)) / 16.0
     lam1 = float(np.linalg.det(cov1 + 1j * _OMEGA4).real) / 4.0
     lam2 = float(np.linalg.det(cov2 + 1j * _OMEGA4).real) / 4.0
@@ -85,10 +86,10 @@ def _fidelity_float(cov1, cov2, policy):
     return gamma, lam1, lam2, delta
 
 
-def _fidelity_mp(cov1, cov2, policy):
+def _fidelity_mp(cov1, cov2):
     import mpmath
 
-    with mpmath.workdps(policy.extended_dps):
+    with mpmath.workdps(DEFAULT_POLICY.extended_dps):
         m1 = mpmath.matrix(cov1.tolist())
         m2 = mpmath.matrix(cov2.tolist())
         om = mpmath.matrix(_OMEGA4.tolist())
@@ -101,22 +102,20 @@ def _fidelity_mp(cov1, cov2, policy):
         return float(gamma), float(lam1), float(lam2), float(delta)
 
 
-def _breakdown(gamma, lam1, lam2, delta, policy):
+def _breakdown(gamma, lam1, lam2, delta):
     scale = max(1.0, abs(gamma), abs(delta))
-    gamma = _clamp(gamma, scale, policy, "Gamma")
-    lam1 = _clamp(lam1, scale, policy, "Lambda1", symmetric=True)
-    lam2 = _clamp(lam2, scale, policy, "Lambda2", symmetric=True)
+    gamma = _clamp(gamma, scale, "Gamma")
+    lam1 = _clamp(lam1, scale, "Lambda1", symmetric=True)
+    lam2 = _clamp(lam2, scale, "Lambda2", symmetric=True)
     if delta <= 0.0:
         raise ConditioningError(f"Delta = {delta:.6e} is not positive")
     pi = math.sqrt(gamma) + math.sqrt(lam1 * lam2)
-    disc = _clamp(pi * pi - delta, delta, policy, "Pi^2 - Delta", symmetric=True)
+    disc = _clamp(pi * pi - delta, delta, "Pi^2 - Delta", symmetric=True)
     fidelity = (pi + math.sqrt(disc)) / delta
     return FidelityBreakdown(gamma, lam1, lam2, delta, pi, fidelity)
 
 
-def fidelity_breakdown_from_covs(
-    cov1: np.ndarray, cov2: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY
-) -> FidelityBreakdown:
+def fidelity_breakdown_from_covs(cov1: np.ndarray, cov2: np.ndarray) -> FidelityBreakdown:
     """Fidelity between two zero-mean two-mode covariance matrices.
 
     Switches the 4x4 determinant work to extended precision once the
@@ -126,22 +125,20 @@ def fidelity_breakdown_from_covs(
     cov1 = np.asarray(cov1, dtype=float)
     cov2 = np.asarray(cov2, dtype=float)
     scale = max(np.abs(cov1).max(), np.abs(cov2).max())
-    if scale > policy.extended_precision_above:
-        parts = _fidelity_mp(cov1, cov2, policy)
+    if scale > DEFAULT_POLICY.extended_precision_above:
+        parts = _fidelity_mp(cov1, cov2)
     else:
-        parts = _fidelity_float(cov1, cov2, policy)
-    return _breakdown(*parts, policy)
+        parts = _fidelity_float(cov1, cov2)
+    return _breakdown(*parts)
 
 
-def fidelity_two_mode(
-    s1: GaussianState, s2: GaussianState, policy: NumericPolicy = DEFAULT_POLICY
-) -> FidelityBreakdown:
+def fidelity_two_mode(s1: GaussianState, s2: GaussianState) -> FidelityBreakdown:
     """Uhlmann fidelity of two two-mode Gaussian states with zero means."""
     if s1.num_modes != 2 or s2.num_modes != 2:
         raise ValueError("fidelity_two_mode expects two-mode states")
     _require_zero_means(s1)
     _require_zero_means(s2)
-    return fidelity_breakdown_from_covs(s1.cov, s2.cov, policy)
+    return fidelity_breakdown_from_covs(s1.cov, s2.cov)
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +160,16 @@ def _ladder_estimate(fid_pair, h, dh, sqrt_f0=1.0):
     return 8.0 * (sqrt_f0 - math.sqrt(max(f, 0.0))) / (dh * dh)
 
 
-def qfi_numeric(
-    state_at,
-    h: float,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    return_diagnostics: bool = False,
-):
+def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
     """QFI at h from H = 8 [1 - sqrt(F(sigma(h), sigma(h+dh)))] / dh^2.
 
     ``state_at`` maps h to a two-mode GaussianState.  The step ladder starts
-    from policy.dh_ladder scaled by max(h, 1) and is rescaled iteratively
-    until H * dh^2 sits near policy.dh_curvature_target (keeping the fidelity
-    drop both resolvable above roundoff and inside the quadratic regime);
-    two Richardson levels then remove the leading O(dh) and O(dh^2) biases.
-    Raises NoPlateauError carrying the raw ladder when successive
-    extrapolants disagree beyond policy.plateau_rtol.
+    from dh_ladder (1e-4, 5e-5, 2.5e-5) scaled by max(h, 1) and is rescaled
+    iteratively until H * dh^2 sits near dh_curvature_target (1e-6), keeping
+    the fidelity drop both resolvable above roundoff and inside the quadratic
+    regime; two Richardson levels then remove the leading O(dh) and O(dh^2)
+    biases.  Raises NoPlateauError carrying the raw ladder when successive
+    extrapolants disagree beyond plateau_rtol (0.1%).
 
     The estimator is anchored at h = 0 (where the base state is exactly pure)
     and well-behaved throughout the perturbative validity domain; well beyond
@@ -186,7 +178,7 @@ def qfi_numeric(
     """
 
     def fid_pair(x, dh):
-        return fidelity_two_mode(state_at(x), state_at(x + dh), policy).fidelity
+        return fidelity_two_mode(state_at(x), state_at(x + dh)).fidelity
 
     # at h > 0 the truncated state map is O(h^2) impure and its self-fidelity
     # sits below one; differencing against sqrt(F(h, h)) removes that
@@ -194,7 +186,7 @@ def qfi_numeric(
     sqrt_f0 = math.sqrt(max(fid_pair(h, 0.0), 0.0))
 
     scale = max(abs(h), 1.0)
-    steps = [d * scale for d in policy.dh_ladder]
+    steps = [d * scale for d in DEFAULT_POLICY.dh_ladder]
     dh_max = 0.25 * scale
     # iterate the pilot both ways: with H ~ 1e16 the default step sits far
     # outside the quadratic regime, while for near-constant maps the fidelity
@@ -202,11 +194,11 @@ def qfi_numeric(
     for _ in range(60):
         pilot = _ladder_estimate(fid_pair, h, steps[0], sqrt_f0)
         drop = abs(pilot) * steps[0] ** 2  # = 8 |sqrt(F0) - sqrt(F)| at the pilot step
-        if drop > policy.dh_curvature_max and steps[0] > 1e-30:
-            factor = math.sqrt(policy.dh_curvature_target / drop)
+        if drop > DEFAULT_POLICY.dh_curvature_max and steps[0] > 1e-30:
+            factor = math.sqrt(DEFAULT_POLICY.dh_curvature_target / drop)
         elif drop < 1e-9 and steps[0] < dh_max:
             factor = min(
-                math.sqrt(policy.dh_curvature_target / max(drop, 1e-17)),
+                math.sqrt(DEFAULT_POLICY.dh_curvature_target / max(drop, 1e-17)),
                 10.0,
                 dh_max / steps[0],
             )
@@ -226,9 +218,9 @@ def qfi_numeric(
     extrapolants = (r12, r23, final)
 
     span = abs(r23 - r12)
-    tol = policy.plateau_rtol * max(abs(final), abs(r23))
-    plateau = span <= tol or span <= policy.plateau_abs_floor
-    if plateau and abs(final) <= policy.plateau_abs_floor:
+    tol = DEFAULT_POLICY.plateau_rtol * max(abs(final), abs(r23))
+    plateau = span <= tol or span <= DEFAULT_POLICY.plateau_abs_floor
+    if plateau and abs(final) <= DEFAULT_POLICY.plateau_abs_floor:
         final = 0.0
     result = QFINumericResult(final, ladder, extrapolants, steps[0], plateau)
     if not plateau:
@@ -336,13 +328,12 @@ def cramer_rao(
     length: float,
     sound_speed: float,
     h: float | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> EstimationResult:
     """Optimal bounds Delta h = 1/sqrt(N * H) and Delta a = Delta h * c_s^2 / L.
 
     When the probe amplitude h is supplied, the result carries the
     perturbative validity margin H * h^2, and the flag that it stays below
-    policy.validity_threshold.
+    validity_threshold (1e-2).
     """
     if qfi <= 0.0:
         raise NoInformationError("QFI must be positive for a Cramer-Rao bound")
@@ -354,7 +345,7 @@ def cramer_rao(
         return EstimationResult(qfi, True, delta_h, delta_a, n_measurements, None)
     margin = qfi * h * h
     return EstimationResult(
-        qfi, margin < policy.validity_threshold, delta_h, delta_a, n_measurements, margin
+        qfi, margin < DEFAULT_POLICY.validity_threshold, delta_h, delta_a, n_measurements, margin
     )
 
 

@@ -188,7 +188,6 @@ def test_criterion_7_mach_zehnder_baseline():
 
 def test_criterion_8_figure2_properties():
     from cavqfi.cli import FIGURE2_SQUEEZINGS, run_sweep, snapped_tau_grid
-    from cavqfi.policy import DEFAULT_POLICY
     import dataclasses
 
     scenario = default_scenario()
@@ -196,7 +195,7 @@ def test_criterion_8_figure2_properties():
     curves = {}
     for r in FIGURE2_SQUEEZINGS:
         base = dataclasses.replace(scenario, squeezing=r)
-        records = run_sweep(base, DEFAULT_POLICY, "tau", taus)
+        records = run_sweep(base, "tau", taus)
         curves[r] = np.array([rec["delta_a_m_per_s2"] for rec in records])
     decreasing = all(np.all(np.diff(curves[r]) < 0) for r in FIGURE2_SQUEEZINGS)
     ordered = bool(

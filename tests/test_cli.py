@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from cavqfi import CavityScenario, NumericPolicy
+from cavqfi import CavityScenario, cli, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
+from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
 
 
@@ -105,6 +106,24 @@ def test_qfi_no_information_exit_one(tmp_path, capsys):
     assert "no information" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"squeezing_r": 2.0, "duration_s": 0.5, "n_max": 3},
+        {"squeezing_r": 2.0, "duration_s": 0.0},
+    ],
+)
+def test_qfi_zero_h0_skips_ladder(tmp_path, monkeypatch, capsys, scenario):
+    # H0 is exactly 0 at both points; the ladder has nothing to cross-check
+    # and at n_max 3 it fails to plateau, which hid the no-information exit
+    calls = []
+    monkeypatch.setattr(cli, "qfi_numeric", lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path, {"scenario": scenario})
+    assert main(["qfi", "--config", cfg]) == 1
+    assert "QFI is zero" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_config_error_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": {"mode_k": 1, "mode_kprime": 3}})
     assert main(["qfi", "--config", cfg]) == 2
@@ -133,37 +152,40 @@ def test_unknown_scenario_field_exit_two(tmp_path, capsys):
 
 
 def test_removed_options_refused(tmp_path, monkeypatch, capsys):
-    from cavqfi.errors import ConfigError
-    from cavqfi.policy import DEFAULT_POLICY, policy_from_env
-
     # sweeps run serially; there is no --workers flag
     with pytest.raises(SystemExit) as exc:
         main(["figure2", "--workers", "2"])
     assert exc.value.code == 2
-    # the truncation is scenario.n_max; a policy n_max is an unknown field,
-    # not a silent no-op
+    # the numeric tolerances are constants: a numeric_policy section is an
+    # unknown config section, not a silent no-op
     cfg = write_config(tmp_path, {"numeric_policy": {"n_max": 100}})
     assert main(["qfi", "--config", cfg]) == 2
-    assert "n_max" in capsys.readouterr().err
-    monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"n_max": 12}')
-    with pytest.raises(ConfigError):
-        policy_from_env(DEFAULT_POLICY)
-    # settings that no result read are unknown fields in every section and
-    # in the environment
+    assert "numeric_policy" in capsys.readouterr().err
+    # settings that no result read are unknown scenario fields
     for name in ("light_speed_m_per_s", "symmetry_tol", "uncertainty_floor"):
-        monkeypatch.delenv("CAVQFI_NUMERIC_POLICY")
-        for section in ("scenario", "numeric_policy"):
-            cfg = write_config(tmp_path, {section: {name: 1.0}})
-            assert main(["qfi", "--config", cfg]) == 2
-            assert name in capsys.readouterr().err
-        monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", json.dumps({name: 1.0}))
-        with pytest.raises(ConfigError):
-            policy_from_env(DEFAULT_POLICY)
+        cfg = write_config(tmp_path, {"scenario": {name: 1.0}})
+        assert main(["qfi", "--config", cfg]) == 2
+        assert name in capsys.readouterr().err
+    # nor does the environment set a tolerance: with CAVQFI_NUMERIC_POLICY set
+    # to values that would change the record, or to invalid JSON, the record
+    # keeps every digit
+    cfg = write_config(tmp_path, {"scenario": FAST_SCENARIO})
+    out = tmp_path / "qfi.json"
+    records = []
+    for raw in (None, '{"extended_dps": 15, "plateau_rtol": 1e-15}', "not json"):
+        if raw is None:
+            monkeypatch.delenv("CAVQFI_NUMERIC_POLICY", raising=False)
+        else:
+            monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", raw)
+        assert main(["qfi", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        records.append(out.read_text())
+    assert records[1:] == records[:1] * 2
 
 
-# one value per setting that must change what `qfi` or `fidelity` emits (the
-# JSON record, the printed lines or the exit code); a setting missing here
-# fails the guard, so a setting that no result reads cannot land unnoticed
+# one value per setting, and per tolerance constant of DEFAULT_POLICY (the
+# "numeric_policy" rows), that must change what `qfi` or `fidelity` emits (the
+# JSON record, the printed lines or the exit code); one missing here fails the
+# guard, so a setting or constant that no result reads cannot land unnoticed
 GUARD_BASE = {
     "scenario": {"squeezing_r": 2.0, "duration_s": 0.5, "n_max": 8},
     "fidelity": {
@@ -211,14 +233,22 @@ def _emitted(tmp_path, capsys, payload):
     [("numeric_policy", f.name) for f in dataclasses.fields(NumericPolicy)]
     + [("scenario", name) for name in SCENARIO_FIELDS],
 )
-def test_every_setting_changes_an_output(tmp_path, capsys, section, name):
+def test_every_setting_changes_an_output(tmp_path, monkeypatch, capsys, section, name):
     assert sorted(SCENARIO_FIELDS.values()) == sorted(
         f.name for f in dataclasses.fields(CavityScenario)
     )
     assert (section, name) in SETTING_CHANGES, f"no output-changing value for {section}.{name}"
+    base = _emitted(tmp_path, capsys, GUARD_BASE)
     changed = copy.deepcopy(GUARD_BASE)
-    changed.setdefault(section, {})[name] = SETTING_CHANGES[section, name]
-    assert _emitted(tmp_path, capsys, changed) != _emitted(tmp_path, capsys, GUARD_BASE)
+    value = SETTING_CHANGES[section, name]
+    if section == "numeric_policy":
+        # no config sets a tolerance: swap the constant where it is read
+        tolerances = dataclasses.replace(DEFAULT_POLICY, **{name: value})
+        for module in (cli, metrology):
+            monkeypatch.setattr(module, "DEFAULT_POLICY", tolerances)
+    else:
+        changed[section][name] = value
+    assert _emitted(tmp_path, capsys, changed) != base
 
 
 @pytest.mark.parametrize("path", [True, 7])
@@ -271,31 +301,27 @@ def test_malformed_section_exit_two(tmp_path, capsys, command, section):
 
 
 @pytest.mark.parametrize(
-    "source, policy",
+    "policy",
     [
-        ("config", 5),
-        ("config", []),
-        ("config", {"extended_dps": "abc"}),
-        ("config", {"extended_dps": 40.7}),
-        ("config", {"extended_dps": True}),
-        ("config", {"plateau_rtol": "x"}),
-        ("config", {"plateau_rtol": True}),
-        ("config", {"dh_ladder": 5}),
-        ("config", {"dh_ladder": [1e-4]}),
-        ("config", {"dh_ladder": [1e-4, 5e-5, 2.5e-5, 1e-5]}),
-        ("env", {"extended_dps": "x"}),
+        5,
+        [],
+        {"extended_dps": "abc"},
+        {"extended_dps": 40.7},
+        {"extended_dps": True},
+        {"plateau_rtol": "x"},
+        {"plateau_rtol": True},
+        {"dh_ladder": 5},
+        {"dh_ladder": [1e-4]},
+        {"dh_ladder": [1e-4, 5e-5, 2.5e-5, 1e-5]},
     ],
+    ids=["config-5"] + [f"config-policy{i}" for i in range(1, 10)],
 )
-def test_malformed_numeric_policy_exit_two(tmp_path, monkeypatch, capsys, source, policy):
-    # every policy number is a JSON number of the field's type; dh_ladder
-    # holds exactly three of them
-    payload = {"scenario": {"n_max": 4, "squeezing_r": 2.0}}
-    if source == "env":
-        monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", json.dumps(policy))
-    else:
-        payload["numeric_policy"] = policy
+def test_malformed_numeric_policy_exit_two(tmp_path, capsys, policy):
+    # a numeric_policy section in the config is refused as an unknown
+    # section whatever it holds, malformed values included
+    payload = {"scenario": {"n_max": 4, "squeezing_r": 2.0}, "numeric_policy": policy}
     assert main(["qfi", "--config", write_config(tmp_path, payload)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert "unknown config sections: ['numeric_policy']" in capsys.readouterr().err
 
 
 def test_fidelity_identical_states(tmp_path, capsys):
@@ -500,22 +526,6 @@ def test_figure2_subset_matches_sweep(tmp_path):
     sweep_rows = sweep_out.read_text().strip().splitlines()
     r10 = [line for line in fig_rows[1:] if float(line.split(",")[1]) == 10.0]
     assert r10 == sweep_rows[1:]
-
-
-def test_numeric_policy_env_override(monkeypatch):
-    from cavqfi.policy import DEFAULT_POLICY, policy_from_env
-    from cavqfi.errors import ConfigError
-
-    monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"extended_dps": 60, "plateau_rtol": 0.002}')
-    policy = policy_from_env(DEFAULT_POLICY)
-    assert policy.extended_dps == 60
-    assert policy.plateau_rtol == 0.002
-    monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", '{"bogus_field": 1}')
-    with pytest.raises(ConfigError):
-        policy_from_env(DEFAULT_POLICY)
-    monkeypatch.setenv("CAVQFI_NUMERIC_POLICY", "not json")
-    with pytest.raises(ConfigError):
-        policy_from_env(DEFAULT_POLICY)
 
 
 def test_sweep_over_omega_axis(tmp_path):

@@ -21,7 +21,8 @@ from cavqfi import (
     vacuum,
 )
 from cavqfi.cavity import free_phases
-from cavqfi.errors import NoInformationError, NoPlateauError, NumericError
+from cavqfi import metrology
+from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError, NumericError
 from cavqfi.gaussian import thermal_two_mode
 from conftest import canonical_series, random_physical_two_mode, random_symplectic
 
@@ -117,6 +118,54 @@ def test_fidelity_extended_precision_path():
     r = 6.0
     fb = fidelity_two_mode(vacuum(2), initial_product_squeezed(r, r))
     assert fb.fidelity == pytest.approx(1.0 / math.cosh(r) ** 2, rel=1e-10)
+
+
+def test_breakdown_conditioning_guards():
+    # the branch clamp is 1e-10 times max(1, |Gamma|, |Delta|): inside it a
+    # negative Gamma is roundoff and clamps to 0, beyond it the inputs are
+    # ill-conditioned; a non-positive Delta is always refused
+    fb = metrology._breakdown(-0.5e-10, 1.0, 1.0, 1.0)
+    assert fb.gamma == 0.0
+    assert fb.fidelity == 1.0
+    with pytest.raises(ConditioningError, match="Gamma"):
+        metrology._breakdown(-2e-10, 1.0, 1.0, 1.0)
+    with pytest.raises(ConditioningError, match="Gamma"):
+        metrology._breakdown(-2e-6, 1.0, 1.0, 1e4)
+    for delta in (0.0, -1.0):
+        with pytest.raises(ConditioningError, match="Delta"):
+            metrology._breakdown(1.0, 0.0, 0.0, delta)
+
+
+def test_breakdown_lambda_band_collapses_to_zero():
+    # pure states sit on the branch point Lambda = 0, where a roundoff
+    # residue inside +-1e-10 (times the scale) must vanish exactly
+    for lam in (0.9e-10, -0.9e-10, 1e-10, -1e-10):
+        fb = metrology._breakdown(1.0, lam, lam, 1.0)
+        assert fb.lambda1 == 0.0 and fb.lambda2 == 0.0
+        assert fb.fidelity == 1.0
+    assert metrology._breakdown(1e4, 0.9e-6, 0.0, 1e4).lambda1 == 0.0
+    assert metrology._breakdown(1.0, 2e-10, 0.0, 1.0).lambda1 == 2e-10
+    with pytest.raises(ConditioningError, match="Lambda1"):
+        metrology._breakdown(1.0, -2e-10, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "largest, path",
+    [(1e4, "_fidelity_float"), (np.nextafter(1e4, np.inf), "_fidelity_mp"), (1e5, "_fidelity_mp")],
+)
+def test_precision_switch_at_largest_entry(monkeypatch, largest, path):
+    # mpmath takes over only above 1e4, judged on the largest entry of either
+    # covariance
+    calls = []
+    for name in ("_fidelity_float", "_fidelity_mp"):
+        original = getattr(metrology, name)
+        monkeypatch.setattr(
+            metrology, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    squeezed = np.diag([largest, 1.0 / largest, 1.0, 1.0])
+    fb = metrology.fidelity_breakdown_from_covs(np.eye(4), squeezed)
+    assert calls == [path]
+    assert fb.fidelity == pytest.approx(2.0 / math.sqrt(largest + 2.0 + 1.0 / largest), rel=1e-9)
 
 
 def test_gamma_equals_delta_for_symplectic_images(rng):
