@@ -1,20 +1,16 @@
-"""Bogoliubov coefficients, their symplectic representation, and state transforms.
+"""Bogoliubov coefficients and the reduced state transform.
 
-A transformation is either held exactly (BogoliubovCoefficients) or as a
-perturbative series in the dimensionless drive amplitude h
-(BogoliubovSeries): alpha(h) = diag(G) + h alpha1 (+ h^2 alpha2),
-beta(h) = h beta1 (+ h^2 beta2).
+A transformation is held as a perturbative series in the dimensionless
+drive amplitude h (BogoliubovSeries): alpha(h) = diag(G) + h alpha1
+(+ h^2 alpha2), beta(h) = h beta1 (+ h^2 beta2); evaluate_series gives the
+coefficient matrices at one h (BogoliubovCoefficients).
 
 Rows k and k' of the real symplectic matrix S(h) have one block form,
 ``pair_rows``: S(h) = R0 + h S1 + h^2 S2, with R0 the zeroth-order rotation
 on the pair columns.  Both the reduced transform and the matrix-form QFI
-(metrology.qfi_analytic_h0) read it.
-
-Two transform paths are provided for a two-mode initial state embedded in an
-otherwise-vacuum field: ``transform_full_oracle`` builds the full 2N x 2N
-symplectic matrix and conjugates the full covariance (ground truth), while
-``transform_reduced`` forms only rows k and k' from ``pair_rows`` and must
-agree with the oracle to roundoff.
+(metrology.qfi_analytic_h0) read it.  ``transform_reduced`` maps a two-mode
+initial state embedded in an otherwise-vacuum field to the covariance of
+modes k, k' from those rows alone, never forming the full 2N x 2N matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from . import kernels
-from .gaussian import GaussianState, partial_trace, symplectic_form
+from .gaussian import GaussianState
 
 _UNIT_PHASE_TOL = 1e-12
 
@@ -51,19 +47,6 @@ class BogoliubovCoefficients:
             raise ValueError(f"alpha and beta must be {n}x{n}")
         object.__setattr__(self, "alpha", _frozen(alpha, complex))
         object.__setattr__(self, "beta", _frozen(beta, complex))
-
-    def identity_defects(self):
-        """(unitarity, symmetry) defects of the exact-transform identities.
-
-        unitarity: || alpha alpha^dag - beta beta^dag - 1 ||_max
-        symmetry:  || alpha beta^T - (alpha beta^T)^T ||_max
-        Exact coefficient sets satisfy both to ~1e-8; series truncated at
-        first order violate them at O(h^2) by construction.
-        """
-        eye = np.eye(self.n_modes)
-        uni = self.alpha @ self.alpha.conj().T - self.beta @ self.beta.conj().T - eye
-        ab = self.alpha @ self.beta.T
-        return float(np.abs(uni).max()), float(np.abs(ab - ab.T).max())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,17 +100,6 @@ def evaluate_series(series: BogoliubovSeries, h: float) -> BogoliubovCoefficient
     if series.beta2 is not None:
         beta = beta + h * h * series.beta2
     return BogoliubovCoefficients(series.n_modes, alpha, beta)
-
-
-def assemble_symplectic(coeffs: BogoliubovCoefficients) -> np.ndarray:
-    """Real 2N x 2N matrix of the 2x2 blocks of kernels.symplectic_blocks (read-only)."""
-    return _frozen(kernels.symplectic_blocks(coeffs.alpha, coeffs.beta), float)
-
-
-def symplectic_defect(s: np.ndarray) -> float:
-    """|| S Omega S^T - Omega ||_max; ~1e-15 for exact transforms, O(h^2) for series."""
-    omega = symplectic_form(s.shape[0] // 2)
-    return float(np.abs(s @ omega @ s.T - omega).max())
 
 
 def _check_mode_pair(series, k, kprime):
@@ -197,46 +169,4 @@ def transform_reduced(
     if s2 is not None:
         s += h * h * s2
     s[:, pair] += r0
-    cov = kernels.reduced_transform(s, pair, initial.cov)
-    return GaussianState(2, s[:, pair] @ initial.first_moments, cov)
-
-
-def transform_full_oracle(
-    initial: GaussianState,
-    series: BogoliubovSeries,
-    h: float,
-    k: int,
-    kprime: int,
-) -> GaussianState:
-    """Ground-truth path: embed, conjugate the full covariance, trace back down.
-
-    Builds the 2N x 2N covariance (identity except the k/kprime blocks),
-    applies S sigma S^T with the fully assembled symplectic matrix, then
-    partial-traces to (k, kprime).
-    """
-    if initial.num_modes != 2:
-        raise ValueError("initial state must have exactly two modes")
-    _check_mode_pair(series, k, kprime)
-    n = series.n_modes
-    pair = pair_columns(k, kprime)
-    cov = np.eye(2 * n)
-    cov[np.ix_(pair, pair)] = initial.cov
-    moments = np.zeros(2 * n)
-    moments[pair] = initial.first_moments
-
-    s = assemble_symplectic(evaluate_series(series, h))
-    full_cov = s @ cov @ s.T
-    full_cov = 0.5 * (full_cov + full_cov.T)
-    full = GaussianState(n, s @ moments, full_cov)
-    return partial_trace(full, [k, kprime])
-
-
-def trivial_series(n_modes: int) -> BogoliubovSeries:
-    """Identity transformation at every order (G = 1, all matrices zero)."""
-    zeros = np.zeros((n_modes, n_modes), dtype=complex)
-    return BogoliubovSeries(n_modes, np.ones(n_modes, dtype=complex), zeros, zeros)
-
-
-def series_symplectic_defect(series: BogoliubovSeries, h: float) -> float:
-    """Convenience: symplectic defect of the series evaluated at h (O(h^2))."""
-    return symplectic_defect(assemble_symplectic(evaluate_series(series, h)))
+    return GaussianState(2, kernels.reduced_transform(s, pair, initial.cov))

@@ -84,26 +84,12 @@ def acceleration_from_h(h: float, scenario: CavityScenario) -> float:
     return h * scenario.sound_speed**2 / scenario.length
 
 
-def static_first_order(k: int, kprime: int) -> tuple[float, float]:
-    """Static first-order pair coefficients for one uniformly accelerated hop.
-
-    alpha1 = -2 sqrt(k k') / (pi^2 (k' - k)^3),
-    beta1  =  2 sqrt(k k') / (pi^2 (k + k')^3).
-    Defined for oddly separated pairs; the first argument is the row index of
-    the corresponding matrix entry.
-    """
-    if k == kprime:
-        raise ValueError("k and kprime must differ")
-    root = math.sqrt(k * kprime)
-    alpha1 = -2.0 * root / (math.pi**2 * (kprime - k) ** 3)
-    beta1 = 2.0 * root / (math.pi**2 * (kprime + k) ** 3)
-    return alpha1, beta1
-
-
 def static_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Static coefficient matrices over 1..n_max with the parity selection rule.
 
-    Same-parity and diagonal entries are exact zeros: for those pairs the
+    For m - n odd, alpha_mn = -2 sqrt(m n) / (pi^2 (n - m)^3) and
+    beta_mn = 2 sqrt(m n) / (pi^2 (m + n)^3), the first-order pair
+    coefficients of one uniformly accelerated hop.  Same-parity and diagonal entries are exact zeros: for those pairs the
     series contains no odd powers of h, so nothing survives at first order.
     """
     n = np.arange(1, n_max + 1, dtype=float)
@@ -148,12 +134,3 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     return BogoliubovSeries(
         scenario.n_max, np.ones(scenario.n_max, dtype=complex), alpha1, beta1
     )
-
-
-def resonant_beta_slope(scenario: CavityScenario) -> float:
-    """Analytic growth rate of |beta1_{k,kp}(tau)| at the sum resonance."""
-    _, beta_s = static_first_order(scenario.k, scenario.kprime)
-    total = mode_frequency(scenario.k, scenario) + mode_frequency(
-        scenario.kprime, scenario
-    )
-    return abs(beta_s) * total / 2.0

@@ -123,9 +123,10 @@ def config_number(value, what, integer=False, minimum=None):
     """A JSON number from a config, as float (or int).
 
     Every configured number passes through here.  Booleans, strings, null
-    and other types are refused, as are a non-integral value where an
-    integer is required and a value below ``minimum``; each raises
-    ConfigError naming ``what``.
+    and other types are refused, as are NaN and the infinities (which
+    Python's json accepts), a non-integral value where an integer is
+    required and a value below ``minimum``; each raises ConfigError naming
+    ``what``.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, got {value!r}")
@@ -138,6 +139,8 @@ def config_number(value, what, integer=False, minimum=None):
             value = float(value)
         except OverflowError as exc:  # a JSON integer beyond the float range
             raise ConfigError(f"{what} is out of range") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{what} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}, got {value!r}")
     return value
@@ -196,7 +199,7 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
 
         def unsqueezed(h):
             state = transform_reduced(initial, series, h, scenario.k, scenario.kprime)
-            return GaussianState(2, state.first_moments * t, state.cov * np.outer(t, t))
+            return GaussianState(2, state.cov * np.outer(t, t))
 
         out["qfi_numeric"] = qfi_numeric(unsqueezed, 0.0)
     h_probe = None
@@ -246,7 +249,7 @@ def _sweep_axis(cfg):
     except KeyError as exc:
         raise ConfigError(f"sweep section missing {exc}") from exc
     spacing = section.get("spacing", "linear")
-    if name not in _SWEEP_AXES:
+    if not isinstance(name, str) or name not in _SWEEP_AXES:
         raise ConfigError(f"sweep parameter must be one of {tuple(_SWEEP_AXES)}")
     if not start < stop:
         raise ConfigError("sweep start must be < stop")

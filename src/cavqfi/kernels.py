@@ -8,8 +8,7 @@ Kernels:
     matrix products on the (4, 2N) block rows k, k' of S(h) (called once per
     fidelity evaluation inside QFI step ladders),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
-    coefficient pairs, which builds both the full symplectic matrix of the
-    oracle and the block rows of bogoliubov.pair_rows.
+    coefficient pairs, which builds the block rows of bogoliubov.pair_rows.
 
 Callers reach the first two as ``kernels.time_dependent_coefficients`` and
 ``kernels.reduced_transform``; perfbench's per-layer tracer wraps those two

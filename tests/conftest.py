@@ -50,7 +50,7 @@ def random_physical_two_mode(rng, mixed=True):
     core = np.diag(np.repeat(nu, 2))
     s = random_symplectic(rng, 2, scale=0.4)
     cov = s @ core @ s.T
-    return GaussianState(2, np.zeros(4), 0.5 * (cov + cov.T))
+    return GaussianState(2, 0.5 * (cov + cov.T))
 
 
 def fock_squeezed_overlap_sq(r, cutoff=60):

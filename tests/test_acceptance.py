@@ -16,18 +16,20 @@ from cavqfi import (
     cramer_rao,
     fidelity_two_mode,
     initial_product_squeezed,
-    mach_zehnder_qfi,
     qfi_analytic_h0,
     qfi_numeric,
-    transform_full_oracle,
     transform_reduced,
-    vacuum,
 )
 from cavqfi import kernels
-from cavqfi.bogoliubov import series_symplectic_defect
-from cavqfi.cavity import resonant_beta_slope
 from cavqfi.cli import evaluate_scenario, main
 from conftest import fock_squeezed_overlap_sq, random_physical_two_mode
+from oracles import (
+    mach_zehnder_qfi,
+    resonant_beta_slope,
+    series_symplectic_defect,
+    transform_full_oracle,
+    vacuum,
+)
 
 
 def report(criterion, ok, detail):

@@ -8,13 +8,13 @@ from cavqfi import (
     CavityScenario,
     acceleration_from_h,
     build_scenario_series,
-    evaluate_series,
     h_from_acceleration,
     mode_frequency,
-    static_first_order,
 )
 from cavqfi import kernels
-from cavqfi.cavity import resonant_beta_slope, static_matrices
+from cavqfi.bogoliubov import evaluate_series
+from cavqfi.cavity import static_matrices
+from oracles import resonant_beta_slope, static_first_order
 
 
 def reference_scenario(**overrides):

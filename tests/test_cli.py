@@ -124,6 +124,27 @@ def test_qfi_zero_h0_skips_ladder(tmp_path, monkeypatch, capsys, scenario):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("qfi", {"scenario": {"squeezing_r": 180.0}}),
+        ("qfi", {"scenario": {"squeezing_r": 200.0}}),
+        ("qfi", {"scenario": {"squeezing_r": 400.0}}),
+        ("sweep", {"sweep": {"parameter": "r", "start": 300.0, "stop": 400.0, "count": 3}}),
+    ],
+)
+def test_squeezing_overflow_exit_one(tmp_path, capsys, command, payload):
+    # a finite squeezing whose H0 terms (~e^{4r}) overflow float64 is a
+    # numeric failure, not a traceback; at r = 180 numpy's overflow warning
+    # comes first, and the suite turns warnings into errors
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure:")
+    assert "overflows float64" in captured.err
+    assert captured.out == ""
+
+
 def test_config_error_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": {"mode_k": 1, "mode_kprime": 3}})
     assert main(["qfi", "--config", cfg]) == 2
@@ -138,6 +159,12 @@ def test_config_error_exit_two(tmp_path, capsys):
         ("mode_k", 1.5),
         ("squeezing_r", "abc"),
         pytest.param("squeezing_r", 10**400, id="squeezing_r-huge_int"),
+        # Python's json reads NaN and Infinity
+        ("duration_s", float("nan")),
+        ("length_m", float("nan")),
+        ("duration_s", float("inf")),
+        ("squeezing_r", float("inf")),
+        ("n_measurements", float("nan")),
     ],
 )
 def test_scenario_value_malformed_exit_two(tmp_path, capsys, field, value):
@@ -292,6 +319,9 @@ def test_validity_ok_for_small_probe(tmp_path, capsys):
         ("sweep", {"parameter": "tau", "start": 1.0, "stop": 2.0, "count": 3.7}),
         ("fidelity", {"state_a": {"amplitude_h": "x"}}),
         ("fidelity", {"state_a": {"amplitude_h": -1}}),
+        ("sweep", {"parameter": "tau", "start": float("-inf"), "stop": 2.0, "count": 3}),
+        ("fidelity", {"state_b": {"amplitude_h": float("nan")}}),
+        ("sweep", {"parameter": ["tau"], "start": 1.0, "stop": 2.0, "count": 3}),
     ],
 )
 def test_malformed_section_exit_two(tmp_path, capsys, command, section):

@@ -1,0 +1,101 @@
+"""The package holds only code that a result or the benchmark reaches.
+
+Reference implementations that only the tests read live in tests/oracles.py.
+This guard parses src/cavqfi and follows references from ``cli.main``, from
+every module-level statement, and from every name perfbench/ mentions; a
+top-level def or class that none of them reaches fails it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cavqfi"
+BENCHMARK = ROOT / "perfbench"
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def parse_package():
+    """module -> (top-level defs by name, imported names, module-level statements)."""
+    modules = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs, imports, statements = {}, {}, []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").startswith("cavqfi")
+            ):
+                source = (node.module or "").removeprefix("cavqfi").lstrip(".")
+                for alias in node.names:
+                    # `from . import kernels` binds a module, `from .x import y` a name
+                    target = (alias.name, None) if not source else (source, alias.name)
+                    imports[alias.asname or alias.name] = target
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                statements.append(node)
+        modules[path.stem] = (defs, imports, statements)
+    return modules
+
+
+def benchmark_names():
+    """Every identifier perfbench's code mentions, dotted strings split at the dots."""
+    names = set()
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _DOTTED.fullmatch(node.value):
+                    names.update(node.value.split("."))
+    return names
+
+
+def unreached_definitions():
+    modules = parse_package()
+
+    def resolve(module, name):
+        defs, imports, _ = modules[module]
+        if name in defs:
+            return (module, name)
+        source, attr = imports.get(name, (None, None))
+        if source in modules and attr is not None:
+            return resolve(source, attr)
+        return None
+
+    def references(module, nodes):
+        _, imports, _ = modules[module]
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    yield resolve(module, sub.id)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                    source, attr = imports.get(sub.value.id, (None, None))
+                    if source in modules and attr is None:
+                        yield resolve(source, sub.attr)
+
+    mentioned = benchmark_names()
+    todo = [("cli", "main")]
+    todo += [(m, n) for m, (defs, _, _) in modules.items() for n in defs if n in mentioned]
+    for module, (_, _, statements) in modules.items():
+        todo += references(module, statements)
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        module, name = key
+        todo += references(module, [modules[module][0][name]])
+    every = {(m, n) for m, (defs, _, _) in modules.items() for n in defs}
+    return sorted(every - reached)
+
+
+def test_every_definition_is_reached():
+    assert unreached_definitions() == []
