@@ -10,7 +10,8 @@ Rows k and k' of the real symplectic matrix S(h) have one block form,
 on the pair columns.  Both the reduced transform and the matrix-form QFI
 (metrology.qfi_analytic_h0) read it.  ``transform_reduced`` maps a two-mode
 initial state embedded in an otherwise-vacuum field to the covariance of
-modes k, k' from those rows alone, never forming the full 2N x 2N matrix.
+modes k, k' from those rows alone, never forming the full 2N x 2N matrix;
+``transform_from_rows`` is the same step on rows the caller built once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import dataclasses
 import numpy as np
 
 from . import kernels
+from .errors import NumericError
 from .gaussian import GaussianState
 
 _UNIT_PHASE_TOL = 1e-12
@@ -146,6 +148,36 @@ def pair_rows(series: BogoliubovSeries, k: int, kprime: int):
     return r0, blocks(series.alpha1, series.beta1), s2
 
 
+def transform_from_rows(
+    initial: GaussianState,
+    rows,
+    h: float,
+    k: int,
+    kprime: int,
+) -> GaussianState:
+    """The step of transform_reduced on rows = pair_rows(series, k, kprime).
+
+    A caller that transforms many states of one series at one pair (the QFI
+    ladder) builds the rows once and steps h here.  A covariance that
+    overflows float64 raises NumericError.
+    """
+    if initial.num_modes != 2:
+        raise ValueError("initial state must have exactly two modes")
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    r0, s1, s2 = rows
+    pair = pair_columns(k, kprime)
+    s = h * s1
+    if s2 is not None:
+        s += h * h * s2
+    s[:, pair] += r0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = kernels.reduced_transform(s, pair, initial.cov)
+    if not np.isfinite(cov).all():
+        raise NumericError("transformed covariance overflows float64")
+    return GaussianState(2, cov)
+
+
 def transform_reduced(
     initial: GaussianState,
     series: BogoliubovSeries,
@@ -157,16 +189,7 @@ def transform_reduced(
 
     The initial two-mode state lives on (k, kprime); all other modes start in
     vacuum.  Only rows k, k' of S(h) are formed, from pair_rows, and
-    kernels.reduced_transform conjugates the initial covariance with them.
+    kernels.reduced_transform conjugates the initial covariance with them
+    (see transform_from_rows).
     """
-    if initial.num_modes != 2:
-        raise ValueError("initial state must have exactly two modes")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    r0, s1, s2 = pair_rows(series, k, kprime)
-    pair = pair_columns(k, kprime)
-    s = h * s1
-    if s2 is not None:
-        s += h * h * s2
-    s[:, pair] += r0
-    return GaussianState(2, kernels.reduced_transform(s, pair, initial.cov))
+    return transform_from_rows(initial, pair_rows(series, k, kprime), h, k, kprime)

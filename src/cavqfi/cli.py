@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bogoliubov import transform_reduced
+from .bogoliubov import pair_rows, transform_from_rows, transform_reduced
 from .cavity import (
     CavityScenario,
     acceleration_from_h,
@@ -178,8 +178,10 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     every transformed state is mapped by t = diag(e^{-r}, e^{r}, e^{-r},
     e^{r}), which takes the h = 0 state to the vacuum.  t is symplectic, so the fidelities are
     unchanged (Banchi, Braunstein and Pirandola, arXiv:1507.01941), and
-    near the vacuum they take the float64 path.  Returns a plain dict of
-    floats.
+    near the vacuum they take the float64 path; with the pilot's growth test
+    in qfi_numeric, none takes the mpmath path.  The pair rows are built
+    once per point and each ladder state is one transform_from_rows step.
+    Returns a plain dict of floats.
     """
     series = build_scenario_series(scenario)
     h0 = qfi_analytic_h0(
@@ -196,9 +198,10 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
         r = scenario.squeezing
         initial = initial_product_squeezed(r, r)
         t = np.array([math.exp(-r), math.exp(r)] * 2)
+        rows = pair_rows(series, scenario.k, scenario.kprime)
 
         def unsqueezed(h):
-            state = transform_reduced(initial, series, h, scenario.k, scenario.kprime)
+            state = transform_from_rows(initial, rows, h, scenario.k, scenario.kprime)
             return GaussianState(2, state.cov * np.outer(t, t))
 
         out["qfi_numeric"] = qfi_numeric(unsqueezed, 0.0)

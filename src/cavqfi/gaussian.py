@@ -17,6 +17,8 @@ import dataclasses
 
 import numpy as np
 
+from .errors import NumericError
+
 SYMMETRY_TOL = 1e-12
 
 
@@ -63,9 +65,14 @@ class GaussianState:
 def initial_product_squeezed(r_k: float, r_kprime: float) -> GaussianState:
     """Two single-mode squeezed states in product form.
 
-    Covariance diag(e^{2 r_k}, e^{-2 r_k}, e^{2 r_k'}, e^{-2 r_k'}).
+    Covariance diag(e^{2 r_k}, e^{-2 r_k}, e^{2 r_k'}, e^{-2 r_k'}).  A
+    squeezing whose variance overflows float64 (|r| above about 355)
+    raises NumericError.
     """
     if not (np.isfinite(r_k) and np.isfinite(r_kprime)):
         raise ValueError("squeezing parameters must be finite")
-    diag = [np.exp(2 * r_k), np.exp(-2 * r_k), np.exp(2 * r_kprime), np.exp(-2 * r_kprime)]
+    with np.errstate(over="ignore"):
+        diag = [np.exp(2 * r_k), np.exp(-2 * r_k), np.exp(2 * r_kprime), np.exp(-2 * r_kprime)]
+    if not np.isfinite(diag).all():
+        raise NumericError(f"squeezed covariance overflows float64 at squeezing ({r_k}, {r_kprime})")
     return GaussianState(2, np.diag(diag))

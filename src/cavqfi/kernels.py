@@ -6,7 +6,7 @@ Kernels:
     tau),
   * ``reduced_transform``: the reduced two-mode covariance transform, two
     matrix products on the (4, 2N) block rows k, k' of S(h) (called once per
-    fidelity evaluation inside QFI step ladders),
+    ladder state inside QFI step ladders),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
     coefficient pairs, which builds the block rows of bogoliubov.pair_rows.
 

@@ -9,8 +9,10 @@ for mixed ones, so it is not used.
 
 The 4x4 determinants run in float64 unless the covariance entries exceed
 extended_precision_above (1e4); then they run in mpmath at extended_dps (40)
-digits, which is imported only on that path.  These and the ladder's step
-and plateau targets are the fixed tolerances of policy.DEFAULT_POLICY.
+digits, which is imported only on that path.  That path serves ``cavqfi
+fidelity`` and outside callers; the ``cavqfi qfi`` ladder never takes it.
+These and the ladder's step and plateau targets are the fixed tolerances of
+policy.DEFAULT_POLICY.
 
 The QFI comes in two independent routes.  Production uses the matrix form
 qfi_analytic_h0: H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 for the transformed
@@ -21,8 +23,9 @@ above a halved truncation carry.  The finite-difference
 step ladder on the fidelity with Richardson extrapolation (qfi_numeric) is the
 independent cross-check: ``cavqfi qfi`` reports both, and the test suite
 compares them.  ``cavqfi qfi`` feeds the ladder un-squeezed states of the
-interaction-picture series, which sit near the vacuum, so its fidelities
-stay on the float64 path.
+interaction-picture series, which sit near the vacuum, and the ladder's
+pilot shrinks a step whose state has grown past extended_precision_above
+without taking its fidelity, so every fidelity stays on the float64 path.
 """
 
 from __future__ import annotations
@@ -146,8 +149,8 @@ class QFINumericResult:
     plateau: bool
 
 
-def _ladder_estimate(fid_pair, h, dh, sqrt_f0=1.0):
-    f = fid_pair(h, dh)
+def _ladder_estimate(base, moved, dh, sqrt_f0):
+    f = fidelity_two_mode(base, moved).fidelity
     return 8.0 * (sqrt_f0 - math.sqrt(max(f, 0.0))) / (dh * dh)
 
 
@@ -162,46 +165,67 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
     biases.  Raises NoPlateauError carrying the raw ladder when successive
     extrapolants disagree beyond plateau_rtol (0.1%).
 
+    ``state_at(h)`` is evaluated once, and no step's state twice: the pilot
+    computes the moved state at its trial step and first compares its
+    largest covariance entry with the base state's.  Growth g beyond
+    extended_precision_above (1e4) puts 1 - F at O(1), far outside the
+    quadratic regime, so the step shrinks by sqrt(dh_curvature_target / g)
+    with no fidelity taken (a squeezed-frame map, whose entries grow by
+    O(dh), never meets the test).  The fidelity of the settled pilot step is
+    the first rung of the ladder.  The ladder reads only fidelities of the
+    state map.
+
     The estimator is anchored at h = 0 (where the base state is exactly pure)
     and well-behaved throughout the perturbative validity domain; well beyond
     it, the O(h^2) impurity of a first-order series feeds the fidelity at the
     same order as the signal and no unique finite-h value exists.
     """
-
-    def fid_pair(x, dh):
-        return fidelity_two_mode(state_at(x), state_at(x + dh)).fidelity
-
+    base = state_at(h)
     # at h > 0 the truncated state map is O(h^2) impure and its self-fidelity
     # sits below one; differencing against sqrt(F(h, h)) removes that
     # dh-independent offset from the ladder (at h = 0 it is exactly one)
-    sqrt_f0 = math.sqrt(max(fid_pair(h, 0.0), 0.0))
+    sqrt_f0 = math.sqrt(max(fidelity_two_mode(base, base).fidelity, 0.0))
 
     scale = max(abs(h), 1.0)
     steps = [d * scale for d in DEFAULT_POLICY.dh_ladder]
     dh_max = 0.25 * scale
+    base_size = float(np.abs(base.cov).max())
+    drop = math.inf
     # iterate the pilot both ways: with H ~ 1e16 the default step sits far
     # outside the quadratic regime, while for near-constant maps the fidelity
     # drop hides under roundoff until the step grows
     for _ in range(60):
-        pilot = _ladder_estimate(fid_pair, h, steps[0], sqrt_f0)
-        drop = abs(pilot) * steps[0] ** 2  # = 8 |sqrt(F0) - sqrt(F)| at the pilot step
-        if drop > DEFAULT_POLICY.dh_curvature_max and steps[0] > 1e-30:
-            factor = math.sqrt(DEFAULT_POLICY.dh_curvature_target / drop)
-        elif drop < 1e-9 and steps[0] < dh_max:
-            factor = min(
-                math.sqrt(DEFAULT_POLICY.dh_curvature_target / max(drop, 1e-17)),
-                10.0,
-                dh_max / steps[0],
-            )
+        moved = state_at(h + steps[0])
+        growth = float(np.abs(moved.cov).max()) / base_size
+        if growth > DEFAULT_POLICY.extended_precision_above:
+            # entries grown this far put 1 - F at O(1), far outside the
+            # quadratic regime; shrink the step without spending a fidelity
+            # (which would take the extended-precision path at this size)
+            factor = math.sqrt(DEFAULT_POLICY.dh_curvature_target / growth)
         else:
-            break
+            pilot = _ladder_estimate(base, moved, steps[0], sqrt_f0)
+            drop = abs(pilot) * steps[0] ** 2  # = 8 |sqrt(F0) - sqrt(F)| at the pilot step
+            if drop > DEFAULT_POLICY.dh_curvature_max and steps[0] > 1e-30:
+                factor = math.sqrt(DEFAULT_POLICY.dh_curvature_target / drop)
+            elif drop < 1e-9 and steps[0] < dh_max:
+                factor = min(
+                    math.sqrt(DEFAULT_POLICY.dh_curvature_target / max(drop, 1e-17)),
+                    10.0,
+                    dh_max / steps[0],
+                )
+            else:
+                break
         steps = [d * factor for d in steps]
+        pilot = None  # it measured the step before the rescale
     if drop <= 1e-12:
         # fidelity stays put to roundoff even at the largest usable step:
         # the state map carries no information at this resolution
         result = QFINumericResult(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), steps[0], True)
         return result if return_diagnostics else result.value
-    ladder = tuple(_ladder_estimate(fid_pair, h, d, sqrt_f0) for d in steps)
+    # the settled pilot is the first rung; only the other two cost a state
+    if pilot is None:
+        pilot = _ladder_estimate(base, state_at(h + steps[0]), steps[0], sqrt_f0)
+    ladder = (pilot,) + tuple(_ladder_estimate(base, state_at(h + d), d, sqrt_f0) for d in steps[1:])
     e1, e2, e3 = ladder
     r12 = 2.0 * e2 - e1
     r23 = 2.0 * e3 - e2

@@ -49,23 +49,22 @@ def test_qfi_defaults_exit_zero(tmp_path, capsys):
         )
     ),
 )
-def test_qfi_off_lattice_cross_check(tmp_path, capsys, r, tau):
+def test_qfi_off_lattice_cross_check(tmp_path, monkeypatch, capsys, r, tau):
     # the grid behind the README's large-squeezing bound, on and off the
     # round-trip lattice; off it a lab-frame ladder at r >= 5 failed its
     # conditioning or plateau checks (exit 1), and the interaction picture
-    # keeps it solvable
+    # keeps it solvable; no fidelity of the ladder needs extended precision
+    mp_calls = count_extended_precision_fidelities(monkeypatch)
     out_path = tmp_path / "qfi.json"
     cfg = write_config(tmp_path, {"scenario": {"squeezing_r": r, "duration_s": tau}})
     assert main(["qfi", "--config", cfg, "--out", str(out_path), "--format", "json"]) == 0
     payload = json.loads(out_path.read_text())
     assert payload["cross_check_residual"] <= 1e-6
+    assert mp_calls == []
 
 
-def test_qfi_reference_ladder_stays_on_float_path(monkeypatch, capsys):
-    # the ladder runs on un-squeezed states near the vacuum, so at most the
-    # first pilot step needs the extended-precision fidelity
-    from cavqfi import metrology
-
+def count_extended_precision_fidelities(monkeypatch):
+    """A list that grows by one per call of the mpmath fidelity path."""
     calls = []
     fidelity_mp = metrology._fidelity_mp
 
@@ -74,9 +73,32 @@ def test_qfi_reference_ladder_stays_on_float_path(monkeypatch, capsys):
         return fidelity_mp(*args)
 
     monkeypatch.setattr(metrology, "_fidelity_mp", counted)
-    assert main(["qfi"]) == 0
+    return calls
+
+
+# the interactive points of the benchmark's qfi_mix workload, reference geometry
+QFI_MIX_POINTS = (
+    {"squeezing_r": 10.0, "duration_s": 30.0, "n_max": 50},
+    {"squeezing_r": 8.0, "duration_s": 2.0, "n_max": 50},
+    {"squeezing_r": 9.0, "duration_s": 200.0, "n_max": 50},
+    {"squeezing_r": 5.0, "duration_s": 10.0, "n_max": 50},
+    {"squeezing_r": 10.0, "duration_s": 30.0, "n_max": 200},
+    {"squeezing_r": 10.0, "duration_s": 2.00013, "n_max": 50},
+)
+
+
+def test_qfi_reference_ladder_stays_on_float_path(tmp_path, monkeypatch, capsys):
+    # the ladder runs on un-squeezed states near the vacuum, and its pilot
+    # shrinks a step whose state has grown far from the base state without
+    # taking that state's fidelity, so no fidelity needs extended precision
+    mp_calls = count_extended_precision_fidelities(monkeypatch)
+    out_path = tmp_path / "qfi.json"
+    for scenario in QFI_MIX_POINTS:
+        cfg = write_config(tmp_path, {"scenario": scenario})
+        assert main(["qfi", "--config", cfg, "--out", str(out_path), "--format", "json"]) == 0
+        assert json.loads(out_path.read_text())["cross_check_residual"] <= 1e-6
+        assert mp_calls == [], scenario
     assert "cross-check residual" in capsys.readouterr().out
-    assert len(calls) <= 1
 
 
 def test_qfi_reference_numbers(capsys):
@@ -131,12 +153,16 @@ def test_qfi_zero_h0_skips_ladder(tmp_path, monkeypatch, capsys, scenario):
         ("qfi", {"scenario": {"squeezing_r": 200.0}}),
         ("qfi", {"scenario": {"squeezing_r": 400.0}}),
         ("sweep", {"sweep": {"parameter": "r", "start": 300.0, "stop": 400.0, "count": 3}}),
+        ("fidelity", {"scenario": {"squeezing_r": 400.0}, "fidelity": {"state_b": {"amplitude_h": 1e-9}}}),
+        ("fidelity", {"scenario": {"squeezing_r": 354.0}, "fidelity": {"state_b": {"amplitude_h": 1e-3}}}),
     ],
 )
 def test_squeezing_overflow_exit_one(tmp_path, capsys, command, payload):
     # a finite squeezing whose H0 terms (~e^{4r}) overflow float64 is a
     # numeric failure, not a traceback; at r = 180 numpy's overflow warning
-    # comes first, and the suite turns warnings into errors
+    # comes first, and the suite turns warnings into errors.  fidelity reads
+    # no H0: there the squeezed variance e^{2r} (r = 400) or the transformed
+    # covariance (r = 354) overflows, which printed a fidelity of nan
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg]) == 1
     captured = capsys.readouterr()
@@ -614,9 +640,6 @@ def test_figure2_json_format(tmp_path):
 def test_figure2_does_not_import_scipy_or_mpmath(tmp_path):
     # scipy is a test-only dependency and mpmath serves only the
     # extended-precision fidelity: a figure2 run must load neither
-    import subprocess
-    import sys
-
     cfg = write_config(
         tmp_path,
         {
@@ -625,14 +648,32 @@ def test_figure2_does_not_import_scipy_or_mpmath(tmp_path):
         },
     )
     out = tmp_path / "fig.csv"
+    stdout = stdout_of_child(["figure2", "--config", cfg, "--out", str(out)])
+    assert stdout.split() == ["0", "False", "False"]
+    assert len(out.read_text().strip().splitlines()) == 7
+
+
+def test_qfi_does_not_import_scipy_or_mpmath():
+    # the reference qfi ladder stays on the float64 fidelity, so the
+    # extended-precision path and its mpmath import are never reached
+    stdout = stdout_of_child(["qfi"])
+    assert "QFI (numeric ladder)" in stdout
+    assert stdout.split()[-3:] == ["0", "False", "False"]
+
+
+def stdout_of_child(argv):
+    """Stdout of cli.main(argv) in a fresh interpreter, ending in a line
+    'exit code, scipy loaded, mpmath loaded'."""
+    import subprocess
+    import sys
+
     code = (
         "import sys; from cavqfi.cli import main; "
-        f"code = main(['figure2', '--config', {cfg!r}, '--out', {str(out)!r}]); "
+        f"code = main({argv!r}); "
         "print(code, 'scipy' in sys.modules, 'mpmath' in sys.modules)"
     )
     child = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["0", "False", "False"]
-    assert len(out.read_text().strip().splitlines()) == 7
+    return child.stdout

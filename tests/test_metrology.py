@@ -283,6 +283,59 @@ def test_qfi_numeric_continuous_in_h():
     assert at_small == pytest.approx(at_zero, rel=1e-3)
 
 
+def squeezed_by(c):
+    """Mode 1 squeezed by s = c h: QFI 2 c^2, variance e^{2 c h}."""
+    return lambda h: GaussianState(2, np.diag([math.exp(2 * c * h), math.exp(-2 * c * h), 1.0, 1.0]))
+
+
+def cavity_map():
+    _, series = scenario_series()
+    init = initial_product_squeezed(1.0, 1.0)
+    return lambda h: transform_reduced(init, series, h, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "make_map, grown",
+    # at c = 1e5 the first pilot step (c dh = 10) grows the variance by
+    # e^{20}; the cavity map at r = 1 never grows past the precision switch
+    [(lambda: squeezed_by(1e5), True), (cavity_map, False)],
+    ids=["grown-pilot-step", "cavity"],
+)
+def test_qfi_numeric_evaluates_each_state_once(monkeypatch, make_map, grown):
+    state_at = make_map()
+    seen = []
+    fidelities = []
+
+    def counted_state(h):
+        seen.append(h)
+        return state_at(h)
+
+    def counted_fidelity(s1, s2):
+        fidelities.append(max(np.abs(s1.cov).max(), np.abs(s2.cov).max()))
+        return fidelity_two_mode(s1, s2)
+
+    monkeypatch.setattr(metrology, "fidelity_two_mode", counted_fidelity)
+    res = qfi_numeric(counted_state, 0.0, return_diagnostics=True)
+    assert res.plateau
+    # the base state once, first; no step's state twice
+    assert seen[0] == 0.0 and seen.count(0.0) == 1
+    assert len(set(seen)) == len(seen)
+    # every evaluation besides the base and the ladder's two lower rungs
+    # is a pilot step, and the settled pilot step is the first rung
+    pilot = [x for x in seen[1:] if x not in (res.dh_used / 2, res.dh_used / 4)]
+    assert res.dh_used in pilot
+    assert len(seen) <= 1 + len(pilot) + 3
+    # a grown step costs a state but no fidelity, and no fidelity the
+    # ladder takes needs the extended-precision path
+    assert (len(fidelities) < len(seen)) == grown
+    assert max(fidelities) <= metrology.DEFAULT_POLICY.extended_precision_above
+    if grown:
+        # variance growing as e^{2 c dh}, not as dh^2, makes the shrink
+        # overshoot: the pilot settles at a drop of 4e-9, not 1e-6, where
+        # float64 roundoff of 1 - F leaves 2.7e-6 of the value
+        assert res.value == pytest.approx(2e10, rel=1e-5)
+
+
 def test_qfi_numeric_no_plateau_carries_ladder(rng):
     noise = np.random.default_rng(0)
 
