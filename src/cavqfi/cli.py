@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -320,8 +321,21 @@ def _write_csv(path, header, rows):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _strict_json(value):
+    """value with every nan or infinite float as None: RFC 8259 JSON has no
+    NaN or Infinity tokens, and strict parsers refuse them."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def _write_records(out, fmt, header, rows):
@@ -492,7 +506,16 @@ def cmd_coeffs(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused after it.
+
+    main() may run many times in one process, and building the seven
+    parsers (with their gettext lookups) costs close to a millisecond, a
+    large share of a warm qfi call.  Reuse is safe: parse_args returns a
+    fresh Namespace each call, and its error path raises SystemExit without
+    changing the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="cavqfi",
         description="Gaussian-state QFI bounds for a sinusoidally driven cavity accelerometer",

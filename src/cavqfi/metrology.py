@@ -116,13 +116,23 @@ def fidelity_breakdown_from_covs(cov1: np.ndarray, cov2: np.ndarray) -> Fidelity
 
     Switches the 4x4 determinant work to extended precision once the
     covariance entries are large enough that float64 cancellation would eat
-    the 1 - F signal (entries ~e^{2r} square and cancel against 1).
+    the 1 - F signal (entries ~e^{2r} square and cancel against 1).  The
+    digit count is fixed, so entries large enough to cancel Delta at that
+    precision raise ConditioningError naming the digit count and the
+    covariance scale.
     """
     cov1 = np.asarray(cov1, dtype=float)
     cov2 = np.asarray(cov2, dtype=float)
     scale = max(np.abs(cov1).max(), np.abs(cov2).max())
     if scale > DEFAULT_POLICY.extended_precision_above:
         parts = _fidelity_mp(cov1, cov2)
+        # Delta >= 1 for physical states (Minkowski's determinant
+        # inequality), so a non-positive one is cancellation at this size
+        if parts[3] <= 0.0:
+            raise ConditioningError(
+                f"Delta = {parts[3]:.6e} is not positive: {DEFAULT_POLICY.extended_dps} "
+                f"digits do not resolve the determinants at covariance scale {scale:.3e}"
+            )
     else:
         parts = _fidelity_float(cov1, cov2)
     return _breakdown(*parts)

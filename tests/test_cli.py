@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import itertools
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -663,17 +665,154 @@ def test_qfi_does_not_import_scipy_or_mpmath():
 
 def stdout_of_child(argv):
     """Stdout of cli.main(argv) in a fresh interpreter, ending in a line
-    'exit code, scipy loaded, mpmath loaded'."""
-    import subprocess
-    import sys
-
+    'exit code, scipy loaded, mpmath loaded'; the exit code of arguments
+    that argparse refuses is that of its SystemExit."""
     code = (
-        "import sys; from cavqfi.cli import main; "
-        f"code = main({argv!r}); "
-        "print(code, 'scipy' in sys.modules, 'mpmath' in sys.modules)"
+        "import sys\n"
+        "from cavqfi.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, 'scipy' in sys.modules, 'mpmath' in sys.modules)\n"
     )
     child = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert child.returncode == 0, child.stderr
     return child.stdout
+
+
+def test_main_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    # main() builds its parser once per process; a run of calls in one
+    # process, with refused arguments and a config error among them, must
+    # emit what each call emits alone in a fresh interpreter
+    assert cli.build_parser() is cli.build_parser()
+    bad = write_config(tmp_path, {"scenario": {"mode_k": 1, "mode_kprime": 3}}, "bad.json")
+    sweep = write_config(
+        tmp_path,
+        {"scenario": FAST_SCENARIO, "sweep": {"parameter": "tau", "start": 0.1, "stop": 1.0, "count": 3}},
+        "sweep.json",
+    )
+    fig = write_config(
+        tmp_path, {"sweep": {"parameter": "tau", "start": 0.5, "stop": 1.0, "count": 2}}, "fig.json"
+    )
+
+    def calls(out_dir):
+        out_dir.mkdir()
+        return [
+            ["qfi", "--format", "json", "--out", str(out_dir / "qfi.json")],
+            ["qfi", "--bogus"],
+            ["qfi", "--config", bad],
+            ["sweep", "--config", sweep],
+            ["figure2", "--nmax", "8", "--config", fig, "--out", str(out_dir / "fig.csv")],
+            ["qfi"],
+        ]
+
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    codes = []
+    for argv, argv_alone in zip(calls(together), calls(alone)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        out = capsys.readouterr().out
+        *child_out, child_status = stdout_of_child(argv_alone).splitlines(keepends=True)
+        assert (str(code), out) == (child_status.split()[0], "".join(child_out)), argv
+    assert codes == [0, 2, 2, 0, 0, 0]
+    files = {path.name: path.read_bytes() for path in sorted(together.iterdir())}
+    assert sorted(files) == ["fig.csv", "qfi.json"]
+    assert files == {path.name: path.read_bytes() for path in sorted(alone.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["--help"], 0, "stdout", "usage: cavqfi"),
+        (["qfi"], 0, "stdout", "QFI (analytic H0)   : 7.6467240672644970e+15"),
+        (["qfi", "--config", "missing.json"], 2, "stderr", "config error: cannot read config"),
+    ],
+)
+def test_python_m_cavqfi(tmp_path, argv, code, stream, text):
+    # the one-process-per-call entry, where the parser is built exactly once
+    child = subprocess.run(
+        [sys.executable, "-m", "cavqfi", *argv],
+        env=child_env(),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == code, child.stderr
+    assert text in getattr(child, stream)
+
+
+@pytest.mark.parametrize(
+    "command, payload, nulls",
+    [
+        # no probe acceleration: validity_margin is nan
+        ("qfi", {"scenario": FAST_SCENARIO}, {"validity_margin"}),
+        # zero QFI at n_max 3: delta_h and delta_a are inf, and n_max // 2
+        # misses the pair, so tail_estimate is nan
+        (
+            "sweep",
+            {
+                "scenario": {"squeezing_r": 2.0, "n_max": 3},
+                "sweep": {"parameter": "tau", "start": 0.4, "stop": 0.5, "count": 2},
+            },
+            {"delta_h", "delta_a_m_per_s2", "validity_margin", "tail_estimate"},
+        ),
+        (
+            "figure2",
+            {
+                "scenario": {"n_max": 8},
+                "sweep": {"parameter": "tau", "start": 0.5, "stop": 1.0, "count": 2},
+            },
+            {"validity_margin"},
+        ),
+    ],
+)
+def test_json_output_is_strict(tmp_path, capsys, command, payload, nulls):
+    # RFC 8259 has no NaN or Infinity: strict parsers (jq, JSON.parse) refuse
+    # them, so a non-finite float is written as null
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    parsed = json.loads(out.read_text(), parse_constant=refuse)
+    records = parsed["records"] if "records" in parsed else [parsed]
+    for record in records:
+        assert {key for key, value in record.items() if value is None} == nulls
+
+
+def fidelity_config(tmp_path, r):
+    return write_config(
+        tmp_path,
+        {"scenario": {"squeezing_r": r}, "fidelity": {"state_b": {"amplitude_h": 1e-9}}},
+    )
+
+
+@pytest.mark.parametrize(
+    "r, expected", [(20.0, 1.1933350731162963e-06), (30.0, 2.4596501573927114e-15)]
+)
+def test_fidelity_resolved_at_extended_precision(tmp_path, capsys, r, expected):
+    # the 40-digit path still resolves these; a 200-digit run agrees
+    assert main(["fidelity", "--config", fidelity_config(tmp_path, r)]) == 0
+    fid = float(capsys.readouterr().out.split("fidelity            : ")[1].split()[0])
+    assert fid == pytest.approx(expected, rel=1e-12)
+
+
+def test_fidelity_names_extended_precision_limit(tmp_path, capsys):
+    # the mpmath path runs at a fixed 40 digits; from r = 34 (entries e^{68})
+    # Delta cancels to zero at that precision, and the failure says so
+    # rather than blaming Delta alone
+    assert main(["fidelity", "--config", fidelity_config(tmp_path, 50.0)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: Delta = 0.000000e+00 is not positive: 40 digits do not "
+        "resolve the determinants at covariance scale 2.688e+43\n"
+    )
