@@ -28,6 +28,18 @@ _UNIT_PHASE_TOL = 1e-12
 
 
 def _frozen(arr, dtype):
+    """Read-only array of dtype; a read-only array that owns its data is adopted.
+
+    Anything else is copied, so no caller can change the stored array
+    through a reference it kept.
+    """
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    ):
+        return arr
     arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr

@@ -20,6 +20,11 @@ import numpy as np
 from . import kernels
 from .bogoliubov import BogoliubovSeries
 
+# Entries per row block of build_scenario_series: each complex temporary of
+# a block stays near 128 KB, and the loop over blocks (125 at n_max 1000)
+# costs little beside the entries it computes.
+_BLOCK_ENTRIES = 8192
+
 
 @dataclasses.dataclass(frozen=True)
 class CavityScenario:
@@ -84,20 +89,23 @@ def acceleration_from_h(h: float, scenario: CavityScenario) -> float:
     return h * scenario.sound_speed**2 / scenario.length
 
 
-def static_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def static_matrices(n_max: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Static coefficient matrices over 1..n_max with the parity selection rule.
 
     For m - n odd, alpha_mn = -2 sqrt(m n) / (pi^2 (n - m)^3) and
     beta_mn = 2 sqrt(m n) / (pi^2 (m + n)^3), the first-order pair
-    coefficients of one uniformly accelerated hop.  Same-parity and diagonal entries are exact zeros: for those pairs the
-    series contains no odd powers of h, so nothing survives at first order.
+    coefficients of one uniformly accelerated hop.  Same-parity and diagonal
+    entries are exact zeros: for those pairs the series contains no odd
+    powers of h, so nothing survives at first order.  rows (a slice or an
+    index array of 0-based rows m - 1) selects the rows built, each against
+    all n_max columns.
     """
     n = np.arange(1, n_max + 1, dtype=float)
-    rows, cols = n[:, None], n[None, :]
-    odd = ((rows - cols) % 2).astype(bool)
-    root = np.sqrt(rows * cols)
-    diff = np.where(odd, cols - rows, 1.0)
-    total = cols + rows
+    m, n = n[rows][:, None], n[None, :]
+    odd = ((m - n) % 2).astype(bool)
+    root = np.sqrt(m * n)
+    diff = np.where(odd, n - m, 1.0)
+    total = n + m
     alpha = np.where(odd, -2.0 * root / (math.pi**2 * diff**3), 0.0)
     beta = np.where(odd, 2.0 * root / (math.pi**2 * total**3), 0.0)
     return alpha, beta
@@ -105,7 +113,8 @@ def static_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def mode_frequencies(scenario: CavityScenario) -> np.ndarray:
     """Angular frequencies w_1 .. w_{n_max} of the truncated mode set (rad/s)."""
-    return np.array([mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)])
+    n = np.arange(1, scenario.n_max + 1)
+    return math.pi * n * scenario.sound_speed / scenario.length
 
 
 def free_phases(scenario: CavityScenario) -> np.ndarray:
@@ -126,11 +135,22 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     lab-frame rotation).  At the sum resonance omega = w_k + w_kp the
     corresponding |beta1| entries grow linearly in tau with slope
     |beta_static| (w_k + w_kp) / 2.
+
+    The matrices are filled in blocks of rows, so the two outputs are the
+    only n_max x n_max arrays the build allocates.
     """
-    alpha_static, beta_static = static_matrices(scenario.n_max)
-    alpha1, beta1 = kernels.time_dependent_coefficients(
-        mode_frequencies(scenario), scenario.drive_omega, scenario.tau, alpha_static, beta_static
-    )
-    return BogoliubovSeries(
-        scenario.n_max, np.ones(scenario.n_max, dtype=complex), alpha1, beta1
-    )
+    n_max = scenario.n_max
+    omegas = mode_frequencies(scenario)
+    omega, tau = scenario.drive_omega, scenario.tau
+    alpha1 = np.empty((n_max, n_max), dtype=complex)
+    beta1 = np.empty((n_max, n_max), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // n_max)
+    for start in range(0, n_max, step):
+        rows = slice(start, start + step)
+        alpha_static, beta_static = static_matrices(n_max, rows)
+        alpha1[rows], beta1[rows] = kernels.time_dependent_coefficients(
+            omegas, omega, tau, alpha_static, beta_static, rows
+        )
+    alpha1.setflags(write=False)
+    beta1.setflags(write=False)
+    return BogoliubovSeries(n_max, np.ones(n_max, dtype=complex), alpha1, beta1)

@@ -1,9 +1,10 @@
 """Hot numeric kernels, in numpy.
 
 Kernels:
-  * ``time_dependent_coefficients``: first-order coefficient matrices for a
-    sinusoidally driven cavity (n_max^2 closed-form entries, rebuilt per
-    tau),
+  * ``time_dependent_coefficients``: first-order coefficient rows for a
+    sinusoidally driven cavity, closed-form entries for a selection of rows
+    against all n_max columns (cavity.build_scenario_series calls it once
+    per block of rows, so its temporaries stay block-sized),
   * ``reduced_transform``: the reduced two-mode covariance transform, two
     matrix products on the (4, 2N) block rows k, k' of S(h) (called once per
     ladder state inside QFI step ladders),
@@ -36,7 +37,9 @@ def phase_integral(x, omega, tau):
     return (e(x + omega) - e(x - omega)) / 2j
 
 
-def time_dependent_coefficients(omegas, omega_drive, tau, alpha_static, beta_static):
+def time_dependent_coefficients(
+    omegas, omega_drive, tau, alpha_static, beta_static, rows=slice(None)
+):
     """First-order coefficient matrices alpha1(tau), beta1(tau), interaction picture.
 
       alpha1[m, n] = i alpha_static[m, n] (w_m - w_n) I(w_m - w_n)
@@ -47,10 +50,14 @@ def time_dependent_coefficients(omegas, omega_drive, tau, alpha_static, beta_sta
     unitary, so the series is canonical in both frames (alpha alpha^dag -
     beta beta^dag = 1 and alpha beta^T symmetric hold to O(h^2)), and at
     h = 0 the interaction-picture map is the identity.
+
+    rows (a slice or an index array of 0-based rows m - 1) selects the rows
+    built, each against all columns; alpha_static and beta_static hold just
+    those rows.  Each entry's arithmetic does not depend on the selection.
     """
     omegas = np.asarray(omegas, dtype=float)
-    diff = omegas[:, None] - omegas[None, :]
-    total = omegas[:, None] + omegas[None, :]
+    diff = omegas[rows][:, None] - omegas[None, :]
+    total = omegas[rows][:, None] + omegas[None, :]
     alpha1 = 1j * alpha_static * diff * phase_integral(diff, omega_drive, tau)
     beta1 = 1j * beta_static * total * phase_integral(total, omega_drive, tau)
     return alpha1, beta1

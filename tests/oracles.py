@@ -3,9 +3,10 @@
 None of these is on a path that ``cavqfi`` runs: the full-symplectic state
 transform (the ground truth for ``bogoliubov.transform_reduced``), the
 exact-transform identities and symplectic defects, the physicality check,
-reference states, the closed-form static pair coefficients, and the
-atom-interferometer baseline.  Tests import them as ``from oracles import
-...``, the way they import ``conftest``.
+reference states, the closed-form static pair coefficients, the
+whole-matrix cavity series, and the atom-interferometer baseline.  Tests
+import them as ``from oracles import ...``, the way they import
+``conftest``.
 """
 
 from __future__ import annotations
@@ -183,6 +184,30 @@ def static_first_order(k: int, kprime: int) -> tuple[float, float]:
     root = math.sqrt(k * kprime)
     alpha1 = -2.0 * root / (math.pi**2 * (kprime - k) ** 3)
     beta1 = 2.0 * root / (math.pi**2 * (kprime + k) ** 3)
+    return alpha1, beta1
+
+
+def whole_matrix_coefficients(scenario: CavityScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction-picture (alpha1, beta1) of the cavity series in one call.
+
+    The single whole-matrix formula that cavity.build_scenario_series used
+    before it filled the matrices in row blocks: per-mode frequencies from
+    mode_frequency, every n_max x n_max static and drive term at once.
+    """
+    omegas = np.array([mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)])
+    n = np.arange(1, scenario.n_max + 1, dtype=float)
+    rows, cols = n[:, None], n[None, :]
+    odd = ((rows - cols) % 2).astype(bool)
+    root = np.sqrt(rows * cols)
+    diff = np.where(odd, cols - rows, 1.0)
+    total = cols + rows
+    alpha_static = np.where(odd, -2.0 * root / (math.pi**2 * diff**3), 0.0)
+    beta_static = np.where(odd, 2.0 * root / (math.pi**2 * total**3), 0.0)
+    omega, tau = scenario.drive_omega, scenario.tau
+    diff = omegas[:, None] - omegas[None, :]
+    total = omegas[:, None] + omegas[None, :]
+    alpha1 = 1j * alpha_static * diff * kernels.phase_integral(diff, omega, tau)
+    beta1 = 1j * beta_static * total * kernels.phase_integral(total, omega, tau)
     return alpha1, beta1
 
 

@@ -87,6 +87,31 @@ def test_series_validation():
         BogoliubovSeries(n, np.ones(n), bad, zeros)  # nonzero diagonal
 
 
+def test_series_copies_writeable_input():
+    n = 3
+    alpha1 = np.zeros((n, n), dtype=complex)
+    alpha1[0, 1] = 0.5
+    beta1 = alpha1.copy()
+    series = BogoliubovSeries(n, np.ones(n), alpha1, beta1)
+    view = alpha1.view()
+    view.setflags(write=False)
+    from_view = BogoliubovSeries(n, np.ones(n), view, beta1)
+    alpha1[0, 1] = 7.0
+    beta1[0, 1] = 7.0
+    assert series.alpha1[0, 1] == series.beta1[0, 1] == 0.5
+    # a read-only view does not protect against writes through its base
+    assert from_view.alpha1[0, 1] == 0.5
+    assert not series.alpha1.flags.writeable
+
+
+def test_series_adopts_read_only_array():
+    n = 3
+    owned = np.zeros((n, n), dtype=complex)
+    owned.setflags(write=False)
+    series = BogoliubovSeries(n, np.ones(n), owned, owned)
+    assert series.alpha1 is owned and series.beta1 is owned
+
+
 def test_evaluate_series_zeroth_order(rng):
     series = canonical_series(rng, 4)
     coeffs = evaluate_series(series, 0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from cavqfi import (
     h_from_acceleration,
     mode_frequency,
 )
-from cavqfi import kernels
-from cavqfi.bogoliubov import evaluate_series
-from cavqfi.cavity import static_matrices
-from oracles import resonant_beta_slope, static_first_order
+from cavqfi import cavity, kernels
+from cavqfi.bogoliubov import BogoliubovSeries, evaluate_series
+from cavqfi.cavity import mode_frequencies, static_matrices
+from oracles import resonant_beta_slope, static_first_order, whole_matrix_coefficients
 
 
 def reference_scenario(**overrides):
@@ -40,6 +41,13 @@ def test_mode_frequency_inverse_in_length():
     sc = reference_scenario()
     sc2 = reference_scenario(length=2e-6)
     assert mode_frequency(1, sc2) == pytest.approx(mode_frequency(1, sc) / 2)
+
+
+def test_mode_frequencies_equal_per_mode_loop():
+    wide = reference_scenario(length=3.3e-6, sound_speed=7.1e-4, n_max=1000)
+    for sc in (reference_scenario(n_max=3), wide):
+        loop = np.array([mode_frequency(n, sc) for n in range(1, sc.n_max + 1)])
+        assert mode_frequencies(sc).tobytes() == loop.tobytes()
 
 
 def test_h_acceleration_roundtrip():
@@ -209,3 +217,63 @@ def test_truncation_convergence_of_transform():
         covs[n_max] = transform_reduced(init, series, h, 1, 2).cov
     scale = max(1.0, np.abs(covs[100]).max())
     assert np.abs(covs[50] - covs[100]).max() <= 1e-10 * scale
+
+
+def test_blocked_build_equals_whole_matrix_oracle():
+    # n_max 210 spans several row blocks with a ragged last one; tobytes()
+    # tells a signed zero from its opposite
+    step = cavity._BLOCK_ENTRIES // 210
+    assert 210 // step >= 2 and 210 % step
+    for n_max in (3, 50, 210):
+        for overrides in (
+            {},
+            dict(tau=2.00013, squeezing=2.0),
+            dict(tau=0.0),
+            dict(omega=1234.5, k=2, kprime=3),
+        ):
+            sc = reference_scenario(n_max=n_max, **overrides)
+            series = build_scenario_series(sc)
+            alpha1, beta1 = whole_matrix_coefficients(sc)
+            assert series.alpha1.tobytes() == alpha1.tobytes()
+            assert series.beta1.tobytes() == beta1.tobytes()
+
+
+def test_row_index_array_equals_whole_matrix_rows():
+    sc = reference_scenario(n_max=210, tau=2.00013, k=3, kprime=8)
+    alpha1, beta1 = whole_matrix_coefficients(sc)
+    rows = np.array([sc.k - 1, sc.kprime - 1])
+    a_rows, b_rows = kernels.time_dependent_coefficients(
+        mode_frequencies(sc), sc.drive_omega, sc.tau, *static_matrices(sc.n_max, rows), rows
+    )
+    assert a_rows.tobytes() == alpha1[rows].tobytes()
+    assert b_rows.tobytes() == beta1[rows].tobytes()
+
+
+def test_build_allocates_no_square_temporary():
+    # the two outputs are the only n_max x n_max arrays the build allocates:
+    # its traced peak stays within 1.5x their size (4.5x for the
+    # whole-matrix build)
+    sc = reference_scenario(n_max=400)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        series = build_scenario_series(sc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (series.alpha1.nbytes + series.beta1.nbytes)
+
+
+def test_build_arrays_adopted_not_copied(monkeypatch):
+    built = {}
+
+    def capture(n_modes, g, alpha1, beta1):
+        built.update(alpha1=alpha1, beta1=beta1)
+        return BogoliubovSeries(n_modes, g, alpha1, beta1)
+
+    monkeypatch.setattr(cavity, "BogoliubovSeries", capture)
+    series = build_scenario_series(reference_scenario(n_max=50))
+    assert series.alpha1 is built["alpha1"]
+    assert series.beta1 is built["beta1"]
+    assert not series.alpha1.flags.writeable and not series.beta1.flags.writeable

@@ -10,7 +10,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import cavqfi
+from cavqfi import cavity, kernels
 from cavqfi.policy import DEFAULT_POLICY
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -53,3 +56,22 @@ def test_workload_names_import_from_package():
 def test_precision_path_threshold():
     # the tracer classifies a fidelity call as mpmath or float64 from this
     assert DEFAULT_POLICY.extended_precision_above == 1e4
+
+
+def test_series_build_calls_kernel_through_module_attribute(monkeypatch):
+    # the tracer's kernels.time_dependent_coefficients spans measure the
+    # build only while the build looks the kernel up on the module; it calls
+    # it once per row block, and those calls must cover every row once
+    original = kernels.time_dependent_coefficients
+    seen = []
+
+    def counted(*args):
+        seen.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
+    cavity.build_scenario_series(cavity.CavityScenario(n_max=210))
+    step = cavity._BLOCK_ENTRIES // 210
+    assert len(seen) == -(-210 // step) > 1
+    rows = np.arange(210)
+    assert np.array_equal(np.concatenate([rows[r] for r in seen]), rows)
