@@ -20,9 +20,11 @@ import numpy as np
 from . import kernels
 from .bogoliubov import BogoliubovSeries
 
-# Entries per row block of build_scenario_series: each complex temporary of
-# a block stays near 128 KB, and the loop over blocks (125 at n_max 1000)
-# costs little beside the entries it computes.
+# Entries per row block of build_scenario_series.  A block takes two kernel
+# calls, one per row parity, each on about a quarter of the block's entries
+# (its rows of one parity against the columns of the other), so each complex
+# temporary of a call stays near 32 KB, and the loop over blocks (125 at
+# n_max 1000, 250 kernel calls) costs little beside the entries it computes.
 _BLOCK_ENTRIES = 8192
 
 
@@ -89,25 +91,31 @@ def acceleration_from_h(h: float, scenario: CavityScenario) -> float:
     return h * scenario.sound_speed**2 / scenario.length
 
 
-def static_matrices(n_max: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def static_matrices(
+    n_max: int, rows=slice(None), cols=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
     """Static coefficient matrices over 1..n_max with the parity selection rule.
 
     For m - n odd, alpha_mn = -2 sqrt(m n) / (pi^2 (n - m)^3) and
     beta_mn = 2 sqrt(m n) / (pi^2 (m + n)^3), the first-order pair
     coefficients of one uniformly accelerated hop.  Same-parity and diagonal
-    entries are exact zeros: for those pairs the series contains no odd
-    powers of h, so nothing survives at first order.  rows (a slice or an
-    index array of 0-based rows m - 1) selects the rows built, each against
-    all n_max columns.
+    entries are exact zeros (+0.0): for those pairs the series contains no
+    odd powers of h, so nothing survives at first order.  rows and cols (each
+    a slice or an index array of 0-based modes m - 1, default all) select
+    the entries built.  Parity, m n and the cubes come from integer
+    arithmetic, exact while (m + n)^3 stays below 2^53 (n_max up to about
+    1e5), so every entry has the bits of the float formula whatever the
+    selection.
     """
-    n = np.arange(1, n_max + 1, dtype=float)
-    m, n = n[rows][:, None], n[None, :]
-    odd = ((m - n) % 2).astype(bool)
+    n = np.arange(1, n_max + 1)
+    m, n = n[rows][:, None], n[cols][None, :]
+    odd = (m + n) % 2 == 1
     root = np.sqrt(m * n)
-    diff = np.where(odd, n - m, 1.0)
-    total = n + m
-    alpha = np.where(odd, -2.0 * root / (math.pi**2 * diff**3), 0.0)
-    beta = np.where(odd, 2.0 * root / (math.pi**2 * total**3), 0.0)
+    diff, total = n - m, n + m
+    alpha = np.zeros(odd.shape)
+    beta = np.zeros(odd.shape)
+    np.divide(-2.0 * root, math.pi**2 * (diff * diff * diff), out=alpha, where=odd)
+    np.divide(2.0 * root, math.pi**2 * (total * total * total), out=beta, where=odd)
     return alpha, beta
 
 
@@ -136,21 +144,29 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     corresponding |beta1| entries grow linearly in tau with slope
     |beta_static| (w_k + w_kp) / 2.
 
-    The matrices are filled in blocks of rows, so the two outputs are the
-    only n_max x n_max arrays the build allocates.
+    The parity selection rule makes both matrices a checkerboard: only
+    entries with m - n odd can be nonzero.  The build zero-fills alpha1 and
+    beta1 and, for each block of rows, calls the kernel twice, once for the
+    block's rows of each parity against the columns of the other parity.  No
+    same-parity entry reaches the drive integral; those entries stay +0.0,
+    and every other entry has the bits of the whole-matrix formula.  The two
+    outputs are the only n_max x n_max arrays the build allocates.
     """
     n_max = scenario.n_max
     omegas = mode_frequencies(scenario)
     omega, tau = scenario.drive_omega, scenario.tau
-    alpha1 = np.empty((n_max, n_max), dtype=complex)
-    beta1 = np.empty((n_max, n_max), dtype=complex)
+    alpha1 = np.zeros((n_max, n_max), dtype=complex)
+    beta1 = np.zeros((n_max, n_max), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // n_max)
     for start in range(0, n_max, step):
-        rows = slice(start, start + step)
-        alpha_static, beta_static = static_matrices(n_max, rows)
-        alpha1[rows], beta1[rows] = kernels.time_dependent_coefficients(
-            omegas, omega, tau, alpha_static, beta_static, rows
-        )
+        stop = min(start + step, n_max)
+        # 0-based rows m - 1 of one parity against columns of the other
+        for first in range(start, min(start + 2, stop)):
+            rows, cols = slice(first, stop, 2), slice(1 - first % 2, None, 2)
+            alpha_static, beta_static = static_matrices(n_max, rows, cols)
+            alpha1[rows, cols], beta1[rows, cols] = kernels.time_dependent_coefficients(
+                omegas, omega, tau, alpha_static, beta_static, rows, cols
+            )
     alpha1.setflags(write=False)
     beta1.setflags(write=False)
     return BogoliubovSeries(n_max, np.ones(n_max, dtype=complex), alpha1, beta1)

@@ -1,10 +1,16 @@
 """Hot numeric kernels, in numpy.
 
 Kernels:
-  * ``time_dependent_coefficients``: first-order coefficient rows for a
+  * ``time_dependent_coefficients``: first-order coefficients for a
     sinusoidally driven cavity, closed-form entries for a selection of rows
-    against all n_max columns (cavity.build_scenario_series calls it once
-    per block of rows, so its temporaries stay block-sized),
+    against a selection of columns.  cavity.build_scenario_series calls it
+    twice per block of rows, once for the block's rows of each parity
+    against the columns of the other parity: the parity selection rule
+    zeroes every same-parity entry, so half the n_max^2 entries never reach
+    the drive integral, and the temporaries stay a quarter of a block.
+    The whole build takes about 0.7 ms at n_max 50, 9 ms at 200 and 205 ms
+    at 1000 (timeit minimum, one thread of a 2-vCPU VM, numpy 2.4); this
+    kernel is about 80% of it at n_max 1000,
   * ``reduced_transform``: the reduced two-mode covariance transform, two
     matrix products on the (4, 2N) block rows k, k' of S(h) (called once per
     ladder state inside QFI step ladders),
@@ -38,7 +44,7 @@ def phase_integral(x, omega, tau):
 
 
 def time_dependent_coefficients(
-    omegas, omega_drive, tau, alpha_static, beta_static, rows=slice(None)
+    omegas, omega_drive, tau, alpha_static, beta_static, rows=slice(None), cols=slice(None)
 ):
     """First-order coefficient matrices alpha1(tau), beta1(tau), interaction picture.
 
@@ -51,13 +57,14 @@ def time_dependent_coefficients(
     beta beta^dag = 1 and alpha beta^T symmetric hold to O(h^2)), and at
     h = 0 the interaction-picture map is the identity.
 
-    rows (a slice or an index array of 0-based rows m - 1) selects the rows
-    built, each against all columns; alpha_static and beta_static hold just
-    those rows.  Each entry's arithmetic does not depend on the selection.
+    rows and cols (each a slice or an index array of 0-based modes m - 1,
+    default all) select the entries built; alpha_static and beta_static hold
+    just those entries.  Each entry's arithmetic does not depend on the
+    selection.
     """
     omegas = np.asarray(omegas, dtype=float)
-    diff = omegas[rows][:, None] - omegas[None, :]
-    total = omegas[rows][:, None] + omegas[None, :]
+    diff = omegas[rows][:, None] - omegas[cols][None, :]
+    total = omegas[rows][:, None] + omegas[cols][None, :]
     alpha1 = 1j * alpha_static * diff * phase_integral(diff, omega_drive, tau)
     beta1 = 1j * beta_static * total * phase_integral(total, omega_drive, tau)
     return alpha1, beta1

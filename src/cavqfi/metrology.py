@@ -181,9 +181,12 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
     extended_precision_above (1e4) puts 1 - F at O(1), far outside the
     quadratic regime, so the step shrinks by sqrt(dh_curvature_target / g)
     with no fidelity taken (a squeezed-frame map, whose entries grow by
-    O(dh), never meets the test).  The fidelity of the settled pilot step is
-    the first rung of the ladder.  The ladder reads only fidelities of the
-    state map.
+    O(dh), never meets the test).  That shrink assumes the entry grows about
+    as H dh^2; for entries growing faster (e^{c dh}) it overshoots, so after
+    a shrink whose measured drop misses dh_curvature_target by more than 10x
+    the pilot re-aims once from that drop.  The fidelity of the settled
+    pilot step is the first rung of the ladder.  The ladder reads only
+    fidelities of the state map.
 
     The estimator is anchored at h = 0 (where the base state is exactly pure)
     and well-behaved throughout the perturbative validity domain; well beyond
@@ -201,6 +204,8 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
     dh_max = 0.25 * scale
     base_size = float(np.abs(base.cov).max())
     drop = math.inf
+    target = DEFAULT_POLICY.dh_curvature_target
+    shrunk = reaimed = False
     # iterate the pilot both ways: with H ~ 1e16 the default step sits far
     # outside the quadratic regime, while for near-constant maps the fidelity
     # drop hides under roundoff until the step grows
@@ -211,18 +216,26 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
             # entries grown this far put 1 - F at O(1), far outside the
             # quadratic regime; shrink the step without spending a fidelity
             # (which would take the extended-precision path at this size)
-            factor = math.sqrt(DEFAULT_POLICY.dh_curvature_target / growth)
+            factor = math.sqrt(target / growth)
+            shrunk = True
         else:
             pilot = _ladder_estimate(base, moved, steps[0], sqrt_f0)
             drop = abs(pilot) * steps[0] ** 2  # = 8 |sqrt(F0) - sqrt(F)| at the pilot step
             if drop > DEFAULT_POLICY.dh_curvature_max and steps[0] > 1e-30:
-                factor = math.sqrt(DEFAULT_POLICY.dh_curvature_target / drop)
+                factor = math.sqrt(target / drop)
             elif drop < 1e-9 and steps[0] < dh_max:
                 factor = min(
-                    math.sqrt(DEFAULT_POLICY.dh_curvature_target / max(drop, 1e-17)),
+                    math.sqrt(target / max(drop, 1e-17)),
                     10.0,
                     dh_max / steps[0],
                 )
+            elif shrunk and not reaimed and not 0.1 < drop / target < 10.0:
+                # the growth shrink assumed entries growing as H dh^2 (cavity
+                # maps land within 1.5x of the target); entries growing
+                # exponentially in dh overshoot it, so aim once more, from
+                # the measured drop
+                factor = math.sqrt(target / drop)
+                reaimed = True
             else:
                 break
         steps = [d * factor for d in steps]

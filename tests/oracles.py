@@ -187,22 +187,34 @@ def static_first_order(k: int, kprime: int) -> tuple[float, float]:
     return alpha1, beta1
 
 
-def whole_matrix_coefficients(scenario: CavityScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction-picture (alpha1, beta1) of the cavity series in one call.
+def whole_static_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Static (alpha, beta) matrices over 1..n_max, every entry at once.
 
-    The single whole-matrix formula that cavity.build_scenario_series used
-    before it filled the matrices in row blocks: per-mode frequencies from
-    mode_frequency, every n_max x n_max static and drive term at once.
+    The float formula that cavity.static_matrices used before it took row
+    and column selections: same-parity entries masked to +0.0 by np.where,
+    cubes by ``**3``.
     """
-    omegas = np.array([mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)])
-    n = np.arange(1, scenario.n_max + 1, dtype=float)
+    n = np.arange(1, n_max + 1, dtype=float)
     rows, cols = n[:, None], n[None, :]
     odd = ((rows - cols) % 2).astype(bool)
     root = np.sqrt(rows * cols)
     diff = np.where(odd, cols - rows, 1.0)
     total = cols + rows
-    alpha_static = np.where(odd, -2.0 * root / (math.pi**2 * diff**3), 0.0)
-    beta_static = np.where(odd, 2.0 * root / (math.pi**2 * total**3), 0.0)
+    alpha = np.where(odd, -2.0 * root / (math.pi**2 * diff**3), 0.0)
+    beta = np.where(odd, 2.0 * root / (math.pi**2 * total**3), 0.0)
+    return alpha, beta
+
+
+def whole_matrix_coefficients(scenario: CavityScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction-picture (alpha1, beta1) of the cavity series in one call.
+
+    The single whole-matrix formula that cavity.build_scenario_series used
+    before it filled the matrices in row blocks: per-mode frequencies from
+    mode_frequency, every n_max x n_max static and drive term at once, the
+    same-parity entries included (they come out as zeros of either sign).
+    """
+    omegas = np.array([mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)])
+    alpha_static, beta_static = whole_static_matrices(scenario.n_max)
     omega, tau = scenario.drive_omega, scenario.tau
     diff = omegas[:, None] - omegas[None, :]
     total = omegas[:, None] + omegas[None, :]

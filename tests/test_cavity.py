@@ -15,7 +15,12 @@ from cavqfi import (
 from cavqfi import cavity, kernels
 from cavqfi.bogoliubov import BogoliubovSeries, evaluate_series
 from cavqfi.cavity import mode_frequencies, static_matrices
-from oracles import resonant_beta_slope, static_first_order, whole_matrix_coefficients
+from oracles import (
+    resonant_beta_slope,
+    static_first_order,
+    whole_matrix_coefficients,
+    whole_static_matrices,
+)
 
 
 def reference_scenario(**overrides):
@@ -219,12 +224,20 @@ def test_truncation_convergence_of_transform():
     assert np.abs(covs[50] - covs[100]).max() <= 1e-10 * scale
 
 
+def opposite_parity(n_max):
+    n = np.arange(n_max)
+    return (n[:, None] + n[None, :]) % 2 == 1
+
+
 def test_blocked_build_equals_whole_matrix_oracle():
     # n_max 210 spans several row blocks with a ragged last one; tobytes()
-    # tells a signed zero from its opposite
+    # tells a signed zero from its opposite.  Opposite-parity entries carry
+    # the oracle's bits; the same-parity entries never reach the drive
+    # integral and are +0.0, where the oracle's sign follows the integral
     step = cavity._BLOCK_ENTRIES // 210
     assert 210 // step >= 2 and 210 % step
     for n_max in (3, 50, 210):
+        odd = opposite_parity(n_max)
         for overrides in (
             {},
             dict(tau=2.00013, squeezing=2.0),
@@ -233,9 +246,46 @@ def test_blocked_build_equals_whole_matrix_oracle():
         ):
             sc = reference_scenario(n_max=n_max, **overrides)
             series = build_scenario_series(sc)
-            alpha1, beta1 = whole_matrix_coefficients(sc)
-            assert series.alpha1.tobytes() == alpha1.tobytes()
-            assert series.beta1.tobytes() == beta1.tobytes()
+            for built, oracle in zip((series.alpha1, series.beta1), whole_matrix_coefficients(sc)):
+                assert built[odd].tobytes() == oracle[odd].tobytes()
+                zeros = built[~odd]
+                assert not zeros.any()
+                assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+
+
+@pytest.mark.parametrize("n_max", [3, 50, 210])
+def test_static_selection_equals_whole_static_oracle(n_max):
+    alpha, beta = whole_static_matrices(n_max)
+    step = cavity._BLOCK_ENTRIES // 210
+    last = (n_max - 1) // step * step  # the ragged last row block at n_max 210
+    rng = np.random.default_rng(n_max)
+    picks = np.sort(rng.choice(n_max, size=min(n_max, 7), replace=False))
+    for rows, cols in (
+        (slice(None), slice(None)),
+        (slice(0, 1), slice(None)),
+        (slice(last, None, 2), slice(1 - last % 2, None, 2)),
+        (slice(last + 1, None, 2), slice(last % 2, None, 2)),
+        (slice(1, None, 3), slice(None, None, -1)),
+        (picks, picks[::-1]),
+        (np.array([n_max - 1, 0]), slice(None)),
+    ):
+        a_sel, b_sel = static_matrices(n_max, rows, cols)
+        assert a_sel.tobytes() == alpha[rows][:, cols].tobytes()
+        assert b_sel.tobytes() == beta[rows][:, cols].tobytes()
+
+
+@pytest.mark.parametrize("n_max", [3, 50, 210])
+def test_build_passes_only_opposite_parity_entries(monkeypatch, n_max):
+    original = kernels.time_dependent_coefficients
+    entries = []
+
+    def counted(omegas, omega, tau, alpha_static, beta_static, rows, cols):
+        entries.append(alpha_static.size)
+        return original(omegas, omega, tau, alpha_static, beta_static, rows, cols)
+
+    monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
+    build_scenario_series(reference_scenario(n_max=n_max))
+    assert sum(entries) == opposite_parity(n_max).sum() == 2 * (n_max // 2) * (-(-n_max // 2))
 
 
 def test_row_index_array_equals_whole_matrix_rows():

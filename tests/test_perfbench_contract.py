@@ -61,17 +61,22 @@ def test_precision_path_threshold():
 def test_series_build_calls_kernel_through_module_attribute(monkeypatch):
     # the tracer's kernels.time_dependent_coefficients spans measure the
     # build only while the build looks the kernel up on the module; it calls
-    # it once per row block, and those calls must cover every row once
+    # it twice per row block, once per row parity, and those calls must
+    # cover every opposite-parity entry once and no same-parity entry
     original = kernels.time_dependent_coefficients
-    seen = []
+    hits = np.zeros((210, 210), dtype=int)
+    calls = []
 
     def counted(*args):
-        seen.append(args[-1])
+        rows, cols = args[-2:]
+        calls.append(rows)
+        hits[rows, cols] += 1
         return original(*args)
 
     monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
     cavity.build_scenario_series(cavity.CavityScenario(n_max=210))
     step = cavity._BLOCK_ENTRIES // 210
-    assert len(seen) == -(-210 // step) > 1
-    rows = np.arange(210)
-    assert np.array_equal(np.concatenate([rows[r] for r in seen]), rows)
+    assert len(calls) == 2 * -(-210 // step) > 2
+    n = np.arange(210)
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    assert np.array_equal(hits, odd.astype(int))
