@@ -10,8 +10,9 @@ Rows k and k' of the real symplectic matrix S(h) have one block form,
 on the pair columns.  Both the reduced transform and the matrix-form QFI
 (metrology.qfi_analytic_h0) read it.  ``transform_reduced`` maps a two-mode
 initial state embedded in an otherwise-vacuum field to the covariance of
-modes k, k' from those rows alone, never forming the full 2N x 2N matrix;
-``transform_from_rows`` is the same step on rows the caller built once.
+modes k, k' from those rows alone, never forming the full 2N x 2N matrix.
+``unsqueezed_state_map`` builds, once per point, the states the QFI ladder
+steps through, straight in the frame where the initial state is the vacuum.
 """
 
 from __future__ import annotations
@@ -160,34 +161,60 @@ def pair_rows(series: BogoliubovSeries, k: int, kprime: int):
     return r0, blocks(series.alpha1, series.beta1), s2
 
 
-def transform_from_rows(
-    initial: GaussianState,
-    rows,
-    h: float,
-    k: int,
-    kprime: int,
-) -> GaussianState:
-    """The step of transform_reduced on rows = pair_rows(series, k, kprime).
+def unsqueezed_state_map(series: BogoliubovSeries, r: float, k: int, kprime: int):
+    """h -> the state of modes (k, k') in the un-squeezed frame, built once.
 
-    A caller that transforms many states of one series at one pair (the QFI
-    ladder) builds the rows once and steps h here.  A covariance that
-    overflows float64 raises NumericError.
+    Both modes start squeezed by r, covariance sigma0 = diag(e^{2r},
+    e^{-2r}, e^{2r}, e^{-2r}); the returned function gives
+    t sigma(h) t with t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}), the
+    transformed covariance mapped by the symplectic un-squeezing (which
+    leaves every fidelity unchanged: Banchi, Braunstein and Pirandola,
+    arXiv:1507.01941).  There the initial covariance t sigma0 t is exactly
+    the identity, so with T = t on the pair columns and 1 elsewhere the
+    state is M(h) M(h)^T for M(h) = t S(h) T^-1, and M(h) = A0 + h A1
+    (+ h^2 A2) is pair_rows mapped order by order: A0 = t R0 t^-1 on the
+    pair columns, A1 = t S1 T^-1, A2 = t S2 T^-1 when the series has a
+    second order.  The orders are stacked and their Gram matrix is formed
+    once, so each state is the 4x4 sum over i, j of h^(i+j) A_i A_j^T.
+    Nothing passes through the lab frame, whose entries reach e^{2r}.
+
+    The map is built for the QFI ladder (metrology.qfi_numeric), which
+    evaluates a handful of states of one point.  A state whose covariance
+    or Gram blocks overflow float64 (the blocks grow as e^{4r}) raises
+    NumericError.
     """
-    if initial.num_modes != 2:
-        raise ValueError("initial state must have exactly two modes")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    r0, s1, s2 = rows
+    r0, s1, s2 = pair_rows(series, k, kprime)
     pair = pair_columns(k, kprime)
-    s = h * s1
-    if s2 is not None:
-        s += h * h * s2
-    s[:, pair] += r0
+    orders = [s1] if s2 is None else [s1, s2]
+    q = len(orders) + 1
+    stacked = np.zeros((q, 4, s1.shape[1]))
+    stacked[0][:, pair] = r0
+    stacked[1:] = orders
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = kernels.reduced_transform(s, pair, initial.cov)
-    if not np.isfinite(cov).all():
-        raise NumericError("transformed covariance overflows float64")
-    return GaussianState(2, cov)
+        t = np.exp([-r, r, -r, r])
+        cols = np.ones(s1.shape[1])
+        cols[pair] = t
+        rows = (stacked * t[:, None] / cols).reshape(4 * q, -1)
+        blocks = (rows @ rows.T).reshape(q, 4, q, 4)
+        # the coefficient of h^p sums the Gram blocks (i, j) with i + j = p;
+        # it is symmetrized here, once, so that every state is exactly
+        # symmetric
+        coeffs = np.zeros((2 * q - 1, 4, 4))
+        for i in range(q):
+            for j in range(q):
+                coeffs[i + j] += blocks[i, :, j]
+        coeffs = (0.5 * (coeffs + coeffs.transpose(0, 2, 1))).reshape(-1, 16)
+
+    def state_at(h: float) -> GaussianState:
+        if h < 0:
+            raise ValueError("h must be >= 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = np.array([h**p for p in range(len(coeffs))]) @ coeffs
+        if not np.isfinite(cov).all():
+            raise NumericError("transformed covariance overflows float64")
+        return GaussianState(2, cov.reshape(4, 4))
+
+    return state_at
 
 
 def transform_reduced(
@@ -201,7 +228,21 @@ def transform_reduced(
 
     The initial two-mode state lives on (k, kprime); all other modes start in
     vacuum.  Only rows k, k' of S(h) are formed, from pair_rows, and
-    kernels.reduced_transform conjugates the initial covariance with them
-    (see transform_from_rows).
+    kernels.reduced_transform conjugates the initial covariance with them.
+    A covariance that overflows float64 raises NumericError.
     """
-    return transform_from_rows(initial, pair_rows(series, k, kprime), h, k, kprime)
+    if initial.num_modes != 2:
+        raise ValueError("initial state must have exactly two modes")
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    r0, s1, s2 = pair_rows(series, k, kprime)
+    pair = pair_columns(k, kprime)
+    s = h * s1
+    if s2 is not None:
+        s += h * h * s2
+    s[:, pair] += r0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = kernels.reduced_transform(s, pair, initial.cov)
+    if not np.isfinite(cov).all():
+        raise NumericError("transformed covariance overflows float64")
+    return GaussianState(2, cov)

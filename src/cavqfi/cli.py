@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bogoliubov import pair_rows, transform_from_rows, transform_reduced
+from .bogoliubov import transform_reduced, unsqueezed_state_map
 from .cavity import (
     CavityScenario,
     acceleration_from_h,
@@ -31,7 +31,7 @@ from .cavity import (
     static_matrices,
 )
 from .errors import CavqfiError, ConfigError, NoInformationError, NumericError
-from .gaussian import GaussianState, initial_product_squeezed
+from .gaussian import initial_product_squeezed
 from .metrology import (
     cramer_rao,
     fidelity_two_mode,
@@ -175,14 +175,15 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     from the same one sum.  With want_numeric and H0 > 0, the
     fidelity-ladder QFI of the same point is added as "qfi_numeric"; its
     numeric failures propagate.  At H0 <= 0 no ladder runs: there is no
-    information to cross-check.  The ladder runs in the un-squeezed frame:
-    every transformed state is mapped by t = diag(e^{-r}, e^{r}, e^{-r},
-    e^{r}), which takes the h = 0 state to the vacuum.  t is symplectic, so the fidelities are
-    unchanged (Banchi, Braunstein and Pirandola, arXiv:1507.01941), and
-    near the vacuum they take the float64 path; with the pilot's growth test
-    in qfi_numeric, none takes the mpmath path.  The pair rows are built
-    once per point and each ladder state is one transform_from_rows step.
-    Returns a plain dict of floats.
+    information to cross-check.  The ladder runs in the un-squeezed frame of
+    bogoliubov.unsqueezed_state_map: every state is mapped by
+    t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}), which takes the h = 0 state to
+    the vacuum.  t is symplectic, so the fidelities are unchanged (Banchi,
+    Braunstein and Pirandola, arXiv:1507.01941), and near the vacuum they
+    take the float64 path; with the pilot's growth test in qfi_numeric,
+    none takes the mpmath path.  The map forms the Gram matrix of the
+    un-squeezed pair rows once per point, so each ladder state is a 4x4 sum
+    and no reduced transform runs.  Returns a plain dict of floats.
     """
     series = build_scenario_series(scenario)
     h0 = qfi_analytic_h0(
@@ -196,16 +197,8 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
         "tail_estimate": h0.truncation_change,
     }
     if want_numeric and qfi > 0.0:
-        r = scenario.squeezing
-        initial = initial_product_squeezed(r, r)
-        t = np.array([math.exp(-r), math.exp(r)] * 2)
-        rows = pair_rows(series, scenario.k, scenario.kprime)
-
-        def unsqueezed(h):
-            state = transform_from_rows(initial, rows, h, scenario.k, scenario.kprime)
-            return GaussianState(2, state.cov * np.outer(t, t))
-
-        out["qfi_numeric"] = qfi_numeric(unsqueezed, 0.0)
+        state_at = unsqueezed_state_map(series, scenario.squeezing, scenario.k, scenario.kprime)
+        out["qfi_numeric"] = qfi_numeric(state_at, 0.0)
     h_probe = None
     if scenario.a_probe is not None:
         h_probe = h_from_acceleration(scenario.a_probe, scenario)

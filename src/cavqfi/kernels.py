@@ -12,8 +12,10 @@ Kernels:
     at 1000 (timeit minimum, one thread of a 2-vCPU VM, numpy 2.4); this
     kernel is about 80% of it at n_max 1000,
   * ``reduced_transform``: the reduced two-mode covariance transform, two
-    matrix products on the (4, 2N) block rows k, k' of S(h) (called once per
-    ladder state inside QFI step ladders),
+    matrix products on the (4, 2N) block rows k, k' of S(h), behind
+    bogoliubov.transform_reduced (``cavqfi fidelity`` and outside callers;
+    the ``cavqfi qfi`` ladder never calls it: it steps
+    bogoliubov.unsqueezed_state_map),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
     coefficient pairs, which builds the block rows of bogoliubov.pair_rows.
 

@@ -11,6 +11,8 @@ The 4x4 determinants run in float64 unless the covariance entries exceed
 extended_precision_above (1e4); then they run in mpmath at extended_dps (40)
 digits, which is imported only on that path.  That path serves ``cavqfi
 fidelity`` and outside callers; the ``cavqfi qfi`` ladder never takes it.
+The float64 path takes its four determinants in two stacked calls, one real
+and one complex, with the values of four separate calls.
 These and the ladder's step and plateau targets are the fixed tolerances of
 policy.DEFAULT_POLICY.
 
@@ -23,9 +25,10 @@ above a halved truncation carry.  The finite-difference
 step ladder on the fidelity with Richardson extrapolation (qfi_numeric) is the
 independent cross-check: ``cavqfi qfi`` reports both, and the test suite
 compares them.  ``cavqfi qfi`` feeds the ladder un-squeezed states of the
-interaction-picture series, which sit near the vacuum, and the ladder's
-pilot shrinks a step whose state has grown past extended_precision_above
-without taking its fidelity, so every fidelity stays on the float64 path.
+interaction-picture series (bogoliubov.unsqueezed_state_map, one Gram
+matrix per point), which sit near the vacuum, and the ladder's pilot
+shrinks a step whose state has grown past extended_precision_above without
+taking its fidelity, so every fidelity stays on the float64 path.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from .policy import DEFAULT_POLICY
 
 _OMEGA4 = symplectic_form(2)
 _I4 = np.eye(4)
+_I_OMEGA4 = 1j * _OMEGA4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,11 +80,11 @@ def _clamp(value, scale, what, symmetric=False):
 
 
 def _fidelity_float(cov1, cov2):
-    gamma = float(np.linalg.det(_OMEGA4 @ cov1 @ _OMEGA4 @ cov2 - _I4)) / 16.0
-    lam1 = float(np.linalg.det(cov1 + 1j * _OMEGA4).real) / 4.0
-    lam2 = float(np.linalg.det(cov2 + 1j * _OMEGA4).real) / 4.0
-    delta = float(np.linalg.det(cov1 + cov2)) / 16.0
-    return gamma, lam1, lam2, delta
+    # two stacked determinant calls, one real and one complex; each matrix
+    # is factored on its own, so the values are those of four separate calls
+    gamma, delta = np.linalg.det(np.array((_OMEGA4 @ cov1 @ _OMEGA4 @ cov2 - _I4, cov1 + cov2)))
+    lam1, lam2 = np.linalg.det(np.array((cov1, cov2)) + _I_OMEGA4).real
+    return float(gamma) / 16.0, float(lam1) / 4.0, float(lam2) / 4.0, float(delta) / 16.0
 
 
 def _fidelity_mp(cov1, cov2):
@@ -317,6 +322,12 @@ def qfi_analytic_h0(
     drops.  It is nan when n_max // 2 does not cover the pair and 0.0 when
     H0 is zero.  A squeezing whose terms overflow float64 raises
     NumericError.
+
+    H0 is the column-term sum A less the V term B/4, both non-negative (plus
+    2 tr(M2) when the series has a second order).  When |H0| is within
+    their float64 rounding bound 2N eps (A + B/4 + |2 tr(M2)|), for N the
+    series' n_modes, the difference is a cancellation residue and H0 is
+    returned as 0.0: no information, not a tiny QFI of either sign.
     """
     n = series.n_modes
     if max(k, kprime) > n:
@@ -334,12 +345,20 @@ def qfi_analytic_h0(
             terms = s * s * weight / d[:, None]
             m1 = s[:, pair] * d
             v = m1 + m1.T
-            value = terms.sum() - 0.25 * np.sum(v * v / np.outer(d, d))
+            column_sum = terms.sum()
+            v_term = 0.25 * np.sum(v * v / np.outer(d, d))
+            value = column_sum - v_term
+            # 2n eps of their size bounds the rounding of the two sums (numpy
+            # sums pairwise); an H0 inside it is a cancellation residue
+            rounding = 2 * n * _EPS
+            bound = rounding * column_sum + rounding * v_term
             if s2 is not None:
-                value += 2.0 * np.trace((r0.T @ s2)[:, pair])
+                second = 2.0 * np.trace((r0.T @ s2)[:, pair])
+                value += second
+                bound += rounding * abs(second)
     except (OverflowError, FloatingPointError):
         raise NumericError(f"H0 overflows float64 at squeezing r = {r}") from None
-    value = float(value)
+    value = 0.0 if abs(value) <= bound else float(value)
     if not return_diagnostics:
         return value
     half = n // 2

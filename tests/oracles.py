@@ -2,7 +2,9 @@
 
 None of these is on a path that ``cavqfi`` runs: the full-symplectic state
 transform (the ground truth for ``bogoliubov.transform_reduced``), the
-exact-transform identities and symplectic defects, the physicality check,
+lab-frame route to the un-squeezed ladder state (the reference for
+``bogoliubov.unsqueezed_state_map``), the exact-transform identities and
+symplectic defects, the physicality check,
 reference states, the closed-form static pair coefficients, the
 whole-matrix cavity series, and the atom-interferometer baseline.  Tests
 import them as ``from oracles import ...``, the way they import
@@ -24,6 +26,7 @@ from cavqfi.bogoliubov import (
     _frozen,
     evaluate_series,
     pair_columns,
+    pair_rows,
 )
 from cavqfi.cavity import CavityScenario, mode_frequency
 from cavqfi.gaussian import SYMMETRY_TOL, GaussianState, symplectic_form
@@ -158,6 +161,30 @@ def transform_full_oracle(
     full_cov = 0.5 * (full_cov + full_cov.T)
     full = GaussianState(n, full_cov)
     return partial_trace(full, [k, kprime])
+
+
+def lab_frame_ladder_state(
+    series: BogoliubovSeries, r: float, h: float, k: int, kprime: int
+) -> GaussianState:
+    """The un-squeezed ladder state of modes (k, k'), by way of the lab frame.
+
+    The route the ``cavqfi qfi`` cross-check took before
+    bogoliubov.unsqueezed_state_map: S(h) = R0 + h S1 (+ h^2 S2) on the pair
+    rows, the lab-frame covariance from kernels.reduced_transform with both
+    modes squeezed by r, then every entry (i, j) scaled by t_i t_j for
+    t = (e^{-r}, e^{r}, e^{-r}, e^{r}).  The lab-frame entries reach e^{2r},
+    so this state carries their rounding.
+    """
+    r0, s1, s2 = pair_rows(series, k, kprime)
+    pair = pair_columns(k, kprime)
+    s = h * s1
+    if s2 is not None:
+        s += h * h * s2
+    s[:, pair] += r0
+    sigma0 = np.diag([math.exp(2 * r), math.exp(-2 * r)] * 2)
+    lab = GaussianState(2, kernels.reduced_transform(s, pair, sigma0))
+    t = np.array([math.exp(-r), math.exp(r)] * 2)
+    return GaussianState(2, lab.cov * np.outer(t, t))
 
 
 def trivial_series(n_modes: int) -> BogoliubovSeries:

@@ -1,18 +1,31 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from cavqfi import BogoliubovSeries, initial_product_squeezed, transform_reduced
+from cavqfi import (
+    BogoliubovSeries,
+    CavityScenario,
+    build_scenario_series,
+    initial_product_squeezed,
+    qfi_analytic_h0,
+    transform_reduced,
+)
 from cavqfi.bogoliubov import (
     BogoliubovCoefficients,
     evaluate_series,
     pair_columns,
     pair_rows,
+    unsqueezed_state_map,
 )
+from cavqfi.errors import NumericError
 from conftest import canonical_series
 from oracles import (
     assemble_symplectic,
     check_physical,
     identity_defects,
+    lab_frame_ladder_state,
     series_symplectic_defect,
     symplectic_defect,
     transform_full_oracle,
@@ -259,3 +272,61 @@ def test_oracle_equivalence_correlated_initial(rng):
         assert np.abs(red.cov - full.cov).max() <= 1e-12 * max(1.0, np.abs(full.cov).max())
         assert np.abs(init.cov[0:2, 2:4]).max() > 0  # genuinely correlated draw
 
+
+def with_second_order(series, rng):
+    """series plus a second order: the diagonal unitarity completion of
+    alpha2 and a dense random beta2 of the first order's size."""
+    n = series.n_modes
+    completion = 0.5 * (np.sum(abs(series.beta1) ** 2, axis=1) - np.sum(abs(series.alpha1) ** 2, axis=1))
+    beta2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * np.abs(series.beta1).max()
+    return dataclasses.replace(series, alpha2=np.diag(completion).astype(complex), beta2=beta2)
+
+
+def assert_map_matches_lab_frame(series, r, hs, k=1, kp=2):
+    state_at = unsqueezed_state_map(series, r, k, kp)
+    for h in hs:
+        new = state_at(h).cov
+        old = lab_frame_ladder_state(series, r, h, k, kp).cov
+        # the lab-frame route rounds entries of size e^{2r} before scaling
+        # them back; 32 eps of the state's size leaves room for that alone
+        tol = 32 * np.finfo(float).eps * max(1.0, np.abs(old).max())
+        assert np.abs(new - old).max() <= tol, (r, h)
+        assert (new == new.T).all()
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+@pytest.mark.parametrize("tau", [30.0, 2.00013])
+@pytest.mark.parametrize("n_max", [50, 200])
+@pytest.mark.parametrize("r", [2.0, 5.0, 10.0])
+def test_unsqueezed_state_map_matches_lab_frame(rng, r, n_max, tau, second_order):
+    # the ladder's states: h = 0 and steps around where H h^2 = 1e-6, up to
+    # states whose entries have grown past 1e3
+    series = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=n_max))
+    h_target = 1e-3 / math.sqrt(qfi_analytic_h0(series, r, 1, 2))
+    if second_order:
+        series = with_second_order(series, rng)
+    assert_map_matches_lab_frame(series, r, [0.0] + [f * h_target for f in (0.5, 1, 2, 30, 1e3, 1e5)])
+    # a cavity series has G = 1: the initial covariance is exactly the vacuum
+    assert (unsqueezed_state_map(series, r, 1, 2)(0.0).cov == np.eye(4)).all()
+
+
+def test_unsqueezed_state_map_rotated_pair(rng):
+    # G != 1: the zeroth order t R0 t^-1 is no longer the identity
+    series = canonical_series(rng, 6, scale=0.3)
+    for s in (series, with_second_order(series, rng)):
+        for r in (0.0, 0.7, -1.3):
+            assert_map_matches_lab_frame(s, r, [0.0, 1e-4, 3e-3], k=2, kp=5)
+
+
+def test_unsqueezed_state_map_validation(rng):
+    state_at = unsqueezed_state_map(canonical_series(rng, 4), 1.0, 1, 2)
+    with pytest.raises(ValueError):
+        state_at(-1e-3)
+    with pytest.raises(ValueError):
+        unsqueezed_state_map(canonical_series(rng, 4), 1.0, 1, 5)
+    # the Gram blocks grow as e^{4r} and leave float64 long before r = 400:
+    # a NumericError, with no numpy warning on the way
+    with np.errstate(over="raise", invalid="raise"):
+        state_at = unsqueezed_state_map(canonical_series(rng, 4), 400.0, 1, 2)
+        with pytest.raises(NumericError, match="overflows"):
+            state_at(0.0)

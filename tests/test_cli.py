@@ -2,13 +2,15 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavqfi import CavityScenario, cli, metrology
+from cavqfi import CavityScenario, cli, kernels, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
@@ -134,18 +136,68 @@ def test_qfi_no_information_exit_one(tmp_path, capsys):
     "scenario",
     [
         {"squeezing_r": 2.0, "duration_s": 0.5, "n_max": 3},
+        {"squeezing_r": 2.0, "duration_s": 0.6, "n_max": 3},
         {"squeezing_r": 2.0, "duration_s": 0.0},
     ],
 )
 def test_qfi_zero_h0_skips_ladder(tmp_path, monkeypatch, capsys, scenario):
-    # H0 is exactly 0 at both points; the ladder has nothing to cross-check
-    # and at n_max 3 it fails to plateau, which hid the no-information exit
+    # H0 is 0 at every point (at tau = 0.6 s its two sums cancel to a
+    # rounding residue, which counts as zero); the ladder has nothing to
+    # cross-check and at n_max 3 it fails to plateau, which hid the
+    # no-information exit
     calls = []
     monkeypatch.setattr(cli, "qfi_numeric", lambda *args, **kwargs: calls.append(args))
     cfg = write_config(tmp_path, {"scenario": scenario})
     assert main(["qfi", "--config", cfg]) == 1
     assert "QFI is zero" in capsys.readouterr().err
     assert calls == []
+
+
+def test_sweep_cancellation_residue_is_no_information(tmp_path):
+    # at n_max 3 the two sums of H0 cancel; tau = 0.6 s used to leave a
+    # 9.09e-13 residue that was emitted as a QFI with delta_h 3.32
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": {"squeezing_r": 2.0, "n_max": 3},
+            "sweep": {"parameter": "tau", "start": 0.5, "stop": 0.6, "count": 2},
+        },
+    )
+    out = tmp_path / "residue.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [0.5, 0.6]
+    assert [(float(row[2]), float(row[3])) for row in rows] == [(0.0, math.inf)] * 2
+
+
+def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
+    # the reference qfi call runs its ladder on the un-squeezed state map:
+    # no reduced transform, and the ladder's four fidelities still go
+    # through the metrology module attribute that the benchmark's tracer wraps
+    calls = {"reduced_transform": 0, "fidelity_two_mode": 0}
+    for module, name in ((kernels, "reduced_transform"), (metrology, "fidelity_two_mode")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(["qfi"]) == 0
+    assert calls == {"reduced_transform": 0, "fidelity_two_mode": 4}
+
+
+def test_readme_qfi_sample_matches_cli(capsys):
+    # every line of the README's `cavqfi qfi` sample, in order, is a line
+    # of the reference call's output
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ cavqfi qfi\n", 1)[1].split("```", 1)[0]
+    sample = [line for line in block.splitlines() if line != "..."]
+    assert main(["qfi"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(sample) >= 4
+    positions = [printed.index(line) for line in sample]
+    assert positions == sorted(positions)
 
 
 @pytest.mark.parametrize(

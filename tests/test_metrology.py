@@ -17,6 +17,7 @@ from cavqfi import (
     qfi_numeric,
     transform_reduced,
 )
+from cavqfi.bogoliubov import unsqueezed_state_map
 from cavqfi.cavity import free_phases
 from cavqfi import metrology
 from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError, NumericError
@@ -161,6 +162,29 @@ def test_precision_switch_at_largest_entry(monkeypatch, largest, path):
     fb = metrology.fidelity_breakdown_from_covs(np.eye(4), squeezed)
     assert calls == [path]
     assert fb.fidelity == pytest.approx(2.0 / math.sqrt(largest + 2.0 + 1.0 / largest), rel=1e-9)
+
+
+def test_fidelity_float_stacked_matches_separate_determinants(rng):
+    # the float64 path takes its four determinants in two stacked calls; each
+    # must carry the bits of its own call, mixed and pure states alike
+    omega = metrology._OMEGA4
+
+    def separate(cov1, cov2):
+        gamma = float(np.linalg.det(omega @ cov1 @ omega @ cov2 - np.eye(4))) / 16.0
+        lam1 = float(np.linalg.det(cov1 + 1j * omega).real) / 4.0
+        lam2 = float(np.linalg.det(cov2 + 1j * omega).real) / 4.0
+        delta = float(np.linalg.det(cov1 + cov2)) / 16.0
+        return gamma, lam1, lam2, delta
+
+    states = [vacuum(2), initial_product_squeezed(1.3, -0.4), initial_product_squeezed(4.5, 4.5)]
+    states += [random_physical_two_mode(rng, mixed=bool(i % 2)) for i in range(40)]
+    series = build_scenario_series(CavityScenario(squeezing=10.0, n_max=20))
+    state_at = unsqueezed_state_map(series, 10.0, 1, 2)
+    states += [state_at(h) for h in (0.0, 1e-11, 3e-11)]
+    for s1 in states:
+        for s2 in states:
+            stacked = metrology._fidelity_float(s1.cov, s2.cov)
+            assert np.array(stacked).tobytes() == np.array(separate(s1.cov, s2.cov)).tobytes()
 
 
 def test_gamma_equals_delta_for_symplectic_images(rng):
@@ -360,6 +384,19 @@ def test_analytic_zero_series_is_zero():
     # a zero H0 reports a zero truncation change, not 0/0
     zero = qfi_analytic_h0(trivial_series(4), 2.0, 1, 2, return_diagnostics=True)
     assert zero == H0Result(0.0, 0.0)
+
+
+def test_analytic_cancellation_residue_is_zero():
+    # at n_max 3 the first-order series leaves modes (1, 2) no information:
+    # H0's two sums cancel, and the difference left over is rounding of
+    # either sign (9.09e-13 of 3602.53 at r = 2, tau = 0.6 s); with partner
+    # mode 4 in the truncation the same durations carry information
+    for r in (0.0, 2.0, 10.0):
+        for tau in np.linspace(0.05, 3.0, 60):
+            residue = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=3))
+            assert qfi_analytic_h0(residue, r, 1, 2) == 0.0
+            covered = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=4))
+            assert qfi_analytic_h0(covered, r, 1, 2) > 0.0
 
 
 def test_analytic_r0_reduction(rng):
