@@ -1,16 +1,17 @@
 """Bogoliubov coefficients and the reduced state transform.
 
 A transformation is held as a perturbative series in the dimensionless
-drive amplitude h (BogoliubovSeries): alpha(h) = diag(G) + h alpha1
-(+ h^2 alpha2), beta(h) = h beta1 (+ h^2 beta2); evaluate_series gives the
-coefficient matrices at one h (BogoliubovCoefficients).
+drive amplitude h, in the interaction picture (BogoliubovSeries):
+alpha(h) = 1 + h alpha1 (+ h^2 diag(alpha2)), beta(h) = h beta1;
+evaluate_series gives the coefficient matrices at one h
+(BogoliubovCoefficients).
 
 Rows k and k' of the real symplectic matrix S(h) have one block form,
-``pair_rows``: S(h) = R0 + h S1 + h^2 S2, with R0 the zeroth-order rotation
-on the pair columns.  Both the reduced transform and the matrix-form QFI
-(metrology.qfi_analytic_h0) read it.  ``transform_reduced`` maps a two-mode
-initial state embedded in an otherwise-vacuum field to the covariance of
-modes k, k' from those rows alone, never forming the full 2N x 2N matrix.
+``pair_rows``: S(h) = 1 + h S1 (+ h^2 S2 on the pair columns).  Both the
+reduced transform and the matrix-form QFI (metrology.qfi_analytic_h0) read
+it.  ``transform_reduced`` maps a two-mode initial state embedded in an
+otherwise-vacuum field to the covariance of modes k, k' from those rows
+alone, never forming the full 2N x 2N matrix.
 ``unsqueezed_state_map`` builds, once per point, the states the QFI ladder
 steps through, straight in the frame where the initial state is the vacuum.
 """
@@ -24,8 +25,6 @@ import numpy as np
 from . import kernels
 from .errors import NumericError
 from .gaussian import GaussianState
-
-_UNIT_PHASE_TOL = 1e-12
 
 
 def _frozen(arr, dtype):
@@ -66,27 +65,22 @@ class BogoliubovCoefficients:
 
 @dataclasses.dataclass(frozen=True)
 class BogoliubovSeries:
-    """Perturbative coefficient data: zeroth-order phases plus order matrices.
+    """Perturbative coefficient data of an interaction-picture transformation.
 
-    G holds the diagonal zeroth-order phases (|G_m| = 1), alpha1/beta1 the
-    first-order matrices with zero diagonal.  Second-order matrices are
-    structurally supported but absent in all shipped scenarios.
+    The zeroth order is the identity.  alpha1/beta1 are the first-order
+    matrices, with zero diagonal.  alpha2, when given, is the length-n_modes
+    diagonal of the second-order alpha, the only second-order part that
+    reaches the QFI at h = 0 (unitarity fixes its real part); no shipped
+    scenario sets it.
     """
 
     n_modes: int
-    G: np.ndarray
     alpha1: np.ndarray
     beta1: np.ndarray
     alpha2: np.ndarray | None = None
-    beta2: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.n_modes
-        G = np.asarray(self.G, dtype=complex)
-        if G.shape != (n,):
-            raise ValueError(f"G must be a length-{n} vector")
-        if np.max(np.abs(np.abs(G) - 1.0)) > _UNIT_PHASE_TOL:
-            raise ValueError("zeroth-order phases must have unit modulus")
         for name in ("alpha1", "beta1"):
             mat = np.asarray(getattr(self, name), dtype=complex)
             if mat.shape != (n, n):
@@ -94,27 +88,21 @@ class BogoliubovSeries:
             if np.any(np.diag(mat) != 0):
                 raise ValueError(f"{name} must have a zero diagonal")
             object.__setattr__(self, name, _frozen(mat, complex))
-        object.__setattr__(self, "G", _frozen(G, complex))
-        for name in ("alpha2", "beta2"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (n, n):
-                    raise ValueError(f"{name} must be {n}x{n}")
-                object.__setattr__(self, name, _frozen(mat, complex))
+        if self.alpha2 is not None:
+            alpha2 = np.asarray(self.alpha2, dtype=complex)
+            if alpha2.shape != (n,):
+                raise ValueError(f"alpha2 must be a length-{n} vector")
+            object.__setattr__(self, "alpha2", _frozen(alpha2, complex))
 
 
 def evaluate_series(series: BogoliubovSeries, h: float) -> BogoliubovCoefficients:
-    """Coefficients at drive amplitude h: diag(G) + h alpha1 (+ h^2 alpha2), etc."""
+    """Coefficients at drive amplitude h: 1 + h alpha1 (+ h^2 diag(alpha2)), h beta1."""
     if h < 0:
         raise ValueError("h must be >= 0")
-    alpha = np.diag(series.G) + h * series.alpha1
-    beta = h * series.beta1
+    alpha = np.eye(series.n_modes) + h * series.alpha1
     if series.alpha2 is not None:
-        alpha = alpha + h * h * series.alpha2
-    if series.beta2 is not None:
-        beta = beta + h * h * series.beta2
-    return BogoliubovCoefficients(series.n_modes, alpha, beta)
+        alpha[np.diag_indices(series.n_modes)] += h * h * series.alpha2
+    return BogoliubovCoefficients(series.n_modes, alpha, h * series.beta1)
 
 
 def _check_mode_pair(series, k, kprime):
@@ -131,34 +119,21 @@ def pair_columns(k: int, kprime: int) -> list:
 
 
 def pair_rows(series: BogoliubovSeries, k: int, kprime: int):
-    """Rows k, k' of the series in block form: S(h) = R0 + h S1 + h^2 S2.
+    """Rows k, k' of the series in block form: (S1, S2).
 
-    R0 is the 4x4 zeroth-order rotation, the blocks of G_k and G_k' on its
-    diagonal; it fills the pair_columns(k, kprime) of S(0), whose other
-    columns are zero.  S1 and S2 are the real (4, 2N) symplectic_blocks of
-    rows k, k' of the first and second order; S2 is None when the series
-    has no second order.  Rows 0, 1 of each belong to mode k, rows 2, 3 to
-    mode k'.
+    S(h) = 1 + h S1 (+ h^2 S2 on the pair columns).  S1 is the real (4, 2N)
+    symplectic_blocks of rows k, k' of alpha1 and beta1.  The identity and
+    S2 act on pair_columns(k, kprime) alone: S2 is the 4x4 diagonal block
+    of alpha2_k and alpha2_k' there, or None when the series has no second
+    order.  Rows 0, 1 of each belong to mode k, rows 2, 3 to mode k'.
     """
     _check_mode_pair(series, k, kprime)
     rows = [k - 1, kprime - 1]
-
-    def blocks(alpha, beta):
-        zeros = np.zeros((2, series.n_modes), dtype=complex)
-        return kernels.symplectic_blocks(
-            zeros if alpha is None else alpha[rows], zeros if beta is None else beta[rows]
-        )
-
-    # block(G_m, 0) of kernels.symplectic_blocks on the pair's own columns,
-    # written out: for a 2x2 input that call's fixed overhead would be most
-    # of what H0 pays for the rotation
-    r0 = np.zeros((4, 4))
-    for i, g in enumerate(series.G[rows].tolist()):
-        r0[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[g.real, g.imag], [-g.imag, g.real]]
+    s1 = kernels.symplectic_blocks(series.alpha1[rows], series.beta1[rows])
     s2 = None
-    if series.alpha2 is not None or series.beta2 is not None:
-        s2 = blocks(series.alpha2, series.beta2)
-    return r0, blocks(series.alpha1, series.beta1), s2
+    if series.alpha2 is not None:
+        s2 = kernels.symplectic_blocks(np.diag(series.alpha2[rows]), np.zeros((2, 2)))
+    return s1, s2
 
 
 def unsqueezed_state_map(series: BogoliubovSeries, r: float, k: int, kprime: int):
@@ -171,25 +146,26 @@ def unsqueezed_state_map(series: BogoliubovSeries, r: float, k: int, kprime: int
     leaves every fidelity unchanged: Banchi, Braunstein and Pirandola,
     arXiv:1507.01941).  There the initial covariance t sigma0 t is exactly
     the identity, so with T = t on the pair columns and 1 elsewhere the
-    state is M(h) M(h)^T for M(h) = t S(h) T^-1, and M(h) = A0 + h A1
-    (+ h^2 A2) is pair_rows mapped order by order: A0 = t R0 t^-1 on the
-    pair columns, A1 = t S1 T^-1, A2 = t S2 T^-1 when the series has a
-    second order.  The orders are stacked and their Gram matrix is formed
-    once, so each state is the 4x4 sum over i, j of h^(i+j) A_i A_j^T.
-    Nothing passes through the lab frame, whose entries reach e^{2r}.
+    state is M(h) M(h)^T for M(h) = t S(h) T^-1 = A0 + h A1 (+ h^2 A2):
+    A0 is the identity on the pair columns, A1 = t S1 T^-1, and
+    A2 = t S2 t^-1 on the pair columns.  The orders are stacked and their
+    Gram matrix is formed once, so each state is the 4x4 sum over i, j of
+    h^(i+j) A_i A_j^T.  Nothing passes through the squeezed frame, whose
+    entries reach e^{2r}.
 
     The map is built for the QFI ladder (metrology.qfi_numeric), which
     evaluates a handful of states of one point.  A state whose covariance
     or Gram blocks overflow float64 (the blocks grow as e^{4r}) raises
     NumericError.
     """
-    r0, s1, s2 = pair_rows(series, k, kprime)
+    s1, s2 = pair_rows(series, k, kprime)
     pair = pair_columns(k, kprime)
-    orders = [s1] if s2 is None else [s1, s2]
-    q = len(orders) + 1
+    q = 2 if s2 is None else 3
     stacked = np.zeros((q, 4, s1.shape[1]))
-    stacked[0][:, pair] = r0
-    stacked[1:] = orders
+    stacked[0][:, pair] = np.eye(4)
+    stacked[1] = s1
+    if s2 is not None:
+        stacked[2][:, pair] = s2
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.exp([-r, r, -r, r])
         cols = np.ones(s1.shape[1])
@@ -235,12 +211,10 @@ def transform_reduced(
         raise ValueError("initial state must have exactly two modes")
     if h < 0:
         raise ValueError("h must be >= 0")
-    r0, s1, s2 = pair_rows(series, k, kprime)
+    s1, s2 = pair_rows(series, k, kprime)
     pair = pair_columns(k, kprime)
     s = h * s1
-    if s2 is not None:
-        s += h * h * s2
-    s[:, pair] += r0
+    s[:, pair] += np.eye(4) if s2 is None else np.eye(4) + h * h * s2
     with np.errstate(over="ignore", invalid="ignore"):
         cov = kernels.reduced_transform(s, pair, initial.cov)
     if not np.isfinite(cov).all():

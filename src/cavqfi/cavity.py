@@ -128,8 +128,8 @@ def mode_frequencies(scenario: CavityScenario) -> np.ndarray:
 def free_phases(scenario: CavityScenario) -> np.ndarray:
     """Lab-frame zeroth-order phases G_m = e^{-i w_m tau} of the free rotation.
 
-    Multiplying row m of the interaction-picture series by G_m gives the
-    lab-frame series.
+    Multiplying row m of the interaction-picture coefficients by G_m gives
+    those of the lab frame.
     """
     return np.exp(-1j * mode_frequencies(scenario) * scenario.tau)
 
@@ -138,9 +138,10 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     """First-order series for sinusoidal motion over the truncated mode set.
 
     Entry (m, n): the static coefficient times the mode-frequency sum or
-    difference and the closed-form drive integral.  The series is in the
-    interaction picture, so zeroth order is G = 1 (free_phases gives the
-    lab-frame rotation).  At the sum resonance omega = w_k + w_kp the
+    difference and the closed-form drive integral.  Like every
+    BogoliubovSeries it is in the interaction picture, S(h) = 1 + h S1: the
+    free rotation of each mode is left out (free_phases gives it), and there
+    is no second order.  At the sum resonance omega = w_k + w_kp the
     corresponding |beta1| entries grow linearly in tau with slope
     |beta_static| (w_k + w_kp) / 2.
 
@@ -169,4 +170,4 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
             )
     alpha1.setflags(write=False)
     beta1.setflags(write=False)
-    return BogoliubovSeries(n_max, np.ones(n_max, dtype=complex), alpha1, beta1)
+    return BogoliubovSeries(n_max, alpha1, beta1)

@@ -52,12 +52,10 @@ def time_dependent_coefficients(
 
       alpha1[m, n] = i alpha_static[m, n] (w_m - w_n) I(w_m - w_n)
       beta1[m, n]  = i beta_static[m, n]  (w_m + w_n) I(w_m + w_n)
-    with I the sinusoidal drive integral above.  The free rotation is left
-    out: the lab-frame series is diag(G) + h diag(G) alpha1, with
-    G_m = e^{-i w_m tau} multiplying row m.  That frame change is a diagonal
-    unitary, so the series is canonical in both frames (alpha alpha^dag -
-    beta beta^dag = 1 and alpha beta^T symmetric hold to O(h^2)), and at
-    h = 0 the interaction-picture map is the identity.
+    with I the sinusoidal drive integral above.  The free rotation
+    G_m = e^{-i w_m tau} of row m (cavity.free_phases) is left out; that
+    diagonal unitary keeps the series canonical in both frames (alpha
+    alpha^dag - beta beta^dag = 1 and alpha beta^T symmetric to O(h^2)).
 
     rows and cols (each a slice or an index array of 0-based modes m - 1,
     default all) select the entries built; alpha_static and beta_static hold

@@ -301,18 +301,16 @@ def qfi_analytic_h0(
     derivatives: Monras, arXiv:1303.3682; Safranek, Lee and Fuentes,
     arXiv:1502.07924).
 
-    The rows come from bogoliubov.pair_rows, S(h) = R0 + h S1 + h^2 S2, and
-    are first rotated by R0^T, which undoes the free rotation of each mode;
-    H0 is invariant under that fixed symplectic change of frame, and in the
-    rotated frame P is exactly D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).
-    Cavity series are built in the interaction picture (G = 1, R0 = 1),
-    where the rotation changes nothing; a general series may carry G != 1.
-    With s = R0^T S1, M1 = s[:, pair] D and M2 = (R0^T S2)[:, pair],
+    The rows come from bogoliubov.pair_rows, S(h) = 1 + h S1 (+ h^2 S2 on
+    the pair columns).  The series is in the interaction picture, so P is
+    exactly D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}); the lab frame
+    differs by a fixed rotation of each mode, which leaves H0 unchanged.
+    With M1 = S1[:, pair] D,
       V = M1 + M1^T,
-      W_ii = sum_c s_ic^2 w_c + 2 M2_ii D_i,
+      W_ii = sum_c S1_ic^2 w_c + 2 S2_ii D_i,
     where w_c is the initial variance of column c (D on the columns of k and
     k', vacuum 1 elsewhere).  H0 reads only that diagonal of W, so
-      H0 = sum_ic s_ic^2 w_c / D_i - (1/4) sum_ij V_ij^2 / (D_i D_j) + 2 tr(M2).
+      H0 = sum_ic S1_ic^2 w_c / D_i - (1/4) sum_ij V_ij^2 / (D_i D_j) + 2 tr(S2).
     Nothing inverts a lab-frame P: at r = 10 its entries reach e^{20} and
     their roundoff alone exceeds its smallest eigenvalue e^{-20}.
 
@@ -320,30 +318,28 @@ def qfi_analytic_h0(
     (H0(n_max) - H0(n_max // 2)) / H0: the per-column terms of modes above
     n_max // 2, whose partial sum is exactly what the halved truncation
     drops.  It is nan when n_max // 2 does not cover the pair and 0.0 when
-    H0 is zero.  A squeezing whose terms overflow float64 raises
-    NumericError.
+    H0 is zero.  A mode pair outside the series' truncation raises
+    ValueError (from pair_rows); a squeezing whose terms overflow float64
+    raises NumericError.
 
     H0 is the column-term sum A less the V term B/4, both non-negative (plus
-    2 tr(M2) when the series has a second order).  When |H0| is within
-    their float64 rounding bound 2N eps (A + B/4 + |2 tr(M2)|), for N the
+    2 tr(S2) when the series has a second order).  When |H0| is within
+    their float64 rounding bound 2N eps (A + B/4 + |2 tr(S2)|), for N the
     series' n_modes, the difference is a cancellation residue and H0 is
     returned as 0.0: no information, not a tiny QFI of either sign.
     """
     n = series.n_modes
-    if max(k, kprime) > n:
-        raise NumericError("series truncation does not cover the mode pair")
-    r0, s1, s2 = pair_rows(series, k, kprime)
+    s1, s2 = pair_rows(series, k, kprime)
     pair = pair_columns(k, kprime)
     try:
         # the terms grow as e^{4|r|}: at the reference point they leave
         # float64 near r = 174, and math.exp itself at r = 355
         with np.errstate(over="raise", invalid="raise"):
             d = np.array([math.exp(2.0 * r), math.exp(-2.0 * r)] * 2)
-            s = r0.T @ s1
             weight = np.ones(2 * n)
             weight[pair] = d
-            terms = s * s * weight / d[:, None]
-            m1 = s[:, pair] * d
+            terms = s1 * s1 * weight / d[:, None]
+            m1 = s1[:, pair] * d
             v = m1 + m1.T
             column_sum = terms.sum()
             v_term = 0.25 * np.sum(v * v / np.outer(d, d))
@@ -353,7 +349,7 @@ def qfi_analytic_h0(
             rounding = 2 * n * _EPS
             bound = rounding * column_sum + rounding * v_term
             if s2 is not None:
-                second = 2.0 * np.trace((r0.T @ s2)[:, pair])
+                second = 2.0 * np.trace(s2)
                 value += second
                 bound += rounding * abs(second)
     except (OverflowError, FloatingPointError):

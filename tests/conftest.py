@@ -10,10 +10,12 @@ from cavqfi import BogoliubovSeries, GaussianState, symplectic_form
 def canonical_series(rng, n_modes, scale=1.0):
     """Random first-order series satisfying the O(h) transformation identities.
 
-    Free data: unit phases G_m and the upper triangles of alpha1/beta1; the
-    lower triangles follow from alpha_nm = -G_n conj(alpha_mn) G_m and
-    beta_nm = (G_n / G_m) beta_mn, which is what makes the symplectic defect
-    of the evaluated series O(h^2).
+    The draw is a lab-frame series: free unit phases G_m and the upper
+    triangles of alpha1/beta1; the lower triangles follow from
+    alpha_nm = -G_n conj(alpha_mn) G_m and beta_nm = (G_n / G_m) beta_mn,
+    which is what makes the symplectic defect of the evaluated series
+    O(h^2).  The series returned is its interaction-picture form, row m of
+    each matrix times conj(G_m): a diagonal unitary, so it stays canonical.
     """
     theta = rng.uniform(0, 2 * np.pi, n_modes)
     g = np.exp(1j * theta)
@@ -25,7 +27,8 @@ def canonical_series(rng, n_modes, scale=1.0):
             b[m, j] = scale * (rng.normal() + 1j * rng.normal())
             a[j, m] = -g[j] * np.conj(a[m, j]) * g[m]
             b[j, m] = (g[j] / g[m]) * b[m, j]
-    return BogoliubovSeries(n_modes, g, a, b)
+    rotate = np.conj(g)[:, None]
+    return BogoliubovSeries(n_modes, rotate * a, rotate * b)
 
 
 def random_symplectic(rng, n_modes, scale=0.5):

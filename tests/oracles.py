@@ -2,13 +2,18 @@
 
 None of these is on a path that ``cavqfi`` runs: the full-symplectic state
 transform (the ground truth for ``bogoliubov.transform_reduced``), the
-lab-frame route to the un-squeezed ladder state (the reference for
+squeezed-frame route to the un-squeezed ladder state (the reference for
 ``bogoliubov.unsqueezed_state_map``), the exact-transform identities and
-symplectic defects, the physicality check,
-reference states, the closed-form static pair coefficients, the
-whole-matrix cavity series, and the atom-interferometer baseline.  Tests
-import them as ``from oracles import ...``, the way they import
-``conftest``.
+symplectic defects, the physicality check, reference states, the
+closed-form static pair coefficients, the whole-matrix cavity series, and
+the atom-interferometer baseline.  Tests import them as
+``from oracles import ...``, the way they import ``conftest``.
+
+A ``BogoliubovSeries`` is in the interaction picture, S(h) = 1 + h S1
+(+ h^2 S2 on the pair columns of rows k, k').  The lab frame exists only
+here: the oracles that take ``phases`` (unit G_m, e.g. from
+``cavity.free_phases``) multiply row m of the evaluated coefficients by
+G_m before they use them.
 """
 
 from __future__ import annotations
@@ -141,12 +146,14 @@ def transform_full_oracle(
     h: float,
     k: int,
     kprime: int,
+    phases=None,
 ) -> GaussianState:
     """Ground-truth path: embed, conjugate the full covariance, trace back down.
 
     Builds the 2N x 2N covariance (identity except the k/kprime blocks),
     applies S sigma S^T with the fully assembled symplectic matrix, then
-    partial-traces to (k, kprime).
+    partial-traces to (k, kprime).  With phases G, the coefficients are
+    those of the lab frame, row m of alpha(h) and beta(h) times G_m.
     """
     if initial.num_modes != 2:
         raise ValueError("initial state must have exactly two modes")
@@ -156,41 +163,46 @@ def transform_full_oracle(
     cov = np.eye(2 * n)
     cov[np.ix_(pair, pair)] = initial.cov
 
-    s = assemble_symplectic(evaluate_series(series, h))
+    coeffs = evaluate_series(series, h)
+    if phases is not None:
+        g = np.asarray(phases)[:, None]
+        coeffs = BogoliubovCoefficients(n, g * coeffs.alpha, g * coeffs.beta)
+    s = assemble_symplectic(coeffs)
     full_cov = s @ cov @ s.T
     full_cov = 0.5 * (full_cov + full_cov.T)
     full = GaussianState(n, full_cov)
     return partial_trace(full, [k, kprime])
 
 
-def lab_frame_ladder_state(
+def squeezed_frame_ladder_state(
     series: BogoliubovSeries, r: float, h: float, k: int, kprime: int
 ) -> GaussianState:
-    """The un-squeezed ladder state of modes (k, k'), by way of the lab frame.
+    """The un-squeezed ladder state of modes (k, k'), by way of the squeezed frame.
 
     The route the ``cavqfi qfi`` cross-check took before
-    bogoliubov.unsqueezed_state_map: S(h) = R0 + h S1 (+ h^2 S2) on the pair
-    rows, the lab-frame covariance from kernels.reduced_transform with both
-    modes squeezed by r, then every entry (i, j) scaled by t_i t_j for
-    t = (e^{-r}, e^{r}, e^{-r}, e^{r}).  The lab-frame entries reach e^{2r},
-    so this state carries their rounding.
+    bogoliubov.unsqueezed_state_map: S(h) = 1 + h S1 (+ h^2 S2 on the pair
+    columns) on the pair rows, the squeezed-frame covariance from
+    kernels.reduced_transform with both modes squeezed by r, then every
+    entry (i, j) scaled by t_i t_j for t = (e^{-r}, e^{r}, e^{-r}, e^{r}).
+    The squeezed-frame entries reach e^{2r}, so this state carries their
+    rounding.
     """
-    r0, s1, s2 = pair_rows(series, k, kprime)
+    s1, s2 = pair_rows(series, k, kprime)
     pair = pair_columns(k, kprime)
     s = h * s1
+    s[:, pair] += np.eye(4)
     if s2 is not None:
-        s += h * h * s2
-    s[:, pair] += r0
+        s[:, pair] += h * h * s2
     sigma0 = np.diag([math.exp(2 * r), math.exp(-2 * r)] * 2)
-    lab = GaussianState(2, kernels.reduced_transform(s, pair, sigma0))
+    squeezed = kernels.reduced_transform(s, pair, sigma0)
     t = np.array([math.exp(-r), math.exp(r)] * 2)
-    return GaussianState(2, lab.cov * np.outer(t, t))
+    return GaussianState(2, squeezed * np.outer(t, t))
 
 
 def trivial_series(n_modes: int) -> BogoliubovSeries:
-    """Identity transformation at every order (G = 1, all matrices zero)."""
+    """Identity transformation at every order (all matrices zero)."""
     zeros = np.zeros((n_modes, n_modes), dtype=complex)
-    return BogoliubovSeries(n_modes, np.ones(n_modes, dtype=complex), zeros, zeros)
+    return BogoliubovSeries(n_modes, zeros, zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from oracles import (
     assemble_symplectic,
     check_physical,
     identity_defects,
-    lab_frame_ladder_state,
     series_symplectic_defect,
+    squeezed_frame_ladder_state,
     symplectic_defect,
     transform_full_oracle,
     trivial_series,
@@ -34,34 +34,39 @@ from oracles import (
 )
 
 
+def random_alpha2(rng, n):
+    """A random complex diagonal second order."""
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
 def test_pair_rows_match_full_assembly(rng):
-    # R0, S1 and S2 against rows k, k' of the fully assembled S(h); S1 and
-    # S2 are separated by evaluating at two amplitudes
+    # S1 and S2 against rows k, k' of the fully assembled S(h), which is the
+    # identity at h = 0; S1 and S2 are separated by evaluating at two
+    # amplitudes, and S2 lives on the pair columns alone
     n = 6
     canon = canonical_series(rng, n)
-    second = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)]
-    for alpha2, beta2 in ((None, None), (second[0], None), (None, second[1]), tuple(second)):
-        series = BogoliubovSeries(n, canon.G, canon.alpha1, canon.beta1, alpha2, beta2)
+    for series in (canon, dataclasses.replace(canon, alpha2=random_alpha2(rng, n))):
         for k, kp in ((2, 5), (4, 1)):
-            r0, s1, s2 = pair_rows(series, k, kp)
+            s1, s2 = pair_rows(series, k, kp)
             pair = pair_columns(k, kp)
             assert pair == [2 * k - 2, 2 * k - 1, 2 * kp - 2, 2 * kp - 1]
-            assert (s2 is None) == (alpha2 is None and beta2 is None)
-            assert s1.shape == (4, 2 * n) and r0.shape == (4, 4)
+            assert (s2 is None) == (series.alpha2 is None)
+            assert s1.shape == (4, 2 * n) and (s2 is None or s2.shape == (4, 4))
 
             def full_rows(h):
                 return assemble_symplectic(evaluate_series(series, h))[pair]
 
             at0 = full_rows(0.0)
-            assert np.array_equal(at0[:, pair], r0)
+            assert np.array_equal(at0[:, pair], np.eye(4))
             assert not np.delete(at0, pair, axis=1).any()
             (h1, d1), (h2, d2) = ((h, full_rows(h) - at0) for h in (0.5, 1.0))
             order2 = (d2 / h2 - d1 / h1) / (h2 - h1)
             assert np.abs(d1 / h1 - h1 * order2 - s1).max() <= 1e-13
-            assert np.abs(order2 - (0.0 if s2 is None else s2)).max() <= 1e-13
+            assert np.abs(np.delete(order2, pair, axis=1)).max() <= 1e-13
+            assert np.abs(order2[:, pair] - (0.0 if s2 is None else s2)).max() <= 1e-13
             for h in (1e-4, 3e-2, 0.5, 2.0):
-                rows = h * s1 + (0.0 if s2 is None else h * h * s2)
-                rows[:, pair] += r0
+                rows = h * s1
+                rows[:, pair] += np.eye(4) + (0.0 if s2 is None else h * h * s2)
                 full = full_rows(h)
                 assert np.abs(rows - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
 
@@ -92,12 +97,16 @@ def test_exact_coefficients_are_symplectic(rng):
 def test_series_validation():
     n = 3
     zeros = np.zeros((n, n), dtype=complex)
-    with pytest.raises(ValueError):
-        BogoliubovSeries(n, 2.0 * np.ones(n), zeros, zeros)  # |G| != 1
     bad = zeros.copy()
     bad[1, 1] = 0.1
     with pytest.raises(ValueError):
-        BogoliubovSeries(n, np.ones(n), bad, zeros)  # nonzero diagonal
+        BogoliubovSeries(n, bad, zeros)  # nonzero diagonal
+    # the second order is the diagonal of alpha2, one entry per mode
+    for alpha2 in (np.ones((n, n)), np.ones(n + 1), np.ones((1, n)), np.ones(())):
+        with pytest.raises(ValueError, match="alpha2 must be a length-3 vector"):
+            BogoliubovSeries(n, zeros, zeros, alpha2)
+    series = BogoliubovSeries(n, zeros, zeros, [1.0, 2.0, 3.0])
+    assert series.alpha2.dtype == complex and not series.alpha2.flags.writeable
 
 
 def test_series_copies_writeable_input():
@@ -105,10 +114,10 @@ def test_series_copies_writeable_input():
     alpha1 = np.zeros((n, n), dtype=complex)
     alpha1[0, 1] = 0.5
     beta1 = alpha1.copy()
-    series = BogoliubovSeries(n, np.ones(n), alpha1, beta1)
+    series = BogoliubovSeries(n, alpha1, beta1)
     view = alpha1.view()
     view.setflags(write=False)
-    from_view = BogoliubovSeries(n, np.ones(n), view, beta1)
+    from_view = BogoliubovSeries(n, view, beta1)
     alpha1[0, 1] = 7.0
     beta1[0, 1] = 7.0
     assert series.alpha1[0, 1] == series.beta1[0, 1] == 0.5
@@ -121,15 +130,20 @@ def test_series_adopts_read_only_array():
     n = 3
     owned = np.zeros((n, n), dtype=complex)
     owned.setflags(write=False)
-    series = BogoliubovSeries(n, np.ones(n), owned, owned)
+    series = BogoliubovSeries(n, owned, owned)
     assert series.alpha1 is owned and series.beta1 is owned
 
 
 def test_evaluate_series_zeroth_order(rng):
     series = canonical_series(rng, 4)
-    coeffs = evaluate_series(series, 0.0)
-    assert np.array_equal(coeffs.alpha, np.diag(series.G))
-    assert not coeffs.beta.any()
+    alpha2 = random_alpha2(rng, 4)
+    for s in (series, dataclasses.replace(series, alpha2=alpha2)):
+        coeffs = evaluate_series(s, 0.0)
+        assert np.array_equal(coeffs.alpha, np.eye(4))
+        assert not coeffs.beta.any()
+    # the second order adds h^2 alpha2 on the diagonal, which alpha1 leaves at 1
+    coeffs = evaluate_series(dataclasses.replace(series, alpha2=alpha2), 0.5)
+    assert np.array_equal(np.diag(coeffs.alpha), 1.0 + 0.25 * alpha2)
 
 
 def test_evaluate_series_linearity(rng):
@@ -137,7 +151,7 @@ def test_evaluate_series_linearity(rng):
     h = 3e-4
     c1 = evaluate_series(series, h)
     c2 = evaluate_series(series, 2 * h)
-    assert np.allclose(c2.alpha - np.diag(series.G), 2 * (c1.alpha - np.diag(series.G)))
+    assert np.allclose(c2.alpha - np.eye(4), 2 * (c1.alpha - np.eye(4)))
     assert np.allclose(c2.beta, 2 * c1.beta)
 
 
@@ -174,7 +188,7 @@ def test_particle_creation_raises_trace(rng):
     # transformation is passive and the vacuum stays vacuum
     n = 5
     series = canonical_series(rng, n)
-    passive = BogoliubovSeries(n, series.G, series.alpha1, np.zeros((n, n), dtype=complex))
+    passive = BogoliubovSeries(n, series.alpha1, np.zeros((n, n), dtype=complex))
     h = 1e-2
     active_out = transform_full_oracle(vacuum(2), series, h, 1, 2)
     passive_out = transform_full_oracle(vacuum(2), passive, h, 1, 2)
@@ -201,18 +215,36 @@ def test_oracle_equivalence_random_draws(rng):
 
 def test_oracle_equivalence_second_order(rng):
     # the reduced transform builds only rows k and k' of the coefficients,
-    # including the optional h^2 terms, and must match the full assembly
+    # including the optional h^2 diagonal, and must match the full assembly
     n = 6
     canon = canonical_series(rng, n)
-    second = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)]
-    for alpha2, beta2 in ((second[0], None), (None, second[1]), tuple(second)):
-        series = BogoliubovSeries(n, canon.G, canon.alpha1, canon.beta1, alpha2, beta2)
-        init = initial_product_squeezed(0.7, -0.4)
-        for h in (0.0, 3e-4, 0.2):
-            red = transform_reduced(init, series, h, 2, 5)
-            full = transform_full_oracle(init, series, h, 2, 5)
-            scale = max(1.0, np.abs(full.cov).max())
-            assert np.abs(red.cov - full.cov).max() <= 1e-12 * scale
+    init = initial_product_squeezed(0.7, -0.4)
+    for _ in range(3):
+        series = dataclasses.replace(canon, alpha2=random_alpha2(rng, n))
+        for k, kp in ((2, 5), (4, 1)):
+            for h in (0.0, 3e-4, 0.2):
+                red = transform_reduced(init, series, h, k, kp)
+                full = transform_full_oracle(init, series, h, k, kp)
+                scale = max(1.0, np.abs(full.cov).max())
+                assert np.abs(red.cov - full.cov).max() <= 1e-12 * scale
+
+
+def test_zero_amplitude_is_identity_for_every_series(rng):
+    # at h = 0 every series is exactly the identity, whatever its orders:
+    # the reduced transform returns the initial covariance and the ladder's
+    # map the vacuum, bit for bit
+    from conftest import random_physical_two_mode
+
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        k, kp = (int(m) for m in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        series = canonical_series(rng, n, scale=rng.uniform(0.1, 3.0))
+        for s in (series, dataclasses.replace(series, alpha2=random_alpha2(rng, n))):
+            for init in (initial_product_squeezed(0.8, -0.3), random_physical_two_mode(rng)):
+                assert transform_reduced(init, s, 0.0, k, kp).cov.tobytes() == init.cov.tobytes()
+            for r in (0.0, 0.7, -1.3, 5.0):
+                cov = unsqueezed_state_map(s, r, k, kp)(0.0).cov
+                assert cov.tobytes() == np.eye(4).tobytes()
 
 
 def test_single_mode_squeezer_through_oracle():
@@ -224,8 +256,7 @@ def test_single_mode_squeezer_through_oracle():
     alpha1 = np.zeros((n, n), dtype=complex)
     beta1 = np.zeros((n, n), dtype=complex)
     alpha1[0, 0] = 0.0  # diagonal must stay zero in the series type
-    g = np.ones(n, dtype=complex)
-    series = BogoliubovSeries(n, g, alpha1, beta1)
+    series = BogoliubovSeries(n, alpha1, beta1)
     coeffs = evaluate_series(series, 0.0)
     alpha = coeffs.alpha.copy()
     beta = coeffs.beta.copy()
@@ -274,20 +305,20 @@ def test_oracle_equivalence_correlated_initial(rng):
 
 
 def with_second_order(series, rng):
-    """series plus a second order: the diagonal unitarity completion of
-    alpha2 and a dense random beta2 of the first order's size."""
-    n = series.n_modes
+    """series plus a second order: a diagonal alpha2 whose real part is the
+    unitarity completion and whose imaginary part is random, of the first
+    order's size."""
     completion = 0.5 * (np.sum(abs(series.beta1) ** 2, axis=1) - np.sum(abs(series.alpha1) ** 2, axis=1))
-    beta2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * np.abs(series.beta1).max()
-    return dataclasses.replace(series, alpha2=np.diag(completion).astype(complex), beta2=beta2)
+    phase = rng.normal(size=series.n_modes) * np.abs(series.alpha1).max()
+    return dataclasses.replace(series, alpha2=completion + 1j * phase)
 
 
-def assert_map_matches_lab_frame(series, r, hs, k=1, kp=2):
+def assert_map_matches_squeezed_frame(series, r, hs, k=1, kp=2):
     state_at = unsqueezed_state_map(series, r, k, kp)
     for h in hs:
         new = state_at(h).cov
-        old = lab_frame_ladder_state(series, r, h, k, kp).cov
-        # the lab-frame route rounds entries of size e^{2r} before scaling
+        old = squeezed_frame_ladder_state(series, r, h, k, kp).cov
+        # the squeezed-frame route rounds entries of size e^{2r} before scaling
         # them back; 32 eps of the state's size leaves room for that alone
         tol = 32 * np.finfo(float).eps * max(1.0, np.abs(old).max())
         assert np.abs(new - old).max() <= tol, (r, h)
@@ -305,17 +336,18 @@ def test_unsqueezed_state_map_matches_lab_frame(rng, r, n_max, tau, second_order
     h_target = 1e-3 / math.sqrt(qfi_analytic_h0(series, r, 1, 2))
     if second_order:
         series = with_second_order(series, rng)
-    assert_map_matches_lab_frame(series, r, [0.0] + [f * h_target for f in (0.5, 1, 2, 30, 1e3, 1e5)])
-    # a cavity series has G = 1: the initial covariance is exactly the vacuum
+    hs = [0.0] + [f * h_target for f in (0.5, 1, 2, 30, 1e3, 1e5)]
+    assert_map_matches_squeezed_frame(series, r, hs)
+    # at h = 0 the state is exactly the vacuum
     assert (unsqueezed_state_map(series, r, 1, 2)(0.0).cov == np.eye(4)).all()
 
 
-def test_unsqueezed_state_map_rotated_pair(rng):
-    # G != 1: the zeroth order t R0 t^-1 is no longer the identity
+def test_unsqueezed_state_map_random_series(rng):
+    # a random dense first order on a non-adjacent pair, either sign of r
     series = canonical_series(rng, 6, scale=0.3)
     for s in (series, with_second_order(series, rng)):
         for r in (0.0, 0.7, -1.3):
-            assert_map_matches_lab_frame(s, r, [0.0, 1e-4, 3e-3], k=2, kp=5)
+            assert_map_matches_squeezed_frame(s, r, [0.0, 1e-4, 3e-3], k=2, kp=5)
 
 
 def test_unsqueezed_state_map_validation(rng):

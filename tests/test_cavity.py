@@ -78,7 +78,7 @@ def test_h_zero_gives_trivial_coefficients():
     sc = reference_scenario()
     series = build_scenario_series(sc)
     coeffs = evaluate_series(series, 0.0)
-    assert np.array_equal(coeffs.alpha, np.diag(series.G))
+    assert np.array_equal(coeffs.alpha, np.eye(series.n_modes))
     assert not coeffs.beta.any()
 
 
@@ -131,12 +131,12 @@ def test_tau_zero_series_is_empty():
     series = build_scenario_series(sc)
     assert not series.alpha1.any()
     assert not series.beta1.any()
-    assert np.allclose(series.G, 1.0)
+    assert series.alpha2 is None
 
 
 def test_series_invariants_hold():
     series = build_scenario_series(reference_scenario())
-    assert np.max(np.abs(np.abs(series.G) - 1.0)) <= 1e-12
+    assert series.alpha2 is None
     assert not np.diag(series.alpha1).any()
     assert not np.diag(series.beta1).any()
     n = np.arange(1, series.n_modes + 1)
@@ -318,9 +318,9 @@ def test_build_allocates_no_square_temporary():
 def test_build_arrays_adopted_not_copied(monkeypatch):
     built = {}
 
-    def capture(n_modes, g, alpha1, beta1):
+    def capture(n_modes, alpha1, beta1):
         built.update(alpha1=alpha1, beta1=beta1)
-        return BogoliubovSeries(n_modes, g, alpha1, beta1)
+        return BogoliubovSeries(n_modes, alpha1, beta1)
 
     monkeypatch.setattr(cavity, "BogoliubovSeries", capture)
     series = build_scenario_series(reference_scenario(n_max=50))

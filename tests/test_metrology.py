@@ -20,12 +20,13 @@ from cavqfi import (
 from cavqfi.bogoliubov import unsqueezed_state_map
 from cavqfi.cavity import free_phases
 from cavqfi import metrology
-from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError, NumericError
+from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError
 from conftest import canonical_series, random_physical_two_mode, random_symplectic
 from oracles import (
     mach_zehnder_bound,
     mach_zehnder_qfi,
     thermal_two_mode,
+    transform_full_oracle,
     trivial_series,
     vacuum,
 )
@@ -213,36 +214,33 @@ def scenario_series(tau=0.3, **overrides):
     return sc, build_scenario_series(sc)
 
 
-def lab_frame_copy(scenario, series):
-    """The lab-frame series: row m of each matrix times G_m = e^{-i w_m tau}."""
-    g = free_phases(scenario)
-    return BogoliubovSeries(series.n_modes, g, g[:, None] * series.alpha1, g[:, None] * series.beta1)
-
-
 @pytest.mark.parametrize("tau", [30.0, 2.00013, 17.8869724053911])
 @pytest.mark.parametrize("r", [0.5, 2.0, 5.0])
 def test_interaction_and_lab_frames_agree(r, tau):
     # the frames differ by a diagonal unitary applied after the drive, a
-    # fixed symplectic map on both states, so H0 and every fidelity match
+    # fixed symplectic map on both states, so the production H0 and
+    # fidelities, which read the interaction picture, match oracles that
+    # apply the lab-frame phases G_m = e^{-i w_m tau} explicitly
     sc, series = scenario_series(tau=tau, squeezing=r)
-    lab = lab_frame_copy(sc, series)
+    phases = free_phases(sc)
     h0 = qfi_analytic_h0(series, r, 1, 2)
-    assert abs(qfi_analytic_h0(lab, r, 1, 2) - h0) <= 1e-12 * h0
+    lab_h0 = mp_matrix_form_h0(series, r, 1, 2, phases=phases)
+    assert abs(h0 - lab_h0) <= 1e-12 * lab_h0
     init = initial_product_squeezed(r, r)
     h = math.sqrt(1e-2 / h0)  # 1 - F near 1e-3
-
-    def fid(s):
-        return fidelity_two_mode(
-            transform_reduced(init, s, 0.0, 1, 2), transform_reduced(init, s, h, 1, 2)
-        ).fidelity
-
-    f = fid(series)
+    f = fidelity_two_mode(
+        transform_reduced(init, series, 0.0, 1, 2), transform_reduced(init, series, h, 1, 2)
+    ).fidelity
     assert 1e-4 < 1.0 - f < 1e-2
+    lab_f = fidelity_two_mode(
+        transform_full_oracle(init, series, 0.0, 1, 2, phases),
+        transform_full_oracle(init, series, h, 1, 2, phases),
+    ).fidelity
     # the float64 lab-frame covariance rotates entries of size e^{2r} into
     # directions of variance e^{-2r}, so its own roundoff bounds the
-    # agreement by eps e^{4r} (1e-7 at r = 5; 7.7e-9 seen off the lattice)
+    # agreement by eps e^{4r} (1e-7 at r = 5)
     tol = max(1e-12, np.finfo(float).eps * math.exp(4.0 * r))
-    assert abs(fid(lab) - f) <= tol * f
+    assert abs(lab_f - f) <= tol * f
 
 
 def test_qfi_numeric_constant_map_is_zero():
@@ -427,9 +425,12 @@ def test_analytic_matches_numeric(rng):
 
 
 def test_analytic_range_check(rng):
+    # the mode pair is checked where its rows are taken (bogoliubov.pair_rows)
     series = canonical_series(rng, 3)
-    with pytest.raises(NumericError):
+    with pytest.raises(ValueError, match="outside truncation range"):
         qfi_analytic_h0(series, 1.0, 1, 5)
+    with pytest.raises(ValueError, match="must differ"):
+        qfi_analytic_h0(series, 1.0, 2, 2)
 
 
 def test_analytic_symmetric_under_pair_swap(rng):
@@ -440,14 +441,17 @@ def test_analytic_symmetric_under_pair_swap(rng):
         assert swapped == pytest.approx(forward, rel=1e-12)
 
 
-def mp_matrix_form_h0(series, r, k, kprime, dps=60):
-    """H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 evaluated in mpmath, lab frame.
+def mp_matrix_form_h0(series, r, k, kprime, phases=None, dps=60):
+    """H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 evaluated in mpmath.
 
     P, V and W are the h^0, h^1 and h^2 coefficients of
     sigma_ij(h) = sum_n M_in(h) sigma0_n M_jn(h)^T with the 2x2 blocks
-    M_in(h) = block(G_i delta_in + h alpha1_in, h beta1_in), summed over
-    every mode n of the series; P^-1 is an mpmath inverse.
+    M_in(h) = block(G_i (delta_in + h alpha1_in), G_i h beta1_in), summed
+    over every mode n of the series; P^-1 is an mpmath inverse.  G is 1
+    (the series' own interaction picture) unless lab-frame phases are
+    given.
     """
+    g = np.ones(series.n_modes, dtype=complex) if phases is None else np.asarray(phases)
     with mpmath.workdps(dps):
 
         def block(a, b):
@@ -462,9 +466,12 @@ def mp_matrix_form_h0(series, r, k, kprime, dps=60):
             mpmath.diag([e2r, 1 / e2r]) if n in pair else mpmath.eye(2)
             for n in range(series.n_modes)
         ]
-        m0 = [[block(series.G[i] if n == i else 0, 0) for n in range(series.n_modes)] for i in pair]
+        m0 = [[block(g[i] if n == i else 0, 0) for n in range(series.n_modes)] for i in pair]
         m1 = [
-            [block(series.alpha1[i, n], series.beta1[i, n]) for n in range(series.n_modes)]
+            [
+                block(g[i] * series.alpha1[i, n], g[i] * series.beta1[i, n])
+                for n in range(series.n_modes)
+            ]
             for i in pair
         ]
         p, v, w = mpmath.zeros(4), mpmath.zeros(4), mpmath.zeros(4)
@@ -505,7 +512,7 @@ def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel):
     exact = mp_matrix_form_h0(series, r, 1, 2)
     got = qfi_analytic_h0(series, r, 1, 2)
     assert abs(got - exact) <= 1e-12 * abs(exact)
-    lab_exact = mp_matrix_form_h0(lab_frame_copy(sc, series), r, 1, 2)
+    lab_exact = mp_matrix_form_h0(series, r, 1, 2, phases=free_phases(sc))
     assert abs(got - lab_exact) <= 1e-12 * abs(lab_exact)
     if pinned is not None:
         assert abs(float(exact) - pinned) <= pinned_rel * pinned
@@ -513,17 +520,20 @@ def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel):
 
 def test_analytic_second_order_passive_mixer_on_vacuum(rng):
     # a passive mixer (beta = 0) maps the vacuum to itself, so the exact QFI
-    # is zero; that needs the second-order diagonal alpha2 fixed by the
-    # Bogoliubov identity, Re(conj(G_m) alpha2_mm) = -sum_n |alpha1_mn|^2 / 2,
-    # and the first-order data alone would report a positive QFI
+    # is zero; that needs the second-order diagonal alpha2 whose real part
+    # the Bogoliubov identity fixes, Re(alpha2_mm) = -sum_n |alpha1_mn|^2 / 2,
+    # and the first-order data alone would report a positive QFI; the
+    # imaginary part, a second-order phase, carries no information here
     canon = canonical_series(rng, 6)
     zeros = np.zeros_like(canon.beta1)
-    first_order = BogoliubovSeries(6, canon.G, canon.alpha1, zeros)
-    completion = np.diag(-0.5 * canon.G * np.sum(np.abs(canon.alpha1) ** 2, axis=1))
-    completed = BogoliubovSeries(6, canon.G, canon.alpha1, zeros, alpha2=completion)
-    scale = qfi_analytic_h0(first_order, 0.0, 1, 2)
-    assert scale > 1.0
-    assert abs(qfi_analytic_h0(completed, 0.0, 1, 2)) <= 1e-14 * scale
+    first_order = BogoliubovSeries(6, canon.alpha1, zeros)
+    for k, kp in ((1, 2), (5, 3)):
+        scale = qfi_analytic_h0(first_order, 0.0, k, kp)
+        assert scale > 1.0
+        for _ in range(3):
+            completion = -0.5 * np.sum(np.abs(canon.alpha1) ** 2, axis=1) + 1j * rng.normal(size=6)
+            completed = BogoliubovSeries(6, canon.alpha1, zeros, alpha2=completion)
+            assert abs(qfi_analytic_h0(completed, 0.0, k, kp)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])

@@ -80,3 +80,10 @@ def test_series_build_calls_kernel_through_module_attribute(monkeypatch):
     n = np.arange(210)
     odd = (n[:, None] + n[None, :]) % 2 == 1
     assert np.array_equal(hits, odd.astype(int))
+
+
+def test_coefficient_entries_count_first_order_only():
+    # cavity.coefficients_built counts the complex arrays of the built series:
+    # alpha1 and beta1, n_max^2 entries each (the series has no second order)
+    series = cavity.build_scenario_series(cavity.CavityScenario(n_max=50))
+    assert load_tracer()._coefficient_entries(series) == {"entries": 2 * 50**2}

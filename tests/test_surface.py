@@ -3,7 +3,8 @@
 Reference implementations that only the tests read live in tests/oracles.py.
 This guard parses src/cavqfi and follows references from ``cli.main``, from
 every module-level statement, and from every name perfbench/ mentions; a
-top-level def or class that none of them reaches fails it.
+top-level def or class that none of them reaches fails it, and so does a
+module-level constant that neither the package nor perfbench/ reads.
 """
 
 import ast
@@ -99,3 +100,43 @@ def unreached_definitions():
 
 def test_every_definition_is_reached():
     assert unreached_definitions() == []
+
+
+def unread_constants():
+    """Module-level constants of the package that nothing reads.
+
+    A constant is a top-level assignment to a plain name; dunder names,
+    which Python and packaging tools read, are exempt.  It counts as read
+    when a name loads it in its own module or in a module that imports it,
+    when an attribute of its module names it, or when perfbench/ mentions it.
+    """
+    modules = parse_package()
+    constants = set()
+    for module, (_, _, statements) in modules.items():
+        for node in statements:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+            constants.update(
+                (module, t.id)
+                for t in targets
+                if isinstance(t, ast.Name) and not (t.id.startswith("__") and t.id.endswith("__"))
+            )
+    read = set()
+    for module, (defs, imports, statements) in modules.items():
+        for node in list(defs.values()) + statements:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    source, attr = imports.get(sub.id, (module, sub.id))
+                    read.add((source, attr))
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                    source, attr = imports.get(sub.value.id, (None, None))
+                    if source in modules and attr is None:
+                        read.add((source, sub.attr))
+    mentioned = benchmark_names()
+    return sorted(c for c in constants - read if c[1] not in mentioned)
+
+
+def test_every_constant_is_read():
+    assert unread_constants() == []
