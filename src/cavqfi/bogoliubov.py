@@ -7,13 +7,14 @@ evaluate_series gives the coefficient matrices at one h
 (BogoliubovCoefficients).
 
 Rows k and k' of the real symplectic matrix S(h) have one block form,
-``pair_rows``: S(h) = 1 + h S1 (+ h^2 S2 on the pair columns).  Both the
-reduced transform and the matrix-form QFI (metrology.qfi_analytic_h0) read
-it.  ``transform_reduced`` maps a two-mode initial state embedded in an
+``pair_rows``: S(h) = 1 + h S1 (+ h^2 S2 on the pair columns).
+``transform_reduced`` maps a two-mode initial state embedded in an
 otherwise-vacuum field to the covariance of modes k, k' from those rows
-alone, never forming the full 2N x 2N matrix.
-``unsqueezed_state_map`` builds, once per point, the states the QFI ladder
-steps through, straight in the frame where the initial state is the vacuum.
+alone, never forming the full 2N x 2N matrix.  The QFI reads the rows in
+one frame, where the squeezed initial state is the vacuum:
+``unsqueezed_rows`` maps them there once per point, and both the
+matrix-form QFI (metrology.qfi_analytic_h0) and the QFI ladder's states
+(``unsqueezed_state_map``) read that one value.
 """
 
 from __future__ import annotations
@@ -136,32 +137,37 @@ def pair_rows(series: BogoliubovSeries, k: int, kprime: int):
     return s1, s2
 
 
-def unsqueezed_state_map(series: BogoliubovSeries, r: float, k: int, kprime: int):
-    """h -> the state of modes (k, k') in the un-squeezed frame, built once.
+@dataclasses.dataclass(frozen=True)
+class UnsqueezedRows:
+    """Rows k, k' of the series in the frame where the initial state is the vacuum.
 
     Both modes start squeezed by r, covariance sigma0 = diag(e^{2r},
-    e^{-2r}, e^{2r}, e^{-2r}); the returned function gives
-    t sigma(h) t with t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}), the
-    transformed covariance mapped by the symplectic un-squeezing (which
-    leaves every fidelity unchanged: Banchi, Braunstein and Pirandola,
-    arXiv:1507.01941).  There the initial covariance t sigma0 t is exactly
-    the identity, so with T = t on the pair columns and 1 elsewhere the
-    state is M(h) M(h)^T for M(h) = t S(h) T^-1 = A0 + h A1 (+ h^2 A2):
-    A0 is the identity on the pair columns, A1 = t S1 T^-1, and
-    A2 = t S2 t^-1 on the pair columns.  The orders are stacked and their
-    Gram matrix is formed once, so each state is the 4x4 sum over i, j of
-    h^(i+j) A_i A_j^T.  Nothing passes through the squeezed frame, whose
-    entries reach e^{2r}.
+    e^{-2r}, e^{2r}, e^{-2r}).  The symplectic un-squeezing
+    t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}) takes it to the identity and
+    changes no fidelity and no QFI (Banchi, Braunstein and Pirandola,
+    arXiv:1507.01941).  With T = t on the pair columns and 1 elsewhere, the
+    state of modes (k, k') is then M(h) M(h)^T for
+    M(h) = t S(h) T^-1 = A0 + h A1 (+ h^2 A2).  orders stacks those
+    (4, 2N) orders, read-only: A0 is the identity on the pair columns,
+    A1 = t S1 T^-1, and A2 = t S2 t^-1 on the pair columns when the series
+    has a second order.  pair holds the four pair columns
+    (pair_columns(k, kprime)).  Entries that overflow float64 (they grow as
+    e^{2r}) are kept as they come; each reader raises NumericError on them.
+    """
 
-    The map is built for the QFI ladder (metrology.qfi_numeric), which
-    evaluates a handful of states of one point.  A state whose covariance
-    or Gram blocks overflow float64 (the blocks grow as e^{4r}) raises
-    NumericError.
+    r: float
+    pair: tuple
+    orders: np.ndarray
+
+
+def unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: int) -> UnsqueezedRows:
+    """Rows k, k' of the series un-squeezed by r, from one pair_rows call.
+
+    A mode pair outside the series' truncation raises ValueError.
     """
     s1, s2 = pair_rows(series, k, kprime)
     pair = pair_columns(k, kprime)
-    q = 2 if s2 is None else 3
-    stacked = np.zeros((q, 4, s1.shape[1]))
+    stacked = np.zeros((2 if s2 is None else 3, 4, s1.shape[1]))
     stacked[0][:, pair] = np.eye(4)
     stacked[1] = s1
     if s2 is not None:
@@ -170,8 +176,25 @@ def unsqueezed_state_map(series: BogoliubovSeries, r: float, k: int, kprime: int
         t = np.exp([-r, r, -r, r])
         cols = np.ones(s1.shape[1])
         cols[pair] = t
-        rows = (stacked * t[:, None] / cols).reshape(4 * q, -1)
-        blocks = (rows @ rows.T).reshape(q, 4, q, 4)
+        orders = stacked * t[:, None] / cols
+    orders.setflags(write=False)
+    return UnsqueezedRows(r, tuple(pair), orders)
+
+
+def unsqueezed_state_map(rows: UnsqueezedRows):
+    """h -> the state of modes (k, k') in the un-squeezed frame, built once.
+
+    The state is M(h) M(h)^T for the orders A_i of ``rows``; their Gram
+    matrix is formed once, so each state is the 4x4 sum over i, j of
+    h^(i+j) A_i A_j^T, and at h = 0 a cavity state is exactly the identity.
+    The map serves the QFI ladder (metrology.qfi_numeric), which evaluates
+    a handful of states of one point.  A state whose covariance or Gram
+    blocks overflow float64 (the blocks grow as e^{4r}) raises NumericError.
+    """
+    q = len(rows.orders)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = rows.orders.reshape(4 * q, -1)
+        blocks = (flat @ flat.T).reshape(q, 4, q, 4)
         # the coefficient of h^p sums the Gram blocks (i, j) with i + j = p;
         # it is symmetrized here, once, so that every state is exactly
         # symmetric

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bogoliubov import transform_reduced, unsqueezed_state_map
+from .bogoliubov import transform_reduced, unsqueezed_rows, unsqueezed_state_map
 from .cavity import (
     CavityScenario,
     acceleration_from_h,
@@ -168,27 +168,23 @@ def scenario_from_config(cfg, nmax_override=None):
 def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     """Full single-point evaluation: series, QFI, bounds.
 
-    The QFI is the matrix-form H0 of qfi_analytic_h0 at the scenario
-    squeezing, computed straight from the interaction-picture series with
-    no fitted inputs.  "tail_estimate" is the share of H0 carried by the
-    modes above n_max // 2 (nan when n_max // 2 does not cover the pair),
-    from the same one sum.  With want_numeric and H0 > 0, the
-    fidelity-ladder QFI of the same point is added as "qfi_numeric"; its
-    numeric failures propagate.  At H0 <= 0 no ladder runs: there is no
-    information to cross-check.  The ladder runs in the un-squeezed frame of
-    bogoliubov.unsqueezed_state_map: every state is mapped by
-    t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}), which takes the h = 0 state to
-    the vacuum.  t is symplectic, so the fidelities are unchanged (Banchi,
-    Braunstein and Pirandola, arXiv:1507.01941), and near the vacuum they
-    take the float64 path; with the pilot's growth test in qfi_numeric,
-    none takes the mpmath path.  The map forms the Gram matrix of the
-    un-squeezed pair rows once per point, so each ladder state is a 4x4 sum
-    and no reduced transform runs.  Returns a plain dict of floats.
+    Rows k and k' of the interaction-picture series are taken once, in the
+    frame where the squeezed initial state is the vacuum
+    (bogoliubov.unsqueezed_rows), and both QFI routes read them.  The QFI
+    is their matrix-form H0 (qfi_analytic_h0), with no fitted inputs.
+    "tail_estimate" is the share of H0 carried by the modes above
+    n_max // 2 (nan when n_max // 2 does not cover the pair), from the same
+    one sum.  With want_numeric and H0 > 0, the fidelity-ladder QFI of the
+    same point is added as "qfi_numeric"; its numeric failures propagate.
+    At H0 <= 0 no ladder runs: there is no information to cross-check.  The
+    ladder steps the states of bogoliubov.unsqueezed_state_map, which sit
+    near the vacuum, so their fidelities take the float64 path; with the
+    pilot's growth test in qfi_numeric, none takes the mpmath path, and no
+    reduced transform runs.  Returns a plain dict of floats.
     """
     series = build_scenario_series(scenario)
-    h0 = qfi_analytic_h0(
-        series, scenario.squeezing, scenario.k, scenario.kprime, return_diagnostics=True
-    )
+    rows = unsqueezed_rows(series, scenario.squeezing, scenario.k, scenario.kprime)
+    h0 = qfi_analytic_h0(rows)
     qfi = h0.value
     out = {
         "tau_s": scenario.tau,
@@ -197,8 +193,7 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
         "tail_estimate": h0.truncation_change,
     }
     if want_numeric and qfi > 0.0:
-        state_at = unsqueezed_state_map(series, scenario.squeezing, scenario.k, scenario.kprime)
-        out["qfi_numeric"] = qfi_numeric(state_at, 0.0)
+        out["qfi_numeric"] = qfi_numeric(unsqueezed_state_map(rows), 0.0)
     h_probe = None
     if scenario.a_probe is not None:
         h_probe = h_from_acceleration(scenario.a_probe, scenario)

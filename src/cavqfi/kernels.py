@@ -13,9 +13,9 @@ Kernels:
     kernel is about 80% of it at n_max 1000,
   * ``reduced_transform``: the reduced two-mode covariance transform, two
     matrix products on the (4, 2N) block rows k, k' of S(h), behind
-    bogoliubov.transform_reduced (``cavqfi fidelity`` and outside callers;
-    the ``cavqfi qfi`` ladder never calls it: it steps
-    bogoliubov.unsqueezed_state_map),
+    bogoliubov.transform_reduced (``cavqfi fidelity`` and outside callers).
+    No QFI route calls it: H0 and the ``cavqfi qfi`` ladder both read the
+    un-squeezed pair rows of bogoliubov.unsqueezed_rows,
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
     coefficient pairs, which builds the block rows of bogoliubov.pair_rows.
 

@@ -16,19 +16,20 @@ and one complex, with the values of four separate calls.
 These and the ladder's step and plateau targets are the fixed tolerances of
 policy.DEFAULT_POLICY.
 
-The QFI comes in two independent routes.  Production uses the matrix form
-qfi_analytic_h0: H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 for the transformed
-covariance sigma(h) = P + h V + h^2 W, built from rows k and k' of the series
-in the frame where P is diagonal, with no fitted inputs.  H0 is a sum of
-per-column terms, so the same sum also measures how much of H0 the modes
-above a halved truncation carry.  The finite-difference
-step ladder on the fidelity with Richardson extrapolation (qfi_numeric) is the
+The QFI comes in two independent routes, and both read one input per point:
+rows k and k' of the interaction-picture series in the frame where the
+initial state is the vacuum (bogoliubov.UnsqueezedRows).  Production uses
+the matrix form qfi_analytic_h0: H0 = tr C2 - tr(C1^2) / 4 for the
+transformed covariance I + h C1 + h^2 C2, with no fitted inputs.  H0 is a
+sum of per-column terms, so the same sum also measures how much of H0 the
+modes above a halved truncation carry.  The finite-difference step ladder
+on the fidelity with Richardson extrapolation (qfi_numeric) is the
 independent cross-check: ``cavqfi qfi`` reports both, and the test suite
-compares them.  ``cavqfi qfi`` feeds the ladder un-squeezed states of the
-interaction-picture series (bogoliubov.unsqueezed_state_map, one Gram
-matrix per point), which sit near the vacuum, and the ladder's pilot
-shrinks a step whose state has grown past extended_precision_above without
-taking its fidelity, so every fidelity stays on the float64 path.
+compares them.  ``cavqfi qfi`` feeds the ladder the states of
+bogoliubov.unsqueezed_state_map (one Gram matrix per point), which sit
+near the vacuum, and the ladder's pilot shrinks a step whose state has
+grown past extended_precision_above without taking its fidelity, so every
+fidelity stays on the float64 path.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .bogoliubov import BogoliubovSeries, pair_columns, pair_rows
+from .bogoliubov import UnsqueezedRows
 from .errors import (
     ConditioningError,
     NoInformationError,
@@ -286,79 +287,52 @@ class H0Result:
     truncation_change: float
 
 
-def qfi_analytic_h0(
-    series: BogoliubovSeries,
-    r: float,
-    k: int,
-    kprime: int,
-    return_diagnostics: bool = False,
-):
-    """Leading-order QFI H0 = tr(P^-1 W) - tr((P^-1 V)^2) / 4 in matrix form.
+def qfi_analytic_h0(rows: UnsqueezedRows) -> H0Result:
+    """Leading-order QFI H0 of modes (k, k'), in matrix form, from their un-squeezed rows.
 
-    Both modes start squeezed by r; sigma(h) = P + h V + h^2 W is the
-    covariance of modes (k, k') under the series, built from rows k and k'
-    of its coefficient matrices (Gaussian QFI from sigma and its
+    In the frame of ``rows`` the initial state is the vacuum, so the
+    transformed covariance is the unit polynomial I + h C1 + h^2 C2, and
+    H0 = tr C2 - tr(C1^2) / 4 (Gaussian QFI from sigma and its
     derivatives: Monras, arXiv:1303.3682; Safranek, Lee and Fuentes,
-    arXiv:1502.07924).
+    arXiv:1502.07924).  With the orders A1 (and A2) of ``rows``,
+    C1 = A1[:, pair] + A1[:, pair]^T and tr C2 = sum A1^2 (+ 2 tr A2), so
+      H0 = sum A1^2 - ||A1[:, pair] + A1[:, pair]^T||_F^2 / 4 (+ 2 tr A2).
+    Nothing inverts a squeezed covariance: at r = 10 its entries reach
+    e^{20} and their roundoff alone exceeds its smallest eigenvalue e^{-20}.
 
-    The rows come from bogoliubov.pair_rows, S(h) = 1 + h S1 (+ h^2 S2 on
-    the pair columns).  The series is in the interaction picture, so P is
-    exactly D = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}); the lab frame
-    differs by a fixed rotation of each mode, which leaves H0 unchanged.
-    With M1 = S1[:, pair] D,
-      V = M1 + M1^T,
-      W_ii = sum_c S1_ic^2 w_c + 2 S2_ii D_i,
-    where w_c is the initial variance of column c (D on the columns of k and
-    k', vacuum 1 elsewhere).  H0 reads only that diagonal of W, so
-      H0 = sum_ic S1_ic^2 w_c / D_i - (1/4) sum_ij V_ij^2 / (D_i D_j) + 2 tr(S2).
-    Nothing inverts a lab-frame P: at r = 10 its entries reach e^{20} and
-    their roundoff alone exceeds its smallest eigenvalue e^{-20}.
-
-    With return_diagnostics, an H0Result also carries the truncation change
-    (H0(n_max) - H0(n_max // 2)) / H0: the per-column terms of modes above
-    n_max // 2, whose partial sum is exactly what the halved truncation
-    drops.  It is nan when n_max // 2 does not cover the pair and 0.0 when
-    H0 is zero.  A mode pair outside the series' truncation raises
-    ValueError (from pair_rows); a squeezing whose terms overflow float64
-    raises NumericError.
-
-    H0 is the column-term sum A less the V term B/4, both non-negative (plus
-    2 tr(S2) when the series has a second order).  When |H0| is within
-    their float64 rounding bound 2N eps (A + B/4 + |2 tr(S2)|), for N the
-    series' n_modes, the difference is a cancellation residue and H0 is
-    returned as 0.0: no information, not a tiny QFI of either sign.
+    H0 is the column sum A = sum A1^2 less the C1 term B/4, both
+    non-negative (plus 2 tr A2).  When |H0| is within their float64
+    rounding bound 2N eps (A + B/4 + |2 tr A2|), for N modes (rows 2N wide),
+    the difference is a cancellation residue and H0 is 0.0: no information,
+    not a tiny QFI of either sign.  The truncation change
+    (H0(N) - H0(N // 2)) / H0 is the partial sum of A1^2 over the modes
+    above N // 2, which is exactly what the halved truncation drops; it is
+    nan when N // 2 does not cover the pair and 0.0 when H0 is zero.  Sums
+    that overflow float64 (they grow as e^{4|r|}) raise NumericError.
     """
-    n = series.n_modes
-    s1, s2 = pair_rows(series, k, kprime)
-    pair = pair_columns(k, kprime)
-    try:
-        # the terms grow as e^{4|r|}: at the reference point they leave
-        # float64 near r = 174, and math.exp itself at r = 355
-        with np.errstate(over="raise", invalid="raise"):
-            d = np.array([math.exp(2.0 * r), math.exp(-2.0 * r)] * 2)
-            weight = np.ones(2 * n)
-            weight[pair] = d
-            terms = s1 * s1 * weight / d[:, None]
-            m1 = s1[:, pair] * d
-            v = m1 + m1.T
-            column_sum = terms.sum()
-            v_term = 0.25 * np.sum(v * v / np.outer(d, d))
-            value = column_sum - v_term
-            # 2n eps of their size bounds the rounding of the two sums (numpy
-            # sums pairwise); an H0 inside it is a cancellation residue
-            rounding = 2 * n * _EPS
-            bound = rounding * column_sum + rounding * v_term
-            if s2 is not None:
-                second = 2.0 * np.trace(s2)
-                value += second
-                bound += rounding * abs(second)
-    except (OverflowError, FloatingPointError):
-        raise NumericError(f"H0 overflows float64 at squeezing r = {r}") from None
+    a1 = rows.orders[1]
+    pair = rows.pair
+    n = a1.shape[1] // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = a1 * a1
+        column_sum = terms.sum()
+        c1 = a1[:, pair] + a1[:, pair].T
+        c1_term = 0.25 * np.sum(c1 * c1)
+        value = column_sum - c1_term
+        # 2N eps of their size bounds the rounding of the two sums (numpy
+        # sums pairwise); an H0 inside it is a cancellation residue
+        rounding = 2 * n * _EPS
+        bound = rounding * column_sum + rounding * c1_term
+        if len(rows.orders) == 3:
+            second = 2.0 * np.trace(rows.orders[2][:, pair])
+            value += second
+            bound += rounding * abs(second)
+    # at the reference point the sums leave float64 near r = 205
+    if not math.isfinite(bound):
+        raise NumericError(f"H0 overflows float64 at squeezing r = {rows.r}")
     value = 0.0 if abs(value) <= bound else float(value)
-    if not return_diagnostics:
-        return value
     half = n // 2
-    if half < max(k, kprime):
+    if max(pair) >= 2 * half:
         change = math.nan
     elif value == 0.0:
         change = 0.0
@@ -393,13 +367,17 @@ def cramer_rao(
 
     When the probe amplitude h is supplied, the result carries the
     perturbative validity margin H * h^2, and the flag that it stays below
-    validity_threshold (1e-2).
+    validity_threshold (1e-2).  An N * H that overflows float64 raises
+    NumericError, not a bound of zero.
     """
     if qfi <= 0.0:
         raise NoInformationError("QFI must be positive for a Cramer-Rao bound")
     if n_measurements < 1:
         raise ValueError("n_measurements must be >= 1")
-    delta_h = 1.0 / math.sqrt(n_measurements * qfi)
+    information = n_measurements * qfi
+    if math.isinf(information):
+        raise NumericError(f"N * QFI = {n_measurements:.3e} * {qfi:.3e} overflows float64")
+    delta_h = 1.0 / math.sqrt(information)
     delta_a = delta_h * sound_speed**2 / length
     if h is None:
         return EstimationResult(qfi, True, delta_h, delta_a, n_measurements, None)

@@ -19,6 +19,7 @@ from cavqfi import (
     qfi_analytic_h0,
     qfi_numeric,
     transform_reduced,
+    unsqueezed_rows,
 )
 from cavqfi import kernels
 from cavqfi.cli import evaluate_scenario, main
@@ -153,7 +154,7 @@ def test_criterion_4_analytic_numeric_cross_validation():
             numeric = qfi_numeric(
                 lambda h: transform_reduced(init, series, h, 1, 2), 0.0
             )
-            analytic = qfi_analytic_h0(series, r, 1, 2)
+            analytic = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
             rel = abs(analytic - numeric) / abs(numeric)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavqfi import CavityScenario, cli, kernels, metrology
+from cavqfi import CavityScenario, bogoliubov, cli, kernels, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
@@ -187,6 +187,41 @@ def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
     assert calls == {"reduced_transform": 0, "fidelity_two_mode": 4}
 
 
+def count_pair_rows(monkeypatch):
+    """A list that grows by one per bogoliubov.pair_rows call, through any module that binds it."""
+    calls = []
+    original = bogoliubov.pair_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (bogoliubov, metrology, cli):
+        if getattr(module, "pair_rows", None) is original:
+            monkeypatch.setattr(module, "pair_rows", counted)
+    return calls
+
+
+def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
+    # H0 and the qfi ladder read one un-squeezed pair-row value per point
+    calls = count_pair_rows(monkeypatch)
+    assert main(["qfi"]) == 0
+    assert len(calls) == 1
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": {"n_max": 30},
+            "sweep": {"parameter": "tau", "start": 0.5, "stop": 2.0, "count": 3},
+        },
+    )
+    for command, points in (("figure2", 9), ("sweep", 3)):
+        calls.clear()
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == points + 1
+        assert len(calls) == points
+
+
 def test_readme_qfi_sample_matches_cli(capsys):
     # every line of the README's `cavqfi qfi` sample, in order, is a line
     # of the reference call's output
@@ -203,7 +238,7 @@ def test_readme_qfi_sample_matches_cli(capsys):
 @pytest.mark.parametrize(
     "command, payload",
     [
-        ("qfi", {"scenario": {"squeezing_r": 180.0}}),
+        ("qfi", {"scenario": {"squeezing_r": 210.0}}),
         ("qfi", {"scenario": {"squeezing_r": 200.0}}),
         ("qfi", {"scenario": {"squeezing_r": 400.0}}),
         ("sweep", {"sweep": {"parameter": "r", "start": 300.0, "stop": 400.0, "count": 3}}),
@@ -213,10 +248,12 @@ def test_readme_qfi_sample_matches_cli(capsys):
 )
 def test_squeezing_overflow_exit_one(tmp_path, capsys, command, payload):
     # a finite squeezing whose H0 terms (~e^{4r}) overflow float64 is a
-    # numeric failure, not a traceback; at r = 180 numpy's overflow warning
-    # comes first, and the suite turns warnings into errors.  fidelity reads
-    # no H0: there the squeezed variance e^{2r} (r = 400) or the transformed
-    # covariance (r = 354) overflows, which printed a fidelity of nan
+    # numeric failure, not a traceback; at r = 210 numpy's overflow warning
+    # comes first, and the suite turns warnings into errors.  At r = 200 H0
+    # is finite (3.5e298) but N * H0 overflows: a failure, not a bound of
+    # zero.  fidelity reads no H0: there the squeezed variance e^{2r}
+    # (r = 400) or the transformed covariance (r = 354) overflows, which
+    # printed a fidelity of nan
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg]) == 1
     captured = capsys.readouterr()

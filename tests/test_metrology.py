@@ -16,11 +16,12 @@ from cavqfi import (
     qfi_analytic_h0,
     qfi_numeric,
     transform_reduced,
+    unsqueezed_rows,
 )
 from cavqfi.bogoliubov import unsqueezed_state_map
 from cavqfi.cavity import free_phases
 from cavqfi import metrology
-from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError
+from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError, NumericError
 from conftest import canonical_series, random_physical_two_mode, random_symplectic
 from oracles import (
     mach_zehnder_bound,
@@ -180,7 +181,7 @@ def test_fidelity_float_stacked_matches_separate_determinants(rng):
     states = [vacuum(2), initial_product_squeezed(1.3, -0.4), initial_product_squeezed(4.5, 4.5)]
     states += [random_physical_two_mode(rng, mixed=bool(i % 2)) for i in range(40)]
     series = build_scenario_series(CavityScenario(squeezing=10.0, n_max=20))
-    state_at = unsqueezed_state_map(series, 10.0, 1, 2)
+    state_at = unsqueezed_state_map(unsqueezed_rows(series, 10.0, 1, 2))
     states += [state_at(h) for h in (0.0, 1e-11, 3e-11)]
     for s1 in states:
         for s2 in states:
@@ -223,7 +224,7 @@ def test_interaction_and_lab_frames_agree(r, tau):
     # apply the lab-frame phases G_m = e^{-i w_m tau} explicitly
     sc, series = scenario_series(tau=tau, squeezing=r)
     phases = free_phases(sc)
-    h0 = qfi_analytic_h0(series, r, 1, 2)
+    h0 = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
     lab_h0 = mp_matrix_form_h0(series, r, 1, 2, phases=phases)
     assert abs(h0 - lab_h0) <= 1e-12 * lab_h0
     init = initial_product_squeezed(r, r)
@@ -377,10 +378,10 @@ def test_qfi_numeric_no_plateau_carries_ladder(rng):
 
 
 def test_analytic_zero_series_is_zero():
-    assert qfi_analytic_h0(trivial_series(4), 0.0, 1, 2) == 0.0
-    assert qfi_analytic_h0(trivial_series(4), 2.0, 1, 2) == 0.0
+    assert qfi_analytic_h0(unsqueezed_rows(trivial_series(4), 0.0, 1, 2)).value == 0.0
+    assert qfi_analytic_h0(unsqueezed_rows(trivial_series(4), 2.0, 1, 2)).value == 0.0
     # a zero H0 reports a zero truncation change, not 0/0
-    zero = qfi_analytic_h0(trivial_series(4), 2.0, 1, 2, return_diagnostics=True)
+    zero = qfi_analytic_h0(unsqueezed_rows(trivial_series(4), 2.0, 1, 2))
     assert zero == H0Result(0.0, 0.0)
 
 
@@ -392,9 +393,9 @@ def test_analytic_cancellation_residue_is_zero():
     for r in (0.0, 2.0, 10.0):
         for tau in np.linspace(0.05, 3.0, 60):
             residue = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=3))
-            assert qfi_analytic_h0(residue, r, 1, 2) == 0.0
+            assert qfi_analytic_h0(unsqueezed_rows(residue, r, 1, 2)).value == 0.0
             covered = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=4))
-            assert qfi_analytic_h0(covered, r, 1, 2) > 0.0
+            assert qfi_analytic_h0(unsqueezed_rows(covered, r, 1, 2)).value > 0.0
 
 
 def test_analytic_r0_reduction(rng):
@@ -407,7 +408,7 @@ def test_analytic_r0_reduction(rng):
         np.sum(np.abs(mat[2:, col]) ** 2) for mat in (series.alpha1, series.beta1) for col in (0, 1)
     )
     expected = 2.0 * f_sums + 4.0 * abs(series.alpha1[0, 1]) ** 2
-    got = qfi_analytic_h0(series, 0.0, 1, 2)
+    got = qfi_analytic_h0(unsqueezed_rows(series, 0.0, 1, 2)).value
     assert got == pytest.approx(expected, rel=1e-10)
     numeric = qfi_numeric(
         lambda h: transform_reduced(initial_product_squeezed(0, 0), series, h, 1, 2), 0.0
@@ -420,24 +421,25 @@ def test_analytic_matches_numeric(rng):
     for r in (0.0, 0.6, 1.4):
         init = initial_product_squeezed(r, r)
         numeric = qfi_numeric(lambda h: transform_reduced(init, series, h, 1, 2), 0.0)
-        analytic = qfi_analytic_h0(series, r, 1, 2)
+        analytic = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
         assert analytic == pytest.approx(numeric, rel=1e-5)
 
 
 def test_analytic_range_check(rng):
-    # the mode pair is checked where its rows are taken (bogoliubov.pair_rows)
+    # the mode pair is checked where its rows are taken, once per point
+    # (bogoliubov.unsqueezed_rows, through pair_rows)
     series = canonical_series(rng, 3)
     with pytest.raises(ValueError, match="outside truncation range"):
-        qfi_analytic_h0(series, 1.0, 1, 5)
+        unsqueezed_rows(series, 1.0, 1, 5)
     with pytest.raises(ValueError, match="must differ"):
-        qfi_analytic_h0(series, 1.0, 2, 2)
+        unsqueezed_rows(series, 1.0, 2, 2)
 
 
 def test_analytic_symmetric_under_pair_swap(rng):
     series = canonical_series(rng, 6)
     for r in (0.0, 0.9):
-        forward = qfi_analytic_h0(series, r, 1, 2)
-        swapped = qfi_analytic_h0(series, r, 2, 1)
+        forward = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
+        swapped = qfi_analytic_h0(unsqueezed_rows(series, r, 2, 1)).value
         assert swapped == pytest.approx(forward, rel=1e-12)
 
 
@@ -494,28 +496,61 @@ def mp_matrix_form_h0(series, r, k, kprime, phases=None, dps=60):
         return sum(pw[i, i] for i in range(4)) - sum((x * x)[i, i] for i in range(4)) / 4
 
 
+def mp_point(r, tau, pinned=None, pinned_rel=None, pair=(1, 2), n_max=50):
+    """A point of the 60-digit comparison; off the reference pair and truncation the id names them."""
+    parts = [r, tau, pinned, pinned_rel]
+    if (pair, n_max) != ((1, 2), 50):
+        parts += [f"pair{pair[0]}{pair[1]}", f"nmax{n_max}"]
+    return pytest.param(r, tau, pinned, pinned_rel, pair, n_max, id="-".join(map(str, parts)))
+
+
 @pytest.mark.parametrize(
-    "r, tau, pinned, pinned_rel",
+    "r, tau, pinned, pinned_rel, pair, n_max",
     [
-        (10.0, 30.0, 7.646724067264e15, 1e-12),  # reference point, on the round-trip lattice
-        (10.0, 2.00013, 7.7147772197e14, 1e-10),
-        (10.0, 17.8869724053911, None, None),
-        (2.0, 10.293056712267909, None, None),
+        mp_point(10.0, 30.0, 7.646724067264e15, 1e-12),  # reference point, on the round-trip lattice
+        mp_point(10.0, 2.00013, 7.7147772197e14, 1e-10),
+        mp_point(10.0, 17.8869724053911),
+        mp_point(2.0, 10.293056712267909),
+        # a pair away from the first modes, whose resonant partners 15 and 18
+        # the truncation covers, at r = 2 and at r = 0
+        mp_point(2.0, 17.8869724053911, pair=(4, 7), n_max=20),
+        mp_point(0.0, 10.293056712267909, pair=(4, 7), n_max=20),
+        # negative squeezing swaps the roles of x and p
+        mp_point(-1.3, 2.00013),
     ],
 )
-def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel):
+def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel, pair, n_max):
     # off the lattice at r = 10, float64 routes through a lab-frame P fail
-    # (P's roundoff exceeds its e^{-2r} eigenvalue); the interaction-frame
-    # form must still match the extended-precision evaluation, in its own
-    # frame and in the lab frame
-    sc, series = scenario_series(tau=tau, squeezing=r)
-    exact = mp_matrix_form_h0(series, r, 1, 2)
-    got = qfi_analytic_h0(series, r, 1, 2)
+    # (P's roundoff exceeds its e^{-2r} eigenvalue); the un-squeezed form
+    # must still match the extended-precision evaluation, in the
+    # interaction picture and in the lab frame
+    k, kp = pair
+    sc, series = scenario_series(tau=tau, squeezing=r, k=k, kprime=kp, n_max=n_max)
+    exact = mp_matrix_form_h0(series, r, k, kp)
+    got = qfi_analytic_h0(unsqueezed_rows(series, r, k, kp)).value
     assert abs(got - exact) <= 1e-12 * abs(exact)
-    lab_exact = mp_matrix_form_h0(series, r, 1, 2, phases=free_phases(sc))
+    lab_exact = mp_matrix_form_h0(series, r, k, kp, phases=free_phases(sc))
     assert abs(got - lab_exact) <= 1e-12 * abs(lab_exact)
     if pinned is not None:
         assert abs(float(exact) - pinned) <= pinned_rel * pinned
+
+
+@pytest.mark.parametrize("n_max", [3, 8])
+def test_analytic_within_rounding_bound_of_mpmath(n_max):
+    # every H0 is within its own rounding bound 2N eps (A + B/4) of the
+    # 60-digit evaluation of the same float64 series: A is the column sum
+    # and B/4 the C1 term that it cancels against; at n_max 3 they cancel
+    # to a residue that H0 reports as zero
+    eps = np.finfo(float).eps
+    for r in (0.0, 0.5, 2.0, 5.0, 10.0):
+        for tau in (30.0, 200.0, 2.00013, 10.293056712267909, 17.8869724053911):
+            _, series = scenario_series(tau=tau, squeezing=r, n_max=n_max)
+            rows = unsqueezed_rows(series, r, 1, 2)
+            a1 = rows.orders[1]
+            c1 = a1[:, rows.pair] + a1[:, rows.pair].T
+            bound = 2 * n_max * eps * (np.sum(a1 * a1) + np.sum(c1 * c1) / 4)
+            exact = float(mp_matrix_form_h0(series, r, 1, 2))
+            assert abs(qfi_analytic_h0(rows).value - exact) <= bound, (r, tau)
 
 
 def test_analytic_second_order_passive_mixer_on_vacuum(rng):
@@ -528,12 +563,13 @@ def test_analytic_second_order_passive_mixer_on_vacuum(rng):
     zeros = np.zeros_like(canon.beta1)
     first_order = BogoliubovSeries(6, canon.alpha1, zeros)
     for k, kp in ((1, 2), (5, 3)):
-        scale = qfi_analytic_h0(first_order, 0.0, k, kp)
+        scale = qfi_analytic_h0(unsqueezed_rows(first_order, 0.0, k, kp)).value
         assert scale > 1.0
         for _ in range(3):
             completion = -0.5 * np.sum(np.abs(canon.alpha1) ** 2, axis=1) + 1j * rng.normal(size=6)
             completed = BogoliubovSeries(6, canon.alpha1, zeros, alpha2=completion)
-            assert abs(qfi_analytic_h0(completed, 0.0, k, kp)) <= 1e-14 * scale
+            got = qfi_analytic_h0(unsqueezed_rows(completed, 0.0, k, kp)).value
+            assert abs(got) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
@@ -542,9 +578,8 @@ def test_truncation_change_matches_halved_build(r):
     # partial sum over the upper columns is exactly H0(n_max) - H0(n_max // 2)
     _, full = scenario_series(tau=2.00013, squeezing=r, n_max=50)
     _, half = scenario_series(tau=2.00013, squeezing=r, n_max=25)
-    res = qfi_analytic_h0(full, r, 1, 2, return_diagnostics=True)
-    assert res.value == qfi_analytic_h0(full, r, 1, 2)
-    dropped = res.value - qfi_analytic_h0(half, r, 1, 2)
+    res = qfi_analytic_h0(unsqueezed_rows(full, r, 1, 2))
+    dropped = res.value - qfi_analytic_h0(unsqueezed_rows(half, r, 1, 2)).value
     assert res.truncation_change > 0.0
     assert abs(res.truncation_change * res.value - dropped) <= 4 * np.finfo(float).eps * res.value
 
@@ -555,8 +590,8 @@ def test_truncation_change_matches_halved_build(r):
 def test_truncation_change_bounds_doubling(r, tau):
     _, s50 = scenario_series(tau=tau, squeezing=r, n_max=50)
     _, s100 = scenario_series(tau=tau, squeezing=r, n_max=100)
-    res = qfi_analytic_h0(s50, r, 1, 2, return_diagnostics=True)
-    h100 = qfi_analytic_h0(s100, r, 1, 2)
+    res = qfi_analytic_h0(unsqueezed_rows(s50, r, 1, 2))
+    h100 = qfi_analytic_h0(unsqueezed_rows(s100, r, 1, 2)).value
     assert abs(h100 - res.value) / res.value <= res.truncation_change
 
 
@@ -623,6 +658,13 @@ def test_cramer_rao_rejects_nonpositive_qfi():
         cramer_rao(0.0, 10, 1e-6, 1e-3)
     with pytest.raises(NoInformationError):
         cramer_rao(-5.0, 10, 1e-6, 1e-3)
+
+
+def test_cramer_rao_refuses_overflowing_information():
+    # N * H beyond float64 would make Delta h = 1 / sqrt(inf) a bound of zero
+    with pytest.raises(NumericError, match="overflows float64"):
+        cramer_rao(3.5e298, 1e11, 1e-6, 1e-3)
+    assert cramer_rao(1e297, 1e11, 1e-6, 1e-3).delta_h == 1.0 / math.sqrt(1e308)
 
 
 def test_cramer_rao_validity_flag():

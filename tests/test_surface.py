@@ -4,7 +4,8 @@ Reference implementations that only the tests read live in tests/oracles.py.
 This guard parses src/cavqfi and follows references from ``cli.main``, from
 every module-level statement, and from every name perfbench/ mentions; a
 top-level def or class that none of them reaches fails it, and so does a
-module-level constant that neither the package nor perfbench/ reads.
+module-level constant that neither the package nor perfbench/ reads, or an
+imported name that its module never reads.
 """
 
 import ast
@@ -140,3 +141,28 @@ def unread_constants():
 
 def test_every_constant_is_read():
     assert unread_constants() == []
+
+
+def unused_imports():
+    """(module, name) for each name a package module imports and never reads.
+
+    ``__init__.py`` is exempt: its imports are the package's exports.
+    """
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in sorted(imported - read)]
+    return unused
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
