@@ -1,20 +1,20 @@
-"""Bogoliubov coefficients and the reduced state transform.
+"""Bogoliubov series and the reduced two-mode state.
 
 A transformation is held as a perturbative series in the dimensionless
 drive amplitude h, in the interaction picture (BogoliubovSeries):
-alpha(h) = 1 + h alpha1 (+ h^2 diag(alpha2)), beta(h) = h beta1;
-evaluate_series gives the coefficient matrices at one h
-(BogoliubovCoefficients).
+alpha(h) = 1 + h alpha1 (+ h^2 diag(alpha2)), beta(h) = h beta1.
 
-Rows k and k' of the real symplectic matrix S(h) have one block form,
-``pair_rows``: S(h) = 1 + h S1 (+ h^2 S2 on the pair columns).
-``transform_reduced`` maps a two-mode initial state embedded in an
-otherwise-vacuum field to the covariance of modes k, k' from those rows
-alone, never forming the full 2N x 2N matrix.  The QFI reads the rows in
-one frame, where the squeezed initial state is the vacuum:
-``unsqueezed_rows`` maps them there once per point, and both the
-matrix-form QFI (metrology.qfi_analytic_h0) and the QFI ladder's states
-(``unsqueezed_state_map``) read that one value.
+Every two-mode state is built one way, from rows k and k' of the real
+symplectic matrix S(h) = 1 + h S1 (+ h^2 S2 on the pair columns), never
+from the full 2N x 2N matrix.  ``unsqueezed_rows`` takes those rows order
+by order, mapped by the un-squeezing of a squeezing r, once per point;
+``unsqueezed_state_map`` forms their Gram matrix once, with the vacuum on
+the spectator columns and a given covariance on the pair columns, and
+gives each state as a 4x4 sum.  The QFI reads the rows in the frame where
+the squeezed initial state is the vacuum: the matrix-form QFI
+(metrology.qfi_analytic_h0) and the QFI ladder's states read that one
+value.  ``transform_reduced`` is the r = 0 case: the state of modes k, k'
+after the series, for any two-mode initial covariance.
 """
 
 from __future__ import annotations
@@ -46,22 +46,8 @@ def _frozen(arr, dtype):
     return arr
 
 
-@dataclasses.dataclass(frozen=True)
-class BogoliubovCoefficients:
-    """Exact or series-evaluated coefficient matrices over a truncated mode set."""
-
-    n_modes: int
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=complex)
-        beta = np.asarray(self.beta, dtype=complex)
-        n = self.n_modes
-        if alpha.shape != (n, n) or beta.shape != (n, n):
-            raise ValueError(f"alpha and beta must be {n}x{n}")
-        object.__setattr__(self, "alpha", _frozen(alpha, complex))
-        object.__setattr__(self, "beta", _frozen(beta, complex))
+# the two-mode vacuum, the default initial covariance of unsqueezed_state_map
+_VACUUM = _frozen(np.eye(4), float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,16 +82,6 @@ class BogoliubovSeries:
             object.__setattr__(self, "alpha2", _frozen(alpha2, complex))
 
 
-def evaluate_series(series: BogoliubovSeries, h: float) -> BogoliubovCoefficients:
-    """Coefficients at drive amplitude h: 1 + h alpha1 (+ h^2 diag(alpha2)), h beta1."""
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    alpha = np.eye(series.n_modes) + h * series.alpha1
-    if series.alpha2 is not None:
-        alpha[np.diag_indices(series.n_modes)] += h * h * series.alpha2
-    return BogoliubovCoefficients(series.n_modes, alpha, h * series.beta1)
-
-
 def _check_mode_pair(series, k, kprime):
     if k == kprime:
         raise ValueError("k and kprime must differ")
@@ -119,38 +95,25 @@ def pair_columns(k: int, kprime: int) -> list:
     return [2 * k - 2, 2 * k - 1, 2 * kprime - 2, 2 * kprime - 1]
 
 
-def pair_rows(series: BogoliubovSeries, k: int, kprime: int):
-    """Rows k, k' of the series in block form: (S1, S2).
-
-    S(h) = 1 + h S1 (+ h^2 S2 on the pair columns).  S1 is the real (4, 2N)
-    symplectic_blocks of rows k, k' of alpha1 and beta1.  The identity and
-    S2 act on pair_columns(k, kprime) alone: S2 is the 4x4 diagonal block
-    of alpha2_k and alpha2_k' there, or None when the series has no second
-    order.  Rows 0, 1 of each belong to mode k, rows 2, 3 to mode k'.
-    """
-    _check_mode_pair(series, k, kprime)
-    rows = [k - 1, kprime - 1]
-    s1 = kernels.symplectic_blocks(series.alpha1[rows], series.beta1[rows])
-    s2 = None
-    if series.alpha2 is not None:
-        s2 = kernels.symplectic_blocks(np.diag(series.alpha2[rows]), np.zeros((2, 2)))
-    return s1, s2
-
-
 @dataclasses.dataclass(frozen=True)
 class UnsqueezedRows:
     """Rows k, k' of the series in the frame where the initial state is the vacuum.
 
-    Both modes start squeezed by r, covariance sigma0 = diag(e^{2r},
-    e^{-2r}, e^{2r}, e^{-2r}).  The symplectic un-squeezing
-    t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}) takes it to the identity and
-    changes no fidelity and no QFI (Banchi, Braunstein and Pirandola,
-    arXiv:1507.01941).  With T = t on the pair columns and 1 elsewhere, the
-    state of modes (k, k') is then M(h) M(h)^T for
+    Rows k, k' of S(h) are 1 + h S1 (+ h^2 S2 on the pair columns): S1 is
+    the real (4, 2N) kernels.symplectic_blocks of rows k, k' of alpha1 and
+    beta1, and S2 the 4x4 diagonal block of alpha2_k and alpha2_k'; the
+    identity and S2 act on the four pair columns alone.  Rows 0, 1 belong
+    to mode k, rows 2, 3 to mode k'.  Both modes start squeezed by r,
+    covariance sigma0 = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  The
+    symplectic un-squeezing t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}) takes it
+    to the identity and changes no fidelity and no QFI (Banchi, Braunstein
+    and Pirandola, arXiv:1507.01941).  With T = t on the pair columns and 1
+    elsewhere, the state of modes (k, k') is then M(h) M(h)^T for
     M(h) = t S(h) T^-1 = A0 + h A1 (+ h^2 A2).  orders stacks those
     (4, 2N) orders, read-only: A0 is the identity on the pair columns,
     A1 = t S1 T^-1, and A2 = t S2 t^-1 on the pair columns when the series
-    has a second order.  pair holds the four pair columns
+    has a second order.  At r = 0, t and T are exactly 1 and the orders are
+    those of S(h) itself.  pair holds the four pair columns
     (pair_columns(k, kprime)).  Entries that overflow float64 (they grow as
     e^{2r}) are kept as they come; each reader raises NumericError on them.
     """
@@ -161,40 +124,53 @@ class UnsqueezedRows:
 
 
 def unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: int) -> UnsqueezedRows:
-    """Rows k, k' of the series un-squeezed by r, from one pair_rows call.
+    """Rows k, k' of the series un-squeezed by r.
 
     A mode pair outside the series' truncation raises ValueError.
     """
-    s1, s2 = pair_rows(series, k, kprime)
+    _check_mode_pair(series, k, kprime)
+    rows = [k - 1, kprime - 1]
     pair = pair_columns(k, kprime)
-    stacked = np.zeros((2 if s2 is None else 3, 4, s1.shape[1]))
+    stacked = np.zeros((2 if series.alpha2 is None else 3, 4, 2 * series.n_modes))
     stacked[0][:, pair] = np.eye(4)
-    stacked[1] = s1
-    if s2 is not None:
-        stacked[2][:, pair] = s2
+    stacked[1] = kernels.symplectic_blocks(series.alpha1[rows], series.beta1[rows])
+    if series.alpha2 is not None:
+        stacked[2][:, pair] = kernels.symplectic_blocks(
+            np.diag(series.alpha2[rows]), np.zeros((2, 2))
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.exp([-r, r, -r, r])
-        cols = np.ones(s1.shape[1])
+        cols = np.ones(stacked.shape[2])
         cols[pair] = t
         orders = stacked * t[:, None] / cols
     orders.setflags(write=False)
     return UnsqueezedRows(r, tuple(pair), orders)
 
 
-def unsqueezed_state_map(rows: UnsqueezedRows):
-    """h -> the state of modes (k, k') in the un-squeezed frame, built once.
+def unsqueezed_state_map(rows: UnsqueezedRows, sigma0: np.ndarray = _VACUUM):
+    """h -> the state of modes (k, k') in the frame of ``rows``, built once.
 
-    The state is M(h) M(h)^T for the orders A_i of ``rows``; their Gram
-    matrix is formed once, so each state is the 4x4 sum over i, j of
-    h^(i+j) A_i A_j^T, and at h = 0 a cavity state is exactly the identity.
-    The map serves the QFI ladder (metrology.qfi_numeric), which evaluates
-    a handful of states of one point.  A state whose covariance or Gram
-    blocks overflow float64 (the blocks grow as e^{4r}) raises NumericError.
+    sigma0 is the 4x4 covariance of modes (k, k') before the series, in
+    that frame; every other mode starts in the vacuum.  The default, the
+    vacuum, is the squeezed initial state un-squeezed by rows.r.  For the
+    orders A_i of ``rows``, with own_i their four pair columns and spect_i
+    the rest, the Gram block (i, j) is
+    spect_i spect_j^T + own_i sigma0 own_j^T.  It is formed once, so each
+    state is the 4x4 sum over i, j of h^(i+j) times block (i, j), and at
+    h = 0 a state is exactly sigma0 (exactly the identity for a cavity
+    series in the un-squeezed frame).  The QFI ladder
+    (metrology.qfi_numeric) and transform_reduced read it.  A state whose
+    covariance or Gram blocks overflow float64 (the blocks grow as e^{4r})
+    raises NumericError.
     """
     q = len(rows.orders)
+    pair = list(rows.pair)
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = rows.orders.reshape(4 * q, -1)
-        blocks = (flat @ flat.T).reshape(q, 4, q, 4)
+        own = rows.orders[:, :, pair].reshape(4 * q, 4)
+        spect = rows.orders.copy()
+        spect[:, :, pair] = 0.0
+        spect = spect.reshape(4 * q, -1)
+        blocks = (spect @ spect.T + own @ sigma0 @ own.T).reshape(q, 4, q, 4)
         # the coefficient of h^p sums the Gram blocks (i, j) with i + j = p;
         # it is symmetrized here, once, so that every state is exactly
         # symmetric
@@ -223,23 +199,14 @@ def transform_reduced(
     k: int,
     kprime: int,
 ) -> GaussianState:
-    """Fast path: 4x4 covariance of modes (k, kprime) after the series transform.
+    """4x4 covariance of modes (k, kprime) after the series transform.
 
     The initial two-mode state lives on (k, kprime); all other modes start in
-    vacuum.  Only rows k, k' of S(h) are formed, from pair_rows, and
-    kernels.reduced_transform conjugates the initial covariance with them.
-    A covariance that overflows float64 raises NumericError.
+    vacuum.  This is unsqueezed_state_map at r = 0, where the rows are those
+    of S(h) itself, with the initial covariance on the pair columns.
+    A negative h raises ValueError; a covariance or Gram block that
+    overflows float64 raises NumericError.
     """
     if initial.num_modes != 2:
         raise ValueError("initial state must have exactly two modes")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    s1, s2 = pair_rows(series, k, kprime)
-    pair = pair_columns(k, kprime)
-    s = h * s1
-    s[:, pair] += np.eye(4) if s2 is None else np.eye(4) + h * h * s2
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = kernels.reduced_transform(s, pair, initial.cov)
-    if not np.isfinite(cov).all():
-        raise NumericError("transformed covariance overflows float64")
-    return GaussianState(2, cov)
+    return unsqueezed_state_map(unsqueezed_rows(series, 0.0, k, kprime), initial.cov)(h)

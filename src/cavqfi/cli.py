@@ -180,7 +180,8 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     ladder steps the states of bogoliubov.unsqueezed_state_map, which sit
     near the vacuum, so their fidelities take the float64 path; with the
     pilot's growth test in qfi_numeric, none takes the mpmath path, and no
-    reduced transform runs.  Returns a plain dict of floats.
+    lab-frame state (transform_reduced) is formed.  Returns a plain dict of
+    floats.
     """
     series = build_scenario_series(scenario)
     rows = unsqueezed_rows(series, scenario.squeezing, scenario.k, scenario.kprime)

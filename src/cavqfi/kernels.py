@@ -11,17 +11,12 @@ Kernels:
     The whole build takes about 0.7 ms at n_max 50, 9 ms at 200 and 205 ms
     at 1000 (timeit minimum, one thread of a 2-vCPU VM, numpy 2.4); this
     kernel is about 80% of it at n_max 1000,
-  * ``reduced_transform``: the reduced two-mode covariance transform, two
-    matrix products on the (4, 2N) block rows k, k' of S(h), behind
-    bogoliubov.transform_reduced (``cavqfi fidelity`` and outside callers).
-    No QFI route calls it: H0 and the ``cavqfi qfi`` ladder both read the
-    un-squeezed pair rows of bogoliubov.unsqueezed_rows,
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
-    coefficient pairs, which builds the block rows of bogoliubov.pair_rows.
+    coefficient pairs, which builds rows k, k' of the symplectic matrix in
+    bogoliubov.unsqueezed_rows.
 
-Callers reach the first two as ``kernels.time_dependent_coefficients`` and
-``kernels.reduced_transform``; perfbench's per-layer tracer wraps those two
-module attributes by name.
+Callers reach the first one as ``kernels.time_dependent_coefficients``;
+perfbench's per-layer tracer wraps that module attribute by name.
 """
 
 from __future__ import annotations
@@ -86,19 +81,3 @@ def symplectic_blocks(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     s[1::2, 1::2] = total.real
     return s
 
-
-def reduced_transform(rows, pair, sigma0):
-    """4x4 covariance of modes (k, k') after the transformation.
-
-    rows is the real (4, 2N) block form of rows k, k' of S(h), pair the four
-    columns of modes k, k' and sigma0 their initial 4x4 covariance.  All
-    other modes start in vacuum (covariance 1), so with spect the rows with
-    the pair columns zeroed the result is
-    spect spect^T + rows[:, pair] sigma0 rows[:, pair]^T.
-    """
-    own = rows[:, pair]
-    spect = rows.copy()
-    spect[:, pair] = 0.0
-    out = spect @ spect.T + own @ sigma0 @ own.T
-    # symmetrize away the last bits of roundoff
-    return 0.5 * (out + out.T)

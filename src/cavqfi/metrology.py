@@ -348,11 +348,9 @@ def qfi_analytic_h0(rows: UnsqueezedRows) -> H0Result:
 
 @dataclasses.dataclass(frozen=True)
 class EstimationResult:
-    qfi: float
     qfi_valid: bool
     delta_h: float
     delta_a: float
-    n_measurements: float
     validity_margin: float | None = None
 
 
@@ -380,8 +378,6 @@ def cramer_rao(
     delta_h = 1.0 / math.sqrt(information)
     delta_a = delta_h * sound_speed**2 / length
     if h is None:
-        return EstimationResult(qfi, True, delta_h, delta_a, n_measurements, None)
+        return EstimationResult(True, delta_h, delta_a)
     margin = qfi * h * h
-    return EstimationResult(
-        qfi, margin < DEFAULT_POLICY.validity_threshold, delta_h, delta_a, n_measurements, margin
-    )
+    return EstimationResult(margin < DEFAULT_POLICY.validity_threshold, delta_h, delta_a, margin)

@@ -1,6 +1,7 @@
 """Reference implementations that the tests compare the package against.
 
-None of these is on a path that ``cavqfi`` runs: the full-symplectic state
+None of these is on a path that ``cavqfi`` runs: the series evaluated at
+one amplitude as whole coefficient matrices, the full-symplectic state
 transform (the ground truth for ``bogoliubov.transform_reduced``), the
 squeezed-frame route to the un-squeezed ladder state (the reference for
 ``bogoliubov.unsqueezed_state_map``), the exact-transform identities and
@@ -24,15 +25,7 @@ import math
 import numpy as np
 
 from cavqfi import kernels
-from cavqfi.bogoliubov import (
-    BogoliubovCoefficients,
-    BogoliubovSeries,
-    _check_mode_pair,
-    _frozen,
-    evaluate_series,
-    pair_columns,
-    pair_rows,
-)
+from cavqfi.bogoliubov import BogoliubovSeries, _check_mode_pair, _frozen, pair_columns
 from cavqfi.cavity import CavityScenario, mode_frequency
 from cavqfi.gaussian import SYMMETRY_TOL, GaussianState, symplectic_form
 
@@ -110,6 +103,34 @@ def check_physical(state: GaussianState) -> PhysicalityReport:
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class BogoliubovCoefficients:
+    """Exact or series-evaluated coefficient matrices over a truncated mode set."""
+
+    n_modes: int
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def __post_init__(self):
+        alpha = np.asarray(self.alpha, dtype=complex)
+        beta = np.asarray(self.beta, dtype=complex)
+        n = self.n_modes
+        if alpha.shape != (n, n) or beta.shape != (n, n):
+            raise ValueError(f"alpha and beta must be {n}x{n}")
+        object.__setattr__(self, "alpha", _frozen(alpha, complex))
+        object.__setattr__(self, "beta", _frozen(beta, complex))
+
+
+def evaluate_series(series: BogoliubovSeries, h: float) -> BogoliubovCoefficients:
+    """Coefficients at drive amplitude h: 1 + h alpha1 (+ h^2 diag(alpha2)), h beta1."""
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    alpha = np.eye(series.n_modes) + h * series.alpha1
+    if series.alpha2 is not None:
+        alpha[np.diag_indices(series.n_modes)] += h * h * series.alpha2
+    return BogoliubovCoefficients(series.n_modes, alpha, h * series.beta1)
+
+
 def identity_defects(coeffs: BogoliubovCoefficients):
     """(unitarity, symmetry) defects of the exact-transform identities.
 
@@ -180,21 +201,28 @@ def squeezed_frame_ladder_state(
     """The un-squeezed ladder state of modes (k, k'), by way of the squeezed frame.
 
     The route the ``cavqfi qfi`` cross-check took before
-    bogoliubov.unsqueezed_state_map: S(h) = 1 + h S1 (+ h^2 S2 on the pair
-    columns) on the pair rows, the squeezed-frame covariance from
-    kernels.reduced_transform with both modes squeezed by r, then every
-    entry (i, j) scaled by t_i t_j for t = (e^{-r}, e^{r}, e^{-r}, e^{r}).
-    The squeezed-frame entries reach e^{2r}, so this state carries their
-    rounding.
+    bogoliubov.unsqueezed_state_map: rows k, k' of
+    S(h) = 1 + h S1 (+ h^2 S2 on the pair columns) formed at h, the
+    squeezed-frame covariance conjugated from them with both modes squeezed
+    by r and every other mode in the vacuum, then every entry (i, j) scaled
+    by t_i t_j for t = (e^{-r}, e^{r}, e^{-r}, e^{r}).  The squeezed-frame
+    entries reach e^{2r}, so this state carries their rounding.
     """
-    s1, s2 = pair_rows(series, k, kprime)
+    _check_mode_pair(series, k, kprime)
+    rows = [k - 1, kprime - 1]
     pair = pair_columns(k, kprime)
-    s = h * s1
+    s = h * kernels.symplectic_blocks(series.alpha1[rows], series.beta1[rows])
     s[:, pair] += np.eye(4)
-    if s2 is not None:
+    if series.alpha2 is not None:
+        s2 = kernels.symplectic_blocks(np.diag(series.alpha2[rows]), np.zeros((2, 2)))
         s[:, pair] += h * h * s2
     sigma0 = np.diag([math.exp(2 * r), math.exp(-2 * r)] * 2)
-    squeezed = kernels.reduced_transform(s, pair, sigma0)
+    # the spectator columns act on the vacuum, the pair columns on sigma0
+    own = s[:, pair]
+    spect = s.copy()
+    spect[:, pair] = 0.0
+    squeezed = spect @ spect.T + own @ sigma0 @ own.T
+    squeezed = 0.5 * (squeezed + squeezed.T)
     t = np.array([math.exp(-r), math.exp(r)] * 2)
     return GaussianState(2, squeezed * np.outer(t, t))
 

@@ -13,18 +13,14 @@ from cavqfi import (
     transform_reduced,
     unsqueezed_rows,
 )
-from cavqfi.bogoliubov import (
-    BogoliubovCoefficients,
-    evaluate_series,
-    pair_columns,
-    pair_rows,
-    unsqueezed_state_map,
-)
+from cavqfi.bogoliubov import pair_columns, unsqueezed_state_map
 from cavqfi.errors import NumericError
 from conftest import canonical_series
 from oracles import (
+    BogoliubovCoefficients,
     assemble_symplectic,
     check_physical,
+    evaluate_series,
     identity_defects,
     series_symplectic_defect,
     squeezed_frame_ladder_state,
@@ -40,36 +36,39 @@ def random_alpha2(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-def test_pair_rows_match_full_assembly(rng):
-    # S1 and S2 against rows k, k' of the fully assembled S(h), which is the
-    # identity at h = 0; S1 and S2 are separated by evaluating at two
-    # amplitudes, and S2 lives on the pair columns alone
+def test_unsqueezed_rows_match_full_assembly(rng):
+    # at r = 0 the orders are rows k, k' of the fully assembled S(h) itself,
+    # which is the identity at h = 0; the first and second orders are
+    # separated by evaluating at two amplitudes, and the second order lives
+    # on the pair columns alone
     n = 6
     canon = canonical_series(rng, n)
     for series in (canon, dataclasses.replace(canon, alpha2=random_alpha2(rng, n))):
         for k, kp in ((2, 5), (4, 1)):
-            s1, s2 = pair_rows(series, k, kp)
+            rows = unsqueezed_rows(series, 0.0, k, kp)
             pair = pair_columns(k, kp)
             assert pair == [2 * k - 2, 2 * k - 1, 2 * kp - 2, 2 * kp - 1]
-            assert (s2 is None) == (series.alpha2 is None)
-            assert s1.shape == (4, 2 * n) and (s2 is None or s2.shape == (4, 4))
+            assert rows.pair == tuple(pair)
+            assert rows.orders.shape == (2 if series.alpha2 is None else 3, 4, 2 * n)
+            s1 = rows.orders[1]
+            s2 = rows.orders[2] if series.alpha2 is not None else np.zeros((4, 2 * n))
 
             def full_rows(h):
                 return assemble_symplectic(evaluate_series(series, h))[pair]
 
             at0 = full_rows(0.0)
+            assert np.array_equal(at0, rows.orders[0])
             assert np.array_equal(at0[:, pair], np.eye(4))
             assert not np.delete(at0, pair, axis=1).any()
             (h1, d1), (h2, d2) = ((h, full_rows(h) - at0) for h in (0.5, 1.0))
             order2 = (d2 / h2 - d1 / h1) / (h2 - h1)
             assert np.abs(d1 / h1 - h1 * order2 - s1).max() <= 1e-13
-            assert np.abs(np.delete(order2, pair, axis=1)).max() <= 1e-13
-            assert np.abs(order2[:, pair] - (0.0 if s2 is None else s2)).max() <= 1e-13
+            assert np.abs(order2 - s2).max() <= 1e-13
+            assert not np.delete(s2, pair, axis=1).any()
             for h in (1e-4, 3e-2, 0.5, 2.0):
-                rows = h * s1
-                rows[:, pair] += np.eye(4) + (0.0 if s2 is None else h * h * s2)
                 full = full_rows(h)
-                assert np.abs(rows - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
+                got = rows.orders[0] + h * s1 + h * h * s2
+                assert np.abs(got - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
 
 
 def test_assemble_identity_coefficients():
@@ -212,6 +211,21 @@ def test_oracle_equivalence_random_draws(rng):
         full = transform_full_oracle(init, series, h, k, kp)
         scale = max(1.0, np.abs(full.cov).max())
         assert np.abs(red.cov - full.cov).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("tau", [30.0, 2.00013])
+@pytest.mark.parametrize("r", [5.0, 10.0])
+def test_oracle_equivalence_strong_squeezing(r, tau):
+    # the random draws keep |r| <= 1.5; here both modes start squeezed by
+    # r = 5 and 10, with entries up to e^{2r}, under the cavity series on
+    # and off the round-trip lattice
+    series = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=12))
+    init = initial_product_squeezed(r, r)
+    for h in (0.0, 1e-9, 1e-7):
+        red = transform_reduced(init, series, h, 1, 2)
+        full = transform_full_oracle(init, series, h, 1, 2)
+        scale = max(1.0, np.abs(full.cov).max())
+        assert np.abs(red.cov - full.cov).max() <= 1e-12 * scale, h
 
 
 def test_oracle_equivalence_second_order(rng):

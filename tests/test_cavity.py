@@ -13,9 +13,10 @@ from cavqfi import (
     mode_frequency,
 )
 from cavqfi import cavity, kernels
-from cavqfi.bogoliubov import BogoliubovSeries, evaluate_series
+from cavqfi.bogoliubov import BogoliubovSeries
 from cavqfi.cavity import mode_frequencies, static_matrices
 from oracles import (
+    evaluate_series,
     resonant_beta_slope,
     static_first_order,
     whole_matrix_coefficients,

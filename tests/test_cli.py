@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavqfi import CavityScenario, bogoliubov, cli, kernels, metrology
+from cavqfi import CavityScenario, bogoliubov, cli, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
@@ -170,41 +170,36 @@ def test_sweep_cancellation_residue_is_no_information(tmp_path):
     assert [(float(row[2]), float(row[3])) for row in rows] == [(0.0, math.inf)] * 2
 
 
-def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
-    # the reference qfi call runs its ladder on the un-squeezed state map:
-    # no reduced transform, and the ladder's four fidelities still go
-    # through the metrology module attribute that the benchmark's tracer wraps
-    calls = {"reduced_transform": 0, "fidelity_two_mode": 0}
-    for module, name in ((kernels, "reduced_transform"), (metrology, "fidelity_two_mode")):
-        original = getattr(module, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    assert main(["qfi"]) == 0
-    assert calls == {"reduced_transform": 0, "fidelity_two_mode": 4}
-
-
-def count_pair_rows(monkeypatch):
-    """A list that grows by one per bogoliubov.pair_rows call, through any module that binds it."""
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one per call of module.name, through any package module that binds it."""
     calls = []
-    original = bogoliubov.pair_rows
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    for module in (bogoliubov, metrology, cli):
-        if getattr(module, "pair_rows", None) is original:
-            monkeypatch.setattr(module, "pair_rows", counted)
+    for bound in (bogoliubov, metrology, cli):
+        if getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
     return calls
+
+
+def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
+    # the reference qfi call runs its ladder on the un-squeezed state map of
+    # its one pair-row value: no lab-frame transform_reduced, and the
+    # ladder's four fidelities still go through the metrology module
+    # attribute that the benchmark's tracer wraps
+    maps = count_calls(monkeypatch, bogoliubov, "unsqueezed_state_map")
+    lab = count_calls(monkeypatch, bogoliubov, "transform_reduced")
+    fidelities = count_calls(monkeypatch, metrology, "fidelity_two_mode")
+    assert main(["qfi"]) == 0
+    assert (len(maps), len(lab), len(fidelities)) == (1, 0, 4)
 
 
 def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
     # H0 and the qfi ladder read one un-squeezed pair-row value per point
-    calls = count_pair_rows(monkeypatch)
+    calls = count_calls(monkeypatch, bogoliubov, "unsqueezed_rows")
     assert main(["qfi"]) == 0
     assert len(calls) == 1
     cfg = write_config(

@@ -24,6 +24,7 @@ from cavqfi import metrology
 from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError, NumericError
 from conftest import canonical_series, random_physical_two_mode, random_symplectic
 from oracles import (
+    evaluate_series,
     mach_zehnder_bound,
     mach_zehnder_qfi,
     thermal_two_mode,
@@ -427,7 +428,7 @@ def test_analytic_matches_numeric(rng):
 
 def test_analytic_range_check(rng):
     # the mode pair is checked where its rows are taken, once per point
-    # (bogoliubov.unsqueezed_rows, through pair_rows)
+    # (bogoliubov.unsqueezed_rows)
     series = canonical_series(rng, 3)
     with pytest.raises(ValueError, match="outside truncation range"):
         unsqueezed_rows(series, 1.0, 1, 5)
@@ -622,8 +623,6 @@ def test_static_spectator_sums_dominated_by_nearest_odd():
 
 def test_evaluate_series_scaling_of_cavity_entry():
     _, series = scenario_series(tau=0.37)
-    from cavqfi.bogoliubov import evaluate_series
-
     h = 1e-9
     coeffs = evaluate_series(series, h)
     assert abs(coeffs.beta[0, 1]) == pytest.approx(h * abs(series.beta1[0, 1]), rel=1e-12)

@@ -8,32 +8,52 @@ benchmark silently measuring less, so the names are pinned here.
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cavqfi
-from cavqfi import cavity, kernels
+from cavqfi import cavity, cli, kernels
 from cavqfi.policy import DEFAULT_POLICY
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# layers the tracer still lists although the package no longer has them
-# (phase calibration and the spectator mode sums went with the matrix-form H0)
-ABSENT_LAYERS = {"metrology.calibrate_phases", "metrology.mode_sums"}
+# layers the tracer still lists although the package no longer has them:
+# phase calibration and the spectator mode sums went with the matrix-form
+# H0; the series evaluated as whole matrices (now a test oracle) and the
+# reduced transform kernel went when every two-mode state came to be built
+# from one pair-row Gram map, both having recorded 0 calls on every workload
+ABSENT_LAYERS = {
+    "metrology.calibrate_phases",
+    "metrology.mode_sums",
+    "bogoliubov.evaluate_series",
+    "kernels.reduced_transform",
+}
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    """perfbench/<name>.py as a module (it is not a package).
+
+    The module is registered in sys.modules, where its dataclasses look it up.
+    """
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+WORKLOADS = load_perfbench("workloads")
 
 
 def test_every_traced_layer_resolves():
     missing = {
         name
-        for name, (module_name, attr) in load_tracer().LAYERS.items()
+        for name, (module_name, attr) in load_perfbench("tracer").LAYERS.items()
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     }
     assert missing == ABSENT_LAYERS
@@ -86,4 +106,52 @@ def test_coefficient_entries_count_first_order_only():
     # cavity.coefficients_built counts the complex arrays of the built series:
     # alpha1 and beta1, n_max^2 entries each (the series has no second order)
     series = cavity.build_scenario_series(cavity.CavityScenario(n_max=50))
-    assert load_tracer()._coefficient_entries(series) == {"entries": 2 * 50**2}
+    assert load_perfbench("tracer")._coefficient_entries(series) == {"entries": 2 * 50**2}
+
+
+@pytest.mark.parametrize("key", list(WORKLOADS.QfiMix.POINTS))
+def test_qfi_mix_row_check(key):
+    # the qfi_mix workload's row check at each of its points: H0 against
+    # the fidelity-ladder QFI of the lab-frame transform_reduced (whose
+    # states reach e^{2r} and take the mpmath fidelity path at r >= 5),
+    # and the reference bound on the acceleration
+    point = WORKLOADS.QfiMix.POINTS[key]
+    ref = WORKLOADS.REFERENCE_SCENARIO
+    scenario = cavity.CavityScenario(
+        length=ref["length_m"],
+        sound_speed=ref["sound_speed_m_per_s"],
+        k=ref["mode_k"],
+        kprime=ref["mode_kprime"],
+        squeezing=point["squeezing_r"],
+        tau=point["duration_s"],
+        n_max=point["n_max"],
+        n_measurements=ref["n_measurements"],
+    )
+    row = cli.evaluate_scenario(scenario)
+    series = cavqfi.build_scenario_series(scenario)
+    initial = cavqfi.initial_product_squeezed(scenario.squeezing, scenario.squeezing)
+    ladder = cavqfi.qfi_numeric(
+        lambda h: cavqfi.transform_reduced(initial, series, h, scenario.k, scenario.kprime), 0.0
+    )
+    assert abs(row["qfi"] - ladder) <= 1e-6 * ladder
+    if key.startswith("reference"):
+        expected = WORKLOADS.REFERENCE_DELTA_A
+        assert abs(row["delta_a_m_per_s2"] - expected) <= 1e-6 * expected
+
+
+def test_traced_qfi_mix_run_is_correct():
+    # one traced second of the benchmark's qfi_mix workload, in a child
+    # interpreter (about 3 s): every row checks, and the tracer finds every
+    # layer but the ones the package no longer has
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "qfi_mix",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["trace.layers_absent"]["value"] == len(ABSENT_LAYERS)
