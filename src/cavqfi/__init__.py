@@ -12,7 +12,6 @@ from .cavity import (
     acceleration_from_h,
     build_scenario_series,
     h_from_acceleration,
-    mode_frequency,
 )
 from .gaussian import GaussianState, initial_product_squeezed, symplectic_form
 from .metrology import (
@@ -40,7 +39,6 @@ __all__ = [
     "fidelity_two_mode",
     "h_from_acceleration",
     "initial_product_squeezed",
-    "mode_frequency",
     "qfi_analytic_h0",
     "qfi_numeric",
     "symplectic_form",

@@ -25,25 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericError
-from .gaussian import GaussianState
-
-
-def _frozen(arr, dtype):
-    """Read-only array of dtype; a read-only array that owns its data is adopted.
-
-    Anything else is copied, so no caller can change the stored array
-    through a reference it kept.
-    """
-    if (
-        isinstance(arr, np.ndarray)
-        and arr.dtype == dtype
-        and arr.flags.owndata
-        and not arr.flags.writeable
-    ):
-        return arr
-    arr = np.array(arr, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+from .gaussian import GaussianState, _frozen
 
 
 # the two-mode vacuum, the default initial covariance of unsqueezed_state_map
@@ -156,12 +138,12 @@ def unsqueezed_state_map(rows: UnsqueezedRows, sigma0: np.ndarray = _VACUUM):
     orders A_i of ``rows``, with own_i their four pair columns and spect_i
     the rest, the Gram block (i, j) is
     spect_i spect_j^T + own_i sigma0 own_j^T.  It is formed once, so each
-    state is the 4x4 sum over i, j of h^(i+j) times block (i, j), and at
-    h = 0 a state is exactly sigma0 (exactly the identity for a cavity
-    series in the un-squeezed frame).  The QFI ladder
-    (metrology.qfi_numeric) and transform_reduced read it.  A state whose
-    covariance or Gram blocks overflow float64 (the blocks grow as e^{4r})
-    raises NumericError.
+    state is the 4x4 sum over i, j of h^(i+j) times block (i, j); the
+    h = 0 state is sigma0 itself (the identity for a cavity series in the
+    un-squeezed frame).  The QFI ladder (metrology.qfi_numeric) and
+    transform_reduced read it.  A state at h > 0 whose covariance or Gram
+    blocks overflow float64 (the blocks grow as e^{4r}) raises
+    NumericError.
     """
     q = len(rows.orders)
     pair = list(rows.pair)
@@ -183,6 +165,10 @@ def unsqueezed_state_map(rows: UnsqueezedRows, sigma0: np.ndarray = _VACUUM):
     def state_at(h: float) -> GaussianState:
         if h < 0:
             raise ValueError("h must be >= 0")
+        if h == 0:
+            # not [1, 0, 0, ...] @ coeffs: 0 * inf is nan once a higher
+            # order has overflowed
+            return GaussianState(2, sigma0)
         with np.errstate(over="ignore", invalid="ignore"):
             cov = np.array([h**p for p in range(len(coeffs))]) @ coeffs
         if not np.isfinite(cov).all():

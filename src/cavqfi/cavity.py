@@ -71,14 +71,8 @@ class CavityScenario:
     def drive_omega(self) -> float:
         if self.omega is not None:
             return self.omega
-        return mode_frequency(self.k, self) + mode_frequency(self.kprime, self)
-
-
-def mode_frequency(n: int, scenario: CavityScenario) -> float:
-    """Angular frequency of mode n (rad/s)."""
-    if n < 1:
-        raise ValueError("mode number must be >= 1")
-    return math.pi * n * scenario.sound_speed / scenario.length
+        omegas = mode_frequencies(self)
+        return float(omegas[self.k - 1] + omegas[self.kprime - 1])
 
 
 def h_from_acceleration(a: float, scenario: CavityScenario) -> float:

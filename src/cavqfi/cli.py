@@ -30,7 +30,7 @@ from .cavity import (
     h_from_acceleration,
     static_matrices,
 )
-from .errors import CavqfiError, ConfigError, NoInformationError, NumericError
+from .errors import ConfigError, NoInformationError, NumericError
 from .gaussian import initial_product_squeezed
 from .metrology import (
     cramer_rao,
@@ -70,12 +70,10 @@ def _fmt(x) -> str:
     """Integers as they are, floats at full round-trip precision (17 significant digits)."""
     if isinstance(x, int):
         return str(x)
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
     return f"{float(x):.16e}"
 
 
-_CONFIG_SECTIONS = {"scenario", "sweep", "fidelity", "coeffs", "output"}
+_CONFIG_SECTIONS = {"scenario", "sweep", "fidelity"}
 
 
 def load_config(path):
@@ -105,19 +103,6 @@ def _section(mapping, name, allowed):
     if unknown:
         raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
     return section
-
-
-def resolve_output(cfg, args):
-    """Output destination: CLI flags win over the config's output section."""
-    section = _section(cfg, "output", {"path", "format"})
-    out = args.out if args.out is not None else section.get("path")
-    # open() would take an integer or a boolean as a file descriptor
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"output.path must be a string, got {out!r}")
-    fmt = args.format if args.format is not None else section.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("output format must be csv or json")
-    return out, fmt
 
 
 def config_number(value, what, integer=False, minimum=None):
@@ -373,12 +358,11 @@ def cmd_qfi(args):
             f"probe a = {_fmt(scenario.a_probe)} m/s^2 -> margin "
             f"H0*h^2 = {_fmt(point['validity_margin'])} [{flag}]"
         )
-    out, fmt = resolve_output(cfg, args)
-    if out is not None:
-        if fmt == "csv":
-            _write_csv(out, CSV_COLUMNS, [[point[c] for c in CSV_COLUMNS]])
+    if args.out is not None:
+        if args.format == "csv":
+            _write_csv(args.out, CSV_COLUMNS, [[point[c] for c in CSV_COLUMNS]])
         else:
-            _write_json(out, dict(point))
+            _write_json(args.out, dict(point))
     return 0
 
 
@@ -389,8 +373,7 @@ def cmd_sweep(args):
         raise ConfigError("sweep requires a sweep section in the config")
     name, values = _sweep_axis(cfg)
     records = run_sweep(scenario, name, values)
-    out, fmt = resolve_output(cfg, args)
-    _emit_records(records, out, fmt)
+    _emit_records(records, args.out, args.format)
     return 0
 
 
@@ -418,8 +401,7 @@ def cmd_figure2(args):
     for r in FIGURE2_SQUEEZINGS:
         base = dataclasses.replace(scenario, squeezing=r)
         records.extend(run_sweep(base, "tau", taus))
-    out, fmt = resolve_output(cfg, args)
-    _emit_records(records, out, fmt)
+    _emit_records(records, args.out, args.format)
     return 0
 
 
@@ -453,23 +435,18 @@ def cmd_fidelity(args):
         "fidelity": fb.fidelity,
     }
     print(f"fidelity            : {_fmt(fb.fidelity)}")
-    out, fmt = resolve_output(cfg, args)
-    if out is not None:
-        if fmt == "csv":
-            header = list(payload.keys())
-            _write_csv(out, header, [list(payload.values())])
+    if args.out is not None:
+        if args.format == "csv":
+            _write_csv(args.out, list(payload), [list(payload.values())])
         else:
-            _write_json(out, payload)
+            _write_json(args.out, payload)
     return 0
 
 
 def cmd_coeffs(args):
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg, args.nmax)
-    static = _section(cfg, "coeffs", {"static"}).get("static", False)
-    if not isinstance(static, bool):
-        raise ConfigError("coeffs.static must be true or false")
-    if static or args.static:
+    if args.static:
         alpha, beta = static_matrices(scenario.n_max)
         alpha = alpha.astype(complex)
         beta = beta.astype(complex)
@@ -485,8 +462,7 @@ def cmd_coeffs(args):
         for m in range(scenario.n_max)
         for j, (a, b) in enumerate(zip(alpha[m], beta[m]))
     ]
-    out, fmt = resolve_output(cfg, args)
-    _write_records(out, fmt, header, rows)
+    _write_records(args.out, args.format, header, rows)
     return 0
 
 
@@ -513,7 +489,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="path to JSON run configuration")
     common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--nmax", type=int, default=None, help="override mode truncation")
 
     sub.add_parser("qfi", parents=[common], help="single-point QFI and bounds")
@@ -544,9 +520,6 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
-    except CavqfiError as exc:  # pragma: no cover - catch-all inside the contract
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -19,10 +19,10 @@ class NoPlateauError(NumericError):
     Carries the raw ladder estimates so callers can inspect what happened.
     """
 
-    def __init__(self, message, ladder=None, extrapolants=None):
+    def __init__(self, message, ladder, extrapolants):
         super().__init__(message)
-        self.ladder = list(ladder) if ladder is not None else []
-        self.extrapolants = list(extrapolants) if extrapolants is not None else []
+        self.ladder = list(ladder)
+        self.extrapolants = list(extrapolants)
 
 
 class NoInformationError(NumericError):

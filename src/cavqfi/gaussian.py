@@ -29,11 +29,23 @@ def symplectic_form(num_modes: int) -> np.ndarray:
     omega = np.zeros((2 * num_modes, 2 * num_modes))
     omega[0::2, 1::2] = np.eye(num_modes)
     omega[1::2, 0::2] = -np.eye(num_modes)
-    return _frozen(omega)
+    return _frozen(omega, float)
 
 
-def _frozen(arr):
-    arr = np.asarray(arr)
+def _frozen(arr, dtype):
+    """Read-only array of dtype; a read-only array that owns its data is adopted.
+
+    Anything else is copied, so no caller can change the stored array
+    through a reference it kept, and no caller's array is frozen.
+    """
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    ):
+        return arr
+    arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -42,8 +54,9 @@ def _frozen(arr):
 class GaussianState:
     """Zero-indexed arrays, 1-based mode labels at the API surface.
 
-    cov is 2N x 2N real symmetric.  Instances are immutable; all operations
-    return new states.
+    cov is 2N x 2N real symmetric, held read-only: a read-only array that
+    owns its data is adopted, anything else is copied.  Instances are
+    immutable; all operations return new states.
     """
 
     num_modes: int
@@ -59,7 +72,7 @@ class GaussianState:
         defect = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
         if defect > SYMMETRY_TOL:
             raise ValueError(f"cov is not symmetric (max asymmetry {defect:.3e})")
-        object.__setattr__(self, "cov", _frozen(cov))
+        object.__setattr__(self, "cov", _frozen(cov, float))
 
 
 def initial_product_squeezed(r_k: float, r_kprime: float) -> GaussianState:

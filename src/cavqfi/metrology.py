@@ -117,8 +117,8 @@ def _breakdown(gamma, lam1, lam2, delta):
     return FidelityBreakdown(gamma, lam1, lam2, delta, pi, fidelity)
 
 
-def fidelity_breakdown_from_covs(cov1: np.ndarray, cov2: np.ndarray) -> FidelityBreakdown:
-    """Fidelity between two zero-mean two-mode covariance matrices.
+def fidelity_two_mode(s1: GaussianState, s2: GaussianState) -> FidelityBreakdown:
+    """Uhlmann fidelity of two two-mode Gaussian states with zero means.
 
     Switches the 4x4 determinant work to extended precision once the
     covariance entries are large enough that float64 cancellation would eat
@@ -127,8 +127,9 @@ def fidelity_breakdown_from_covs(cov1: np.ndarray, cov2: np.ndarray) -> Fidelity
     precision raise ConditioningError naming the digit count and the
     covariance scale.
     """
-    cov1 = np.asarray(cov1, dtype=float)
-    cov2 = np.asarray(cov2, dtype=float)
+    if s1.num_modes != 2 or s2.num_modes != 2:
+        raise ValueError("fidelity_two_mode expects two-mode states")
+    cov1, cov2 = s1.cov, s2.cov
     scale = max(np.abs(cov1).max(), np.abs(cov2).max())
     if scale > DEFAULT_POLICY.extended_precision_above:
         parts = _fidelity_mp(cov1, cov2)
@@ -144,13 +145,6 @@ def fidelity_breakdown_from_covs(cov1: np.ndarray, cov2: np.ndarray) -> Fidelity
     return _breakdown(*parts)
 
 
-def fidelity_two_mode(s1: GaussianState, s2: GaussianState) -> FidelityBreakdown:
-    """Uhlmann fidelity of two two-mode Gaussian states with zero means."""
-    if s1.num_modes != 2 or s2.num_modes != 2:
-        raise ValueError("fidelity_two_mode expects two-mode states")
-    return fidelity_breakdown_from_covs(s1.cov, s2.cov)
-
-
 # ---------------------------------------------------------------------------
 # numeric QFI: fidelity step ladder with Richardson extrapolation
 # ---------------------------------------------------------------------------
@@ -162,27 +156,32 @@ class QFINumericResult:
     ladder: tuple
     extrapolants: tuple
     dh_used: float
-    plateau: bool
 
 
-def _ladder_estimate(base, moved, dh, sqrt_f0):
+def _ladder_estimate(base, moved, dh):
     f = fidelity_two_mode(base, moved).fidelity
-    return 8.0 * (sqrt_f0 - math.sqrt(max(f, 0.0))) / (dh * dh)
+    return 8.0 * (1.0 - math.sqrt(max(f, 0.0))) / (dh * dh)
 
 
 def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
-    """QFI at h from H = 8 [1 - sqrt(F(sigma(h), sigma(h+dh)))] / dh^2.
+    """QFI at h = 0 from H = 8 [1 - sqrt(F(sigma(0), sigma(dh)))] / dh^2.
 
-    ``state_at`` maps h to a two-mode GaussianState.  The step ladder starts
-    from dh_ladder (1e-4, 5e-5, 2.5e-5) scaled by max(h, 1) and is rescaled
-    iteratively until H * dh^2 sits near dh_curvature_target (1e-6), keeping
-    the fidelity drop both resolvable above roundoff and inside the quadratic
-    regime; two Richardson levels then remove the leading O(dh) and O(dh^2)
-    biases.  Raises NoPlateauError carrying the raw ladder when successive
-    extrapolants disagree beyond plateau_rtol (0.1%).
+    ``state_at`` maps h to a two-mode GaussianState.  The ladder is anchored
+    at h = 0, where the initial state is pure, so its self-fidelity is one
+    and the Bures form needs no offset; any other h raises ValueError (well
+    inside the perturbative validity domain the QFI is H0 anyway, and
+    beyond it the O(h^2) impurity of a first-order series feeds the
+    fidelity at the same order as the signal).  The step ladder starts from
+    dh_ladder (1e-4, 5e-5, 2.5e-5) and is rescaled iteratively, up to a
+    largest step of 0.25, until H * dh^2 sits near dh_curvature_target
+    (1e-6), keeping the fidelity drop both resolvable above roundoff and
+    inside the quadratic regime; two Richardson levels then remove the
+    leading O(dh) and O(dh^2) biases.  Raises NoPlateauError carrying the
+    raw ladder when successive extrapolants disagree beyond plateau_rtol
+    (0.1%).
 
-    ``state_at(h)`` is evaluated once, and no step's state twice: the pilot
-    computes the moved state at its trial step and first compares its
+    ``state_at(0.0)`` is evaluated once, and no step's state twice: the
+    pilot computes the moved state at its trial step and first compares its
     largest covariance entry with the base state's.  Growth g beyond
     extended_precision_above (1e4) puts 1 - F at O(1), far outside the
     quadratic regime, so the step shrinks by sqrt(dh_curvature_target / g)
@@ -193,21 +192,12 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
     the pilot re-aims once from that drop.  The fidelity of the settled
     pilot step is the first rung of the ladder.  The ladder reads only
     fidelities of the state map.
-
-    The estimator is anchored at h = 0 (where the base state is exactly pure)
-    and well-behaved throughout the perturbative validity domain; well beyond
-    it, the O(h^2) impurity of a first-order series feeds the fidelity at the
-    same order as the signal and no unique finite-h value exists.
     """
-    base = state_at(h)
-    # at h > 0 the truncated state map is O(h^2) impure and its self-fidelity
-    # sits below one; differencing against sqrt(F(h, h)) removes that
-    # dh-independent offset from the ladder (at h = 0 it is exactly one)
-    sqrt_f0 = math.sqrt(max(fidelity_two_mode(base, base).fidelity, 0.0))
-
-    scale = max(abs(h), 1.0)
-    steps = [d * scale for d in DEFAULT_POLICY.dh_ladder]
-    dh_max = 0.25 * scale
+    if h != 0.0:
+        raise ValueError(f"the QFI ladder is anchored at h = 0, got h = {h!r}")
+    base = state_at(0.0)
+    steps = list(DEFAULT_POLICY.dh_ladder)
+    dh_max = 0.25
     base_size = float(np.abs(base.cov).max())
     drop = math.inf
     target = DEFAULT_POLICY.dh_curvature_target
@@ -216,7 +206,7 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
     # outside the quadratic regime, while for near-constant maps the fidelity
     # drop hides under roundoff until the step grows
     for _ in range(60):
-        moved = state_at(h + steps[0])
+        moved = state_at(steps[0])
         growth = float(np.abs(moved.cov).max()) / base_size
         if growth > DEFAULT_POLICY.extended_precision_above:
             # entries grown this far put 1 - F at O(1), far outside the
@@ -225,8 +215,8 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
             factor = math.sqrt(target / growth)
             shrunk = True
         else:
-            pilot = _ladder_estimate(base, moved, steps[0], sqrt_f0)
-            drop = abs(pilot) * steps[0] ** 2  # = 8 |sqrt(F0) - sqrt(F)| at the pilot step
+            pilot = _ladder_estimate(base, moved, steps[0])
+            drop = abs(pilot) * steps[0] ** 2  # = 8 |1 - sqrt(F)| at the pilot step
             if drop > DEFAULT_POLICY.dh_curvature_max and steps[0] > 1e-30:
                 factor = math.sqrt(target / drop)
             elif drop < 1e-9 and steps[0] < dh_max:
@@ -249,12 +239,12 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
     if drop <= 1e-12:
         # fidelity stays put to roundoff even at the largest usable step:
         # the state map carries no information at this resolution
-        result = QFINumericResult(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), steps[0], True)
+        result = QFINumericResult(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), steps[0])
         return result if return_diagnostics else result.value
     # the settled pilot is the first rung; only the other two cost a state
     if pilot is None:
-        pilot = _ladder_estimate(base, state_at(h + steps[0]), steps[0], sqrt_f0)
-    ladder = (pilot,) + tuple(_ladder_estimate(base, state_at(h + d), d, sqrt_f0) for d in steps[1:])
+        pilot = _ladder_estimate(base, state_at(steps[0]), steps[0])
+    ladder = (pilot,) + tuple(_ladder_estimate(base, state_at(d), d) for d in steps[1:])
     e1, e2, e3 = ladder
     r12 = 2.0 * e2 - e1
     r23 = 2.0 * e3 - e2
@@ -263,16 +253,13 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
 
     span = abs(r23 - r12)
     tol = DEFAULT_POLICY.plateau_rtol * max(abs(final), abs(r23))
-    plateau = span <= tol or span <= DEFAULT_POLICY.plateau_abs_floor
-    if plateau and abs(final) <= DEFAULT_POLICY.plateau_abs_floor:
-        final = 0.0
-    result = QFINumericResult(final, ladder, extrapolants, steps[0], plateau)
-    if not plateau:
+    if not (span <= tol or span <= DEFAULT_POLICY.plateau_abs_floor):
         raise NoPlateauError(
-            f"QFI ladder did not plateau: extrapolants {extrapolants}",
-            ladder=ladder,
-            extrapolants=extrapolants,
+            f"QFI ladder did not plateau: extrapolants {extrapolants}", ladder, extrapolants
         )
+    if abs(final) <= DEFAULT_POLICY.plateau_abs_floor:
+        final = 0.0
+    result = QFINumericResult(final, ladder, extrapolants, steps[0])
     return result if return_diagnostics else result.value
 
 

@@ -25,9 +25,9 @@ import math
 import numpy as np
 
 from cavqfi import kernels
-from cavqfi.bogoliubov import BogoliubovSeries, _check_mode_pair, _frozen, pair_columns
-from cavqfi.cavity import CavityScenario, mode_frequency
-from cavqfi.gaussian import SYMMETRY_TOL, GaussianState, symplectic_form
+from cavqfi.bogoliubov import BogoliubovSeries, _check_mode_pair, pair_columns
+from cavqfi.cavity import CavityScenario
+from cavqfi.gaussian import SYMMETRY_TOL, GaussianState, _frozen, symplectic_form
 
 # ---------------------------------------------------------------------------
 # states and the physicality check
@@ -270,6 +270,11 @@ def whole_static_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.where(odd, -2.0 * root / (math.pi**2 * diff**3), 0.0)
     beta = np.where(odd, 2.0 * root / (math.pi**2 * total**3), 0.0)
     return alpha, beta
+
+
+def mode_frequency(n: int, scenario: CavityScenario) -> float:
+    """Angular frequency w_n = pi n c_s / L of mode n (rad/s), one mode at a time."""
+    return math.pi * n * scenario.sound_speed / scenario.length
 
 
 def whole_matrix_coefficients(scenario: CavityScenario) -> tuple[np.ndarray, np.ndarray]:

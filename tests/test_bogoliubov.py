@@ -260,6 +260,11 @@ def test_zero_amplitude_is_identity_for_every_series(rng):
             for r in (0.0, 0.7, -1.3, 5.0):
                 cov = unsqueezed_state_map(unsqueezed_rows(s, r, k, kp))(0.0).cov
                 assert cov.tobytes() == np.eye(4).tobytes()
+    # also when the higher Gram orders have overflowed float64 (0 * inf is
+    # nan): the undriven state of `cavqfi fidelity` at r = 348
+    init = initial_product_squeezed(348.0, 348.0)
+    series = build_scenario_series(CavityScenario(squeezing=348.0))
+    assert transform_reduced(init, series, 0.0, 1, 2).cov.tobytes() == init.cov.tobytes()
 
 
 def test_single_mode_squeezer_through_oracle():
@@ -374,8 +379,10 @@ def test_unsqueezed_state_map_validation(rng):
     with pytest.raises(ValueError):
         unsqueezed_rows(canonical_series(rng, 4), 1.0, 1, 5)
     # the Gram blocks grow as e^{4r} and leave float64 long before r = 400:
-    # a NumericError, with no numpy warning on the way
+    # a driven state is a NumericError, with no numpy warning on the way,
+    # while the h = 0 state is the vacuum
     with np.errstate(over="raise", invalid="raise"):
         state_at = unsqueezed_state_map(unsqueezed_rows(canonical_series(rng, 4), 400.0, 1, 2))
         with pytest.raises(NumericError, match="overflows"):
-            state_at(0.0)
+            state_at(1e-9)
+        assert state_at(0.0).cov.tobytes() == np.eye(4).tobytes()

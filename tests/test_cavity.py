@@ -10,13 +10,13 @@ from cavqfi import (
     acceleration_from_h,
     build_scenario_series,
     h_from_acceleration,
-    mode_frequency,
 )
 from cavqfi import cavity, kernels
 from cavqfi.bogoliubov import BogoliubovSeries
 from cavqfi.cavity import mode_frequencies, static_matrices
 from oracles import (
     evaluate_series,
+    mode_frequency,
     resonant_beta_slope,
     static_first_order,
     whole_matrix_coefficients,
@@ -119,10 +119,12 @@ def test_scenario_validation():
 
 
 def test_default_drive_is_sum_resonance():
+    # the frequencies of the pair, from the spectrum, with the bits of the
+    # per-mode formula
     sc = reference_scenario()
-    assert sc.drive_omega == pytest.approx(
-        mode_frequency(1, sc) + mode_frequency(2, sc)
-    )
+    assert sc.drive_omega == mode_frequency(1, sc) + mode_frequency(2, sc)
+    odd = reference_scenario(length=3.3e-6, sound_speed=7.1e-4, k=4, kprime=7, n_max=9)
+    assert odd.drive_omega == mode_frequency(4, odd) + mode_frequency(7, odd)
     sc2 = reference_scenario(omega=123.0)
     assert sc2.drive_omega == 123.0
 

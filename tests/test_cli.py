@@ -189,12 +189,13 @@ def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
     # the reference qfi call runs its ladder on the un-squeezed state map of
     # its one pair-row value: no lab-frame transform_reduced, and the
     # ladder's four fidelities still go through the metrology module
-    # attribute that the benchmark's tracer wraps
+    # attribute that the benchmark's tracer wraps: three rungs against the
+    # h = 0 state, whose self-fidelity is one and is not taken
     maps = count_calls(monkeypatch, bogoliubov, "unsqueezed_state_map")
     lab = count_calls(monkeypatch, bogoliubov, "transform_reduced")
     fidelities = count_calls(monkeypatch, metrology, "fidelity_two_mode")
     assert main(["qfi"]) == 0
-    assert (len(maps), len(lab), len(fidelities)) == (1, 0, 4)
+    assert (len(maps), len(lab), len(fidelities)) == (1, 0, 3)
 
 
 def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
@@ -228,6 +229,21 @@ def test_readme_qfi_sample_matches_cli(capsys):
     assert len(sample) >= 4
     positions = [printed.index(line) for line in sample]
     assert positions == sorted(positions)
+
+
+def test_readme_config_block_loads(tmp_path):
+    # the README's JSON config is one the CLI accepts as it stands: every
+    # section it shows exists, and its scenario is the reference set with a
+    # probe acceleration
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    cfg = cli.load_config(str(path))
+    assert cli.scenario_from_config(cfg) == CavityScenario(a_probe=1e-9)
+    name, values = cli._sweep_axis(cfg)
+    assert name == "tau" and len(values) == 25
+    assert (values[0], values[-1]) == pytest.approx((0.1, 10.0), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -392,10 +408,12 @@ def test_every_setting_changes_an_output(tmp_path, monkeypatch, capsys, section,
 
 @pytest.mark.parametrize("path", [True, 7])
 def test_output_path_must_be_string(tmp_path, capsys, path):
-    # open() would take an integer or a boolean as a file descriptor
+    # the output path comes from --out alone, which argparse gives as a
+    # string (open() would take an integer or a boolean as a file
+    # descriptor); a config output section is refused whatever it holds
     cfg = write_config(tmp_path, {"output": {"path": path}})
     assert main(["coeffs", "--nmax", "2", "--config", cfg]) == 2
-    assert "output.path" in capsys.readouterr().err
+    assert "unknown config sections: ['output']" in capsys.readouterr().err
 
 
 def test_validity_flagged(tmp_path, capsys):
@@ -520,9 +538,11 @@ def test_coeffs_static_values(tmp_path):
 
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_coeffs_static_must_be_boolean(tmp_path, capsys, value):
+    # the static dump is the boolean flag --static alone; a config coeffs
+    # section is refused whatever it holds
     cfg = write_config(tmp_path, {"scenario": {"n_max": 3}, "coeffs": {"static": value}})
     assert main(["coeffs", "--config", cfg]) == 2
-    assert "coeffs.static" in capsys.readouterr().err
+    assert "unknown config sections: ['coeffs']" in capsys.readouterr().err
 
 
 def test_coeffs_dumps_lab_frame(tmp_path):

@@ -95,6 +95,19 @@ def test_check_physical_uncertainty_violation():
     assert any("uncertainty" in v for v in report.violations)
 
 
+def test_state_leaves_the_callers_array_writeable():
+    # a state holds a read-only covariance of its own: a writeable array
+    # passed in is copied, neither frozen in place nor shared
+    arr = np.eye(4)
+    st = GaussianState(2, arr)
+    assert arr.flags.writeable
+    assert not st.cov.flags.writeable
+    arr[0, 0] = 5.0
+    assert st.cov[0, 0] == 1.0
+    # a read-only array that owns its data is adopted as it is
+    assert GaussianState(2, st.cov).cov is st.cov
+
+
 def test_asymmetric_cov_rejected_at_construction():
     cov = np.eye(4)
     cov[0, 1] = 1e-6

@@ -161,8 +161,8 @@ def test_precision_switch_at_largest_entry(monkeypatch, largest, path):
         monkeypatch.setattr(
             metrology, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
         )
-    squeezed = np.diag([largest, 1.0 / largest, 1.0, 1.0])
-    fb = metrology.fidelity_breakdown_from_covs(np.eye(4), squeezed)
+    squeezed = GaussianState(2, np.diag([largest, 1.0 / largest, 1.0, 1.0]))
+    fb = fidelity_two_mode(GaussianState(2, np.eye(4)), squeezed)
     assert calls == [path]
     assert fb.fidelity == pytest.approx(2.0 / math.sqrt(largest + 2.0 + 1.0 / largest), rel=1e-9)
 
@@ -273,7 +273,6 @@ def test_qfi_numeric_nonnegative_and_diagnostics(rng):
         lambda h: transform_reduced(init, series, h, 1, 2), 0.0, return_diagnostics=True
     )
     assert res.value >= 0.0
-    assert res.plateau
     assert len(res.ladder) == 3
 
 
@@ -295,16 +294,23 @@ def test_qfi_numeric_symplectic_basis_invariance(rng):
     assert q2 == pytest.approx(q1, rel=1e-6)
 
 
-def test_qfi_numeric_continuous_in_h():
+def test_qfi_numeric_refuses_nonzero_h():
+    # the ladder is anchored at the pure initial state, h = 0; no state of
+    # the map is taken for any other h
     _, series = scenario_series(tau=0.3)
     init = initial_product_squeezed(1.0, 1.0)
+    seen = []
 
     def state(h):
+        seen.append(h)
         return transform_reduced(init, series, h, 1, 2)
 
-    at_zero = qfi_numeric(state, 0.0)
-    at_small = qfi_numeric(state, 1e-10)
-    assert at_small == pytest.approx(at_zero, rel=1e-3)
+    for h in (1e-10, -1e-10, 0.5):
+        with pytest.raises(ValueError, match="anchored at h = 0"):
+            qfi_numeric(state, h)
+    assert seen == []
+    assert qfi_numeric(state, 0.0) > 0.0
+    assert seen[0] == 0.0
 
 
 def squeezed_by(c):
@@ -340,7 +346,6 @@ def test_qfi_numeric_evaluates_each_state_once(monkeypatch, make_map, grown):
 
     monkeypatch.setattr(metrology, "fidelity_two_mode", counted_fidelity)
     res = qfi_numeric(counted_state, 0.0, return_diagnostics=True)
-    assert res.plateau
     # the base state once, first; no step's state twice
     assert seen[0] == 0.0 and seen.count(0.0) == 1
     assert len(set(seen)) == len(seen)
@@ -349,9 +354,11 @@ def test_qfi_numeric_evaluates_each_state_once(monkeypatch, make_map, grown):
     pilot = [x for x in seen[1:] if x not in (res.dh_used / 2, res.dh_used / 4)]
     assert res.dh_used in pilot
     assert len(seen) <= 1 + len(pilot) + 3
-    # a grown step costs a state but no fidelity, and no fidelity the
-    # ladder takes needs the extended-precision path
-    assert (len(fidelities) < len(seen)) == grown
+    # every state but the base costs one fidelity against it (the base
+    # needs none: at h = 0 it is pure), a grown step costs a state but no
+    # fidelity, and no fidelity the ladder takes needs the
+    # extended-precision path
+    assert (len(fidelities) < len(seen) - 1) == grown
     assert max(fidelities) <= metrology.DEFAULT_POLICY.extended_precision_above
     if grown:
         # variance growing as e^{2 c dh}, not as dh^2, makes the shrink

@@ -4,8 +4,9 @@ Reference implementations that only the tests read live in tests/oracles.py.
 This guard parses src/cavqfi and follows references from ``cli.main``, from
 every module-level statement, and from every name perfbench/ mentions; a
 top-level def or class that none of them reaches fails it, and so does a
-module-level constant that neither the package nor perfbench/ reads, or an
-imported name that its module never reads.
+module-level constant that neither the package nor perfbench/ reads, an
+imported name that its module never reads, or a parameter default that no
+call in the package or perfbench/ overrides.
 """
 
 import ast
@@ -166,3 +167,69 @@ def unused_imports():
 
 def test_every_import_is_read():
     assert unused_imports() == []
+
+
+# defaults kept although only tests override them: qfi_numeric's diagnostics
+# are what the tests inspect, and what a diagnostics channel would report
+DEFAULT_ONLY_TESTS_OVERRIDE = {("qfi_numeric", "return_diagnostics")}
+
+
+def _defaulted_parameters(func):
+    """(position or None, name) of each parameter of func that has a default.
+
+    Positions count the arguments a caller passes, so a method's self (and a
+    class's __init__ self) is not counted.
+    """
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    found = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def unoverridden_defaults():
+    """(callee, parameter) for each default that no call in src/ or perfbench/ passes.
+
+    A call names its callee by a plain name or an attribute (``f(...)``,
+    ``module.f(...)``); a class's __init__ is called by the class name.  A
+    call passes a parameter positionally, by keyword, or through ``*args``
+    or ``**kwargs``.
+    """
+    defaults = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        defaults.setdefault(node.name, []).extend(_defaulted_parameters(item))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "__init__":
+                defaults.setdefault(node.name, []).extend(_defaulted_parameters(node))
+    overridden = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defaults:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            for position, param in defaults[name]:
+                if (
+                    starred
+                    or None in keywords
+                    or param in keywords
+                    or (position is not None and position < len(node.args))
+                ):
+                    overridden.add((name, param))
+    every = {(name, param) for name, params in defaults.items() for _, param in params}
+    return sorted(every - overridden - DEFAULT_ONLY_TESTS_OVERRIDE)
+
+
+def test_every_default_is_overridden():
+    assert unoverridden_defaults() == []
