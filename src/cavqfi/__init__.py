@@ -15,7 +15,6 @@ from .cavity import (
 )
 from .gaussian import GaussianState, initial_product_squeezed, symplectic_form
 from .metrology import (
-    EstimationResult,
     FidelityBreakdown,
     H0Result,
     cramer_rao,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BogoliubovSeries",
     "CavityScenario",
-    "EstimationResult",
     "FidelityBreakdown",
     "GaussianState",
     "H0Result",

@@ -165,8 +165,9 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     ladder steps the states of bogoliubov.unsqueezed_state_map, which sit
     near the vacuum, so their fidelities take the float64 path; with the
     pilot's growth test in qfi_numeric, none takes the mpmath path, and no
-    lab-frame state (transform_reduced) is formed.  Returns a plain dict of
-    floats.
+    lab-frame state (transform_reduced) is formed.  The bounds are
+    cramer_rao's (inf at H0 <= 0), and "validity_margin" is H0 h^2 at the
+    probe amplitude, nan without a probe.  Returns a plain dict of floats.
     """
     series = build_scenario_series(scenario)
     rows = unsqueezed_rows(series, scenario.squeezing, scenario.k, scenario.kprime)
@@ -180,32 +181,11 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     }
     if want_numeric and qfi > 0.0:
         out["qfi_numeric"] = qfi_numeric(unsqueezed_state_map(rows), 0.0)
-    h_probe = None
-    if scenario.a_probe is not None:
-        h_probe = h_from_acceleration(scenario.a_probe, scenario)
-    if qfi > 0.0:
-        est = cramer_rao(
-            qfi,
-            scenario.n_measurements,
-            scenario.length,
-            scenario.sound_speed,
-            h=h_probe,
-        )
-        out["delta_h"] = est.delta_h
-        out["delta_a_m_per_s2"] = est.delta_a
-        out["qfi_valid"] = est.qfi_valid
-        out["validity_margin"] = est.validity_margin
-        out["max_valid_acceleration_m_per_s2"] = acceleration_from_h(
-            math.sqrt(DEFAULT_POLICY.validity_threshold / qfi), scenario
-        )
-    else:
-        out["delta_h"] = math.inf
-        out["delta_a_m_per_s2"] = math.inf
-        out["qfi_valid"] = True
-        out["validity_margin"] = 0.0 if h_probe is not None else None
-        out["max_valid_acceleration_m_per_s2"] = math.inf
-    if out["validity_margin"] is None:
-        out["validity_margin"] = math.nan
+    out["delta_h"], out["delta_a_m_per_s2"] = cramer_rao(
+        qfi, scenario.n_measurements, scenario.length, scenario.sound_speed
+    )
+    h = math.nan if scenario.a_probe is None else h_from_acceleration(scenario.a_probe, scenario)
+    out["validity_margin"] = qfi * h * h
     return out
 
 
@@ -313,10 +293,10 @@ def _write_json(path, payload):
 
 
 def _write_records(out, fmt, header, rows):
-    if fmt == "csv":
-        _write_csv(out, header, rows)
-    else:
+    if fmt == "json":
         _write_json(out, {"records": [dict(zip(header, row)) for row in rows]})
+    else:
+        _write_csv(out, header, rows)
 
 
 def _emit_records(points, out, fmt):
@@ -331,12 +311,38 @@ def _emit_records(points, out, fmt):
 # ---------------------------------------------------------------------------
 
 
+def _check_record_output(args):
+    """qfi and fidelity print text: --format formats only the record that --out writes."""
+    if args.out is None and args.format is not None:
+        raise ConfigError(
+            f"--format {args.format} needs --out: {args.command} writes its record only to a file"
+        )
+
+
+def _write_record(args, header, record):
+    """The one record of qfi or fidelity, to --out (if given) as CSV or JSON."""
+    if args.out is None:
+        return
+    if args.format == "json":
+        _write_json(args.out, record)
+    else:
+        _write_csv(args.out, header, [[record[c] for c in header]])
+
+
 def cmd_qfi(args):
+    _check_record_output(args)
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg, args.nmax)
     point = evaluate_scenario(scenario, want_numeric=True)
     if point["qfi"] <= 0.0:
         raise NoInformationError("QFI is zero: no information about the drive amplitude")
+    # the perturbative domain is H0 h^2 < threshold, strictly; a nan margin
+    # (no probe) compares false and is in range
+    threshold = DEFAULT_POLICY.validity_threshold
+    point["qfi_valid"] = not point["validity_margin"] >= threshold
+    point["max_valid_acceleration_m_per_s2"] = acceleration_from_h(
+        math.sqrt(threshold / point["qfi"]), scenario
+    )
     ladder = point["qfi_numeric"]
     point["cross_check_residual"] = (
         abs(point["qfi"] - ladder) / abs(ladder) if ladder else math.inf
@@ -350,7 +356,7 @@ def cmd_qfi(args):
     print(
         "max valid accel     : "
         f"{_fmt(point['max_valid_acceleration_m_per_s2'])} m/s^2 "
-        f"(perturbative validity H0*h^2 < {DEFAULT_POLICY.validity_threshold:g})"
+        f"(perturbative validity H0*h^2 < {threshold:g})"
     )
     if scenario.a_probe is not None:
         flag = "OK" if point["qfi_valid"] else "OUT OF VALIDITY RANGE"
@@ -358,11 +364,7 @@ def cmd_qfi(args):
             f"probe a = {_fmt(scenario.a_probe)} m/s^2 -> margin "
             f"H0*h^2 = {_fmt(point['validity_margin'])} [{flag}]"
         )
-    if args.out is not None:
-        if args.format == "csv":
-            _write_csv(args.out, CSV_COLUMNS, [[point[c] for c in CSV_COLUMNS]])
-        else:
-            _write_json(args.out, dict(point))
+    _write_record(args, CSV_COLUMNS, point)
     return 0
 
 
@@ -419,6 +421,7 @@ def _fidelity_state(fidelity, what, scenario, series):
 
 
 def cmd_fidelity(args):
+    _check_record_output(args)
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg, args.nmax)
     section = _section(cfg, "fidelity", {"state_a", "state_b"})
@@ -426,20 +429,9 @@ def cmd_fidelity(args):
     state_a = _fidelity_state(section, "state_a", scenario, series)
     state_b = _fidelity_state(section, "state_b", scenario, series)
     fb = fidelity_two_mode(state_a, state_b)
-    payload = {
-        "gamma": fb.gamma,
-        "lambda1": fb.lambda1,
-        "lambda2": fb.lambda2,
-        "delta": fb.delta,
-        "pi": fb.pi,
-        "fidelity": fb.fidelity,
-    }
     print(f"fidelity            : {_fmt(fb.fidelity)}")
-    if args.out is not None:
-        if args.format == "csv":
-            _write_csv(args.out, list(payload), [list(payload.values())])
-        else:
-            _write_json(args.out, payload)
+    payload = dataclasses.asdict(fb)
+    _write_record(args, list(payload), payload)
     return 0
 
 
@@ -489,7 +481,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="path to JSON run configuration")
     common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--format", choices=("csv", "json"), help="record format (default: csv)")
     common.add_argument("--nmax", type=int, default=None, help="override mode truncation")
 
     sub.add_parser("qfi", parents=[common], help="single-point QFI and bounds")

@@ -8,9 +8,9 @@ Kernels:
     against the columns of the other parity: the parity selection rule
     zeroes every same-parity entry, so half the n_max^2 entries never reach
     the drive integral, and the temporaries stay a quarter of a block.
-    The whole build takes about 0.7 ms at n_max 50, 9 ms at 200 and 205 ms
-    at 1000 (timeit minimum, one thread of a 2-vCPU VM, numpy 2.4); this
-    kernel is about 80% of it at n_max 1000,
+    This kernel is most of the build's time, which perfbench reports per
+    point as ``cavity.build_scenario_series.ms`` (the BENCH_<pr>.json files
+    keep the measured values; its wide_truncation workload runs n_max 1000),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
     coefficient pairs, which builds rows k, k' of the symplectic matrix in
     bogoliubov.unsqueezed_rows.

@@ -30,6 +30,11 @@ bogoliubov.unsqueezed_state_map (one Gram matrix per point), which sit
 near the vacuum, and the ladder's pilot shrinks a step whose state has
 grown past extended_precision_above without taking its fidelity, so every
 fidelity stays on the float64 path.
+
+cramer_rao turns a QFI into the two Cramer-Rao bounds and nothing more.
+Whether a probe amplitude lies inside the perturbative domain (H0 h^2
+below the policy's validity threshold) is decided by the CLI, which knows
+the probe: cli.evaluate_scenario records the margin and cmd_qfi flags it.
 """
 
 from __future__ import annotations
@@ -40,12 +45,7 @@ import math
 import numpy as np
 
 from .bogoliubov import UnsqueezedRows
-from .errors import (
-    ConditioningError,
-    NoInformationError,
-    NoPlateauError,
-    NumericError,
-)
+from .errors import ConditioningError, NoPlateauError, NumericError
 from .gaussian import GaussianState, symplectic_form
 from .policy import DEFAULT_POLICY
 
@@ -333,38 +333,23 @@ def qfi_analytic_h0(rows: UnsqueezedRows) -> H0Result:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class EstimationResult:
-    qfi_valid: bool
-    delta_h: float
-    delta_a: float
-    validity_margin: float | None = None
-
-
 def cramer_rao(
-    qfi: float,
-    n_measurements: float,
-    length: float,
-    sound_speed: float,
-    h: float | None = None,
-) -> EstimationResult:
-    """Optimal bounds Delta h = 1/sqrt(N * H) and Delta a = Delta h * c_s^2 / L.
+    qfi: float, n_measurements: float, length: float, sound_speed: float
+) -> tuple[float, float]:
+    """Optimal bounds (Delta h, Delta a) = (1/sqrt(N * H), Delta h * c_s^2 / L).
 
-    When the probe amplitude h is supplied, the result carries the
-    perturbative validity margin H * h^2, and the flag that it stays below
-    validity_threshold (1e-2).  An N * H that overflows float64 raises
-    NumericError, not a bound of zero.
+    Both are inf at H <= 0, where the point carries no information.  An
+    N * H that overflows float64 raises NumericError, not a bound of zero.
+    The perturbative validity of a probe amplitude is not decided here:
+    the record carries its margin H * h^2 (cli.evaluate_scenario), and
+    ``cavqfi qfi`` compares it with the policy's threshold (cli.cmd_qfi).
     """
-    if qfi <= 0.0:
-        raise NoInformationError("QFI must be positive for a Cramer-Rao bound")
     if n_measurements < 1:
         raise ValueError("n_measurements must be >= 1")
+    if qfi <= 0.0:
+        return math.inf, math.inf
     information = n_measurements * qfi
     if math.isinf(information):
         raise NumericError(f"N * QFI = {n_measurements:.3e} * {qfi:.3e} overflows float64")
     delta_h = 1.0 / math.sqrt(information)
-    delta_a = delta_h * sound_speed**2 / length
-    if h is None:
-        return EstimationResult(True, delta_h, delta_a)
-    margin = qfi * h * h
-    return EstimationResult(margin < DEFAULT_POLICY.validity_threshold, delta_h, delta_a, margin)
+    return delta_h, delta_h * sound_speed**2 / length

@@ -6,9 +6,10 @@ transform (the ground truth for ``bogoliubov.transform_reduced``), the
 squeezed-frame route to the un-squeezed ladder state (the reference for
 ``bogoliubov.unsqueezed_state_map``), the exact-transform identities and
 symplectic defects, the physicality check, reference states, the
-closed-form static pair coefficients, the whole-matrix cavity series, and
-the atom-interferometer baseline.  Tests import them as
-``from oracles import ...``, the way they import ``conftest``.
+closed-form static pair coefficients, the whole-matrix cavity series, the
+closed-form QFI of a lattice point, and the atom-interferometer baseline.
+Tests import them as ``from oracles import ...``, the way they import
+``conftest``.
 
 A ``BogoliubovSeries`` is in the interaction picture, S(h) = 1 + h S1
 (+ h^2 S2 on the pair columns of rows k, k').  The lab frame exists only
@@ -293,6 +294,36 @@ def whole_matrix_coefficients(scenario: CavityScenario) -> tuple[np.ndarray, np.
     alpha1 = 1j * alpha_static * diff * kernels.phase_integral(diff, omega, tau)
     beta1 = 1j * beta_static * total * kernels.phase_integral(total, omega, tau)
     return alpha1, beta1
+
+
+def lattice_qfi(scenario: CavityScenario) -> float:
+    """Closed-form leading-order QFI of a lattice point at the sum resonance.
+
+    At tau a multiple of the round trip 2L/c_s every off-resonant drive
+    integral vanishes (sinc(j pi) = 0), and rows k and k' keep three
+    entries: the pair creation beta1_kk' and the mode mixings
+    alpha1_k,2k+k' and alpha1_k',k+2k'.  Each has modulus |static| |x| tau / 2,
+    with |x| = w_k + w_k' its frequency, and with the spectators in vacuum
+    the reduced-state QFI is
+      H0 = 4 |beta1_kk'|^2 + 4 (|alpha1_k,2k+k'|^2 + |alpha1_k',k+2k'|^2) sinh^2 r.
+    The static moduli come from static_first_order, so nothing here reads
+    cavity.static_matrices, kernels.phase_integral or the H0 matrix algebra.
+    The partners enter analytically, whatever n_max is.  A drive off the
+    sum resonance or a tau off the lattice raises ValueError.
+    """
+    k, kp = scenario.k, scenario.kprime
+    x = mode_frequency(k, scenario) + mode_frequency(kp, scenario)
+    if scenario.omega is not None and scenario.omega != x:
+        raise ValueError("the closed form holds at the sum resonance only")
+    cycles = scenario.tau * scenario.sound_speed / (2.0 * scenario.length)
+    if abs(cycles - round(cycles)) > 1e-9 * cycles:
+        raise ValueError(f"tau = {scenario.tau!r} is off the round-trip lattice")
+    scale = x * scenario.tau / 2.0
+    beta = static_first_order(k, kp)[1] * scale
+    alpha_k = static_first_order(k, 2 * k + kp)[0] * scale
+    alpha_kp = static_first_order(kp, k + 2 * kp)[0] * scale
+    mixing = alpha_k**2 + alpha_kp**2
+    return 4.0 * beta**2 + 4.0 * mixing * math.sinh(scenario.squeezing) ** 2
 
 
 def resonant_beta_slope(scenario: CavityScenario) -> float:

@@ -14,6 +14,7 @@ from cavqfi import CavityScenario, bogoliubov, cli, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
+from oracles import lattice_qfi
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -436,6 +437,102 @@ def test_validity_ok_for_small_probe(tmp_path, capsys):
     assert "[OK]" in out
 
 
+@pytest.mark.parametrize("probe", [None, 1e-9, -1e-9])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_qfi_sweep_rows_pinned(tmp_path, fmt, probe):
+    # tau = 0: no drive, H0 = 0, so both bounds are inf (null in JSON); the
+    # validity margin H0 h^2 is nan (null) with no probe and 0.0 with a
+    # probe of either sign; n_max // 2 covers the pair, so the tail is 0.0
+    scenario = {"duration_s": 0.0, "n_max": 8}
+    if probe is not None:
+        scenario["probe_acceleration_m_per_s2"] = probe
+    cfg = write_config(
+        tmp_path,
+        {"scenario": scenario, "sweep": {"parameter": "r", "start": 0.5, "stop": 2.0, "count": 2}},
+    )
+    out = tmp_path / f"zero.{fmt}"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+    if fmt == "csv":
+        zero = "0.0000000000000000e+00"
+        margin = "nan" if probe is None else zero
+        rows = [
+            f"{zero},{r},{zero},inf,inf,{margin},{zero}"
+            for r in ("5.0000000000000000e-01", "2.0000000000000000e+00")
+        ]
+        header = "tau_s,r,qfi,delta_h,delta_a_m_per_s2,validity_margin,tail_estimate"
+        expected = "\n".join([header, *rows]) + "\n"
+    else:
+        margin = None if probe is None else 0.0
+        records = [
+            {
+                "delta_a_m_per_s2": None,
+                "delta_h": None,
+                "qfi": 0.0,
+                "r": r,
+                "tail_estimate": 0.0,
+                "tau_s": 0.0,
+                "validity_margin": margin,
+            }
+            for r in (0.5, 2.0)
+        ]
+        expected = json.dumps({"records": records}, indent=2) + "\n"
+    assert out.read_text() == expected
+
+
+# probes at margins H0 h^2 below, at and above validity_threshold (1e-2) for
+# FAST_SCENARIO (H0 = 2.3911502862815090e5); the "at" probe is the largest
+# valid acceleration itself, whose margin rounds to exactly 1e-2
+LARGEST_VALID_A = 0.00020450153094523024
+
+
+@pytest.mark.parametrize(
+    "probe, margin, valid",
+    [
+        pytest.param(2e-4, 0.009564601145126037, True, id="below"),
+        pytest.param(LARGEST_VALID_A, 0.01, False, id="at"),
+        pytest.param(2.1e-4, 0.010544972762501456, False, id="above"),
+        pytest.param(-2.1e-4, 0.010544972762501456, False, id="above-negative"),
+    ],
+)
+def test_qfi_json_validity_fields(tmp_path, capsys, probe, margin, valid):
+    # a margin equal to the threshold is out of range: the validity domain
+    # is H0 h^2 < validity_threshold, strictly
+    cfg = write_config(
+        tmp_path, {"scenario": {**FAST_SCENARIO, "probe_acceleration_m_per_s2": probe}}
+    )
+    out = tmp_path / "qfi.json"
+    assert main(["qfi", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["validity_margin"] == margin
+    assert payload["qfi_valid"] is valid
+    assert payload["max_valid_acceleration_m_per_s2"] == LARGEST_VALID_A
+    flag = "[OK]" if valid else "[OUT OF VALIDITY RANGE]"
+    assert capsys.readouterr().out.rstrip().endswith(flag)
+
+
+@pytest.mark.parametrize("command", ["qfi", "fidelity"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_without_out_refused(tmp_path, capsys, command, fmt):
+    # qfi and fidelity print text and write their record only to --out, so
+    # a --format with no --out has nothing to format; it used to be ignored
+    cfg = write_config(tmp_path, {"scenario": FAST_SCENARIO})
+    assert main([command, "--config", cfg, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: --format {fmt} needs --out: {command} writes its record only to a file\n"
+    )
+
+
+def test_records_commands_write_stdout_in_either_format(capsys):
+    # sweep, figure2 and coeffs write their records to stdout without --out,
+    # as CSV unless --format says json
+    assert main(["coeffs", "--nmax", "2"]) == 0
+    assert capsys.readouterr().out.startswith("m,n,alpha1_re,")
+    assert main(["coeffs", "--nmax", "2", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 4
+
+
 @pytest.mark.parametrize(
     "command, section",
     [
@@ -726,6 +823,24 @@ def test_figure2_default_grid_snapped(tmp_path):
     taus = sorted({float(line.split(",")[0]) for line in lines[1:]})
     assert all(abs(t / period - round(t / period)) < 1e-9 for t in taus)
     assert {float(line.split(",")[1]) for line in lines[1:]} == {8.0, 9.0, 10.0}
+
+
+def test_h0_matches_lattice_closed_form():
+    # every default figure2 point and the reference qfi point lie on the
+    # round-trip lattice, where H0 has a three-entry closed form
+    # (oracles.lattice_qfi); the first-order series misses it by up to
+    # 1.6e-7, the O(h^2) completion it lacks
+    scenario = CavityScenario()
+    taus = cli.snapped_tau_grid(scenario, *cli.FIGURE2_TAU)
+    points = [
+        dataclasses.replace(scenario, squeezing=r, tau=tau)
+        for r in cli.FIGURE2_SQUEEZINGS
+        for tau in taus
+    ]
+    assert len(points) == 75
+    for point in points + [scenario]:
+        h0 = cli.evaluate_scenario(point)["qfi"]
+        assert h0 == pytest.approx(lattice_qfi(point), rel=1e-6), (point.squeezing, point.tau)
 
 
 def test_figure2_json_format(tmp_path):

@@ -21,7 +21,7 @@ from cavqfi import (
 from cavqfi.bogoliubov import unsqueezed_state_map
 from cavqfi.cavity import free_phases
 from cavqfi import metrology
-from cavqfi.errors import ConditioningError, NoInformationError, NoPlateauError, NumericError
+from cavqfi.errors import ConditioningError, NoPlateauError, NumericError
 from conftest import canonical_series, random_physical_two_mode, random_symplectic
 from oracles import (
     evaluate_series,
@@ -648,45 +648,34 @@ def test_qfi_numeric_headline_scenario_order_of_magnitude():
 
 
 def test_cramer_rao_reference_numbers():
-    est = cramer_rao(1e16, 1e11, 1e-6, 1e-3)
-    assert est.delta_h == pytest.approx(3.1622776601683794e-14, rel=1e-12)
-    assert est.delta_a == pytest.approx(3.1622776601683794e-14, rel=1e-12)
+    delta_h, delta_a = cramer_rao(1e16, 1e11, 1e-6, 1e-3)
+    assert delta_h == pytest.approx(3.1622776601683794e-14, rel=1e-12)
+    assert delta_a == pytest.approx(3.1622776601683794e-14, rel=1e-12)
 
 
 def test_cramer_rao_quadrupling_measurements_halves_bound():
-    est1 = cramer_rao(2.5e8, 1e6, 1e-6, 1e-3)
-    est2 = cramer_rao(2.5e8, 4e6, 1e-6, 1e-3)
-    assert est2.delta_a == pytest.approx(est1.delta_a / 2.0, rel=1e-12)
+    _, delta_a1 = cramer_rao(2.5e8, 1e6, 1e-6, 1e-3)
+    _, delta_a4 = cramer_rao(2.5e8, 4e6, 1e-6, 1e-3)
+    assert delta_a4 == pytest.approx(delta_a1 / 2.0, rel=1e-12)
 
 
-def test_cramer_rao_rejects_nonpositive_qfi():
-    with pytest.raises(NoInformationError):
-        cramer_rao(0.0, 10, 1e-6, 1e-3)
-    with pytest.raises(NoInformationError):
-        cramer_rao(-5.0, 10, 1e-6, 1e-3)
+def test_cramer_rao_nonpositive_qfi_is_infinite():
+    # no information bounds nothing: both bounds are inf, as records emit them
+    assert cramer_rao(0.0, 10, 1e-6, 1e-3) == (math.inf, math.inf)
+    assert cramer_rao(-5.0, 10, 1e-6, 1e-3) == (math.inf, math.inf)
+
+
+def test_cramer_rao_refuses_too_few_measurements():
+    for qfi in (1e16, 0.0):
+        with pytest.raises(ValueError, match="n_measurements must be >= 1"):
+            cramer_rao(qfi, 0.5, 1e-6, 1e-3)
 
 
 def test_cramer_rao_refuses_overflowing_information():
     # N * H beyond float64 would make Delta h = 1 / sqrt(inf) a bound of zero
     with pytest.raises(NumericError, match="overflows float64"):
         cramer_rao(3.5e298, 1e11, 1e-6, 1e-3)
-    assert cramer_rao(1e297, 1e11, 1e-6, 1e-3).delta_h == 1.0 / math.sqrt(1e308)
-
-
-def test_cramer_rao_validity_flag():
-    est = cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-10)
-    assert est.qfi_valid
-    assert est.validity_margin == pytest.approx(1e-4)
-    est2 = cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-8)
-    assert not est2.qfi_valid
-
-
-def test_validity_check_boundary():
-    res = cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-9)
-    assert res.validity_margin == pytest.approx(1e-2)
-    assert not res.qfi_valid  # margin == threshold flags as out of range
-    assert cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-10).qfi_valid
-    assert cramer_rao(1e16, 1e11, 1e-6, 1e-3, h=1e-10).validity_margin == pytest.approx(1e-4)
+    assert cramer_rao(1e297, 1e11, 1e-6, 1e-3)[0] == 1.0 / math.sqrt(1e308)
 
 
 def test_mach_zehnder_reference():
