@@ -5,6 +5,12 @@ a single JSON document (--config); physical quantities carry unit suffixes in
 their field names.  The numeric tolerances are the constants of
 policy.DEFAULT_POLICY; no config section or environment variable sets them.
 
+A run takes three steps: main checks the options, loads the config and
+builds the base scenario; the command builds its points (every scenario
+through point_scenario) and reads the rest of its config; then it evaluates
+the points.  So a configuration error shows before any point is evaluated,
+except an unwritable --out, which shows when the record is written.
+
 Exit codes: 0 success, 1 numeric failure (no information / no plateau /
 conditioning), 2 configuration error.
 """
@@ -80,11 +86,12 @@ def load_config(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        # RFC 8259 fixes JSON's encoding as UTF-8
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -132,6 +139,16 @@ def config_number(value, what, integer=False, minimum=None):
     return value
 
 
+def point_scenario(scenario, **changes):
+    """scenario with changes, by dataclasses.replace; a value that
+    CavityScenario refuses is a ConfigError.  Every scenario a run
+    evaluates is built here."""
+    try:
+        return dataclasses.replace(scenario, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from exc
+
+
 def scenario_from_config(cfg, nmax_override=None):
     raw = dict(_section(cfg, "scenario", SCENARIO_FIELDS))
     if nmax_override is not None:
@@ -144,10 +161,7 @@ def scenario_from_config(cfg, nmax_override=None):
         if value is not None or field.default is not None:
             value = config_number(value, f"scenario.{key}", integer=field.type in ("int", int))
         kwargs[field.name] = value
-    try:
-        return CavityScenario(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+    return point_scenario(CavityScenario(), **kwargs)
 
 
 def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
@@ -225,14 +239,14 @@ def _sweep_axis(cfg):
 _AXIS_COLUMNS = {"a": "a_probe_m_per_s2", "omega": "omega_rad_per_s"}
 
 
-def run_sweep(scenario, name, values):
-    """Point dicts of evaluate_scenario along one axis; an a or omega value
-    is stored under its _AXIS_COLUMNS name."""
+def run_sweep(scenarios, name):
+    """Point dicts of evaluate_scenario, one per scenario of a sweep along
+    axis name; an a or omega value is stored under its _AXIS_COLUMNS name."""
     points = []
-    for value in values:
-        point = evaluate_scenario(dataclasses.replace(scenario, **{_SWEEP_AXES[name]: value}))
+    for scenario in scenarios:
+        point = evaluate_scenario(scenario)
         if name in _AXIS_COLUMNS:
-            point[_AXIS_COLUMNS[name]] = value
+            point[_AXIS_COLUMNS[name]] = getattr(scenario, _SWEEP_AXES[name])
         points.append(point)
     return points
 
@@ -265,9 +279,12 @@ def snapped_tau_grid(scenario, start, stop, count):
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -311,14 +328,6 @@ def _emit_records(points, out, fmt):
 # ---------------------------------------------------------------------------
 
 
-def _check_record_output(args):
-    """qfi and fidelity print text: --format formats only the record that --out writes."""
-    if args.out is None and args.format is not None:
-        raise ConfigError(
-            f"--format {args.format} needs --out: {args.command} writes its record only to a file"
-        )
-
-
 def _write_record(args, header, record):
     """The one record of qfi or fidelity, to --out (if given) as CSV or JSON."""
     if args.out is None:
@@ -329,10 +338,7 @@ def _write_record(args, header, record):
         _write_csv(args.out, header, [[record[c] for c in header]])
 
 
-def cmd_qfi(args):
-    _check_record_output(args)
-    cfg = load_config(args.config)
-    scenario = scenario_from_config(cfg, args.nmax)
+def cmd_qfi(args, cfg, scenario):
     point = evaluate_scenario(scenario, want_numeric=True)
     if point["qfi"] <= 0.0:
         raise NoInformationError("QFI is zero: no information about the drive amplitude")
@@ -368,14 +374,12 @@ def cmd_qfi(args):
     return 0
 
 
-def cmd_sweep(args):
-    cfg = load_config(args.config)
-    scenario = scenario_from_config(cfg, args.nmax)
+def cmd_sweep(args, cfg, scenario):
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a sweep section in the config")
     name, values = _sweep_axis(cfg)
-    records = run_sweep(scenario, name, values)
-    _emit_records(records, args.out, args.format)
+    scenarios = [point_scenario(scenario, **{_SWEEP_AXES[name]: value}) for value in values]
+    _emit_records(run_sweep(scenarios, name), args.out, args.format)
     return 0
 
 
@@ -383,51 +387,42 @@ FIGURE2_SQUEEZINGS = (8.0, 9.0, 10.0)
 FIGURE2_TAU = (2.0, 200.0, 25)
 
 
-def cmd_figure2(args):
+def cmd_figure2(args, cfg, scenario):
     """Error-bound curves delta_a(tau) for r = 8, 9, 10 at the sum resonance.
 
     The default duration grid is snapped to multiples of the round-trip
     period 2 L / c_s (see snapped_tau_grid); an explicit "sweep" section over
     tau in the config replaces the grid verbatim.
     """
-    cfg = load_config(args.config)
-    scenario = scenario_from_config(cfg, args.nmax)
     if "sweep" in cfg:
         name, taus = _sweep_axis(cfg)
         if name != "tau":
             raise ConfigError("figure2 sweeps over tau only")
     else:
-        start, stop, count = FIGURE2_TAU
-        taus = snapped_tau_grid(scenario, start, stop, count)
-    records = []
-    for r in FIGURE2_SQUEEZINGS:
-        base = dataclasses.replace(scenario, squeezing=r)
-        records.extend(run_sweep(base, "tau", taus))
-    _emit_records(records, args.out, args.format)
+        taus = snapped_tau_grid(scenario, *FIGURE2_TAU)
+    scenarios = [
+        point_scenario(scenario, squeezing=r, tau=tau) for r in FIGURE2_SQUEEZINGS for tau in taus
+    ]
+    _emit_records(run_sweep(scenarios, "tau"), args.out, args.format)
     return 0
 
 
-def _fidelity_state(fidelity, what, scenario, series):
-    section = _section(fidelity, what, {"squeezing_r_k", "squeezing_r_kprime", "amplitude_h"})
-    prefix = f"fidelity.{what}."
-    r_k = config_number(section.get("squeezing_r_k", scenario.squeezing), prefix + "squeezing_r_k")
-    r_kp = config_number(
-        section.get("squeezing_r_kprime", scenario.squeezing), prefix + "squeezing_r_kprime"
-    )
-    h = config_number(section.get("amplitude_h", 0.0), prefix + "amplitude_h", minimum=0.0)
-    return transform_reduced(
-        initial_product_squeezed(r_k, r_kp), series, h, scenario.k, scenario.kprime
-    )
-
-
-def cmd_fidelity(args):
-    _check_record_output(args)
-    cfg = load_config(args.config)
-    scenario = scenario_from_config(cfg, args.nmax)
+def cmd_fidelity(args, cfg, scenario):
     section = _section(cfg, "fidelity", {"state_a", "state_b"})
+    states = []
+    for what in ("state_a", "state_b"):
+        state = _section(section, what, {"squeezing_r_k", "squeezing_r_kprime", "amplitude_h"})
+        r_k, r_kp = (
+            config_number(state.get(key, scenario.squeezing), f"fidelity.{what}.{key}")
+            for key in ("squeezing_r_k", "squeezing_r_kprime")
+        )
+        h = config_number(state.get("amplitude_h", 0.0), f"fidelity.{what}.amplitude_h", minimum=0.0)
+        states.append((r_k, r_kp, h))
     series = build_scenario_series(scenario)
-    state_a = _fidelity_state(section, "state_a", scenario, series)
-    state_b = _fidelity_state(section, "state_b", scenario, series)
+    state_a, state_b = (
+        transform_reduced(initial_product_squeezed(r_k, r_kp), series, h, scenario.k, scenario.kprime)
+        for r_k, r_kp, h in states
+    )
     fb = fidelity_two_mode(state_a, state_b)
     print(f"fidelity            : {_fmt(fb.fidelity)}")
     payload = dataclasses.asdict(fb)
@@ -435,9 +430,7 @@ def cmd_fidelity(args):
     return 0
 
 
-def cmd_coeffs(args):
-    cfg = load_config(args.config)
-    scenario = scenario_from_config(cfg, args.nmax)
+def cmd_coeffs(args, cfg, scenario):
     if args.static:
         alpha, beta = static_matrices(scenario.n_max)
         alpha = alpha.astype(complex)
@@ -506,7 +499,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # qfi and fidelity print text: --format formats only the record that --out writes
+        if args.command in ("qfi", "fidelity") and args.format is not None and args.out is None:
+            raise ConfigError(
+                f"--format {args.format} needs --out: {args.command} writes its record only to a file"
+            )
+        cfg = load_config(args.config)
+        return _COMMANDS[args.command](args, cfg, scenario_from_config(cfg, args.nmax))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -524,6 +524,66 @@ def test_format_without_out_refused(tmp_path, capsys, command, fmt):
     )
 
 
+@pytest.mark.parametrize("command", ["sweep", "figure2"])
+def test_sweep_value_the_scenario_refuses_exit_two(tmp_path, monkeypatch, capsys, command):
+    # a swept duration below 0 is refused by CavityScenario; every point is
+    # built before any is evaluated, so the refusal is a config error that
+    # leaves no point evaluated and no record written
+    evaluated = count_calls(monkeypatch, cli, "evaluate_scenario")
+    cfg = write_config(tmp_path, {"sweep": {"parameter": "tau", "start": -1, "stop": 1, "count": 3}})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: invalid scenario: tau must be >= 0\n"
+    assert evaluated == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", [{}, {"squeezing_r": 400.0}])
+def test_fidelity_states_parsed_before_series(tmp_path, monkeypatch, capsys, scenario):
+    # both state sections are read before the series is built, so a config
+    # error in state_b comes first, also before state_a's squeezed
+    # covariance overflows at r = 400 (a numeric failure, exit 1)
+    def refuse(*args):
+        raise AssertionError("the series was built before the states were read")
+
+    monkeypatch.setattr(cli, "build_scenario_series", refuse)
+    cfg = write_config(
+        tmp_path, {"scenario": scenario, "fidelity": {"state_b": {"amplitude_h": -1}}}
+    )
+    assert main(["fidelity", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: fidelity.state_b.amplitude_h must be >= 0.0, got -1.0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        # qfi prints its text before it writes the record
+        (["qfi", "--config", "{cfg}", "--out", "{dir}"], True),
+        (["coeffs", "--nmax", "2", "--out", "{dir}/missing/x.csv"], False),
+    ],
+)
+def test_unwritable_out_exit_two(tmp_path, capsys, argv, printed):
+    cfg = write_config(tmp_path, {"scenario": FAST_SCENARIO})
+    argv = [arg.format(cfg=cfg, dir=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot write output: ")
+    assert captured.err.endswith(f"'{argv[-1]}'\n")
+    assert captured.out.startswith("QFI (analytic H0)") is printed
+
+
+def test_config_not_utf8_exit_two(tmp_path, capsys):
+    # RFC 8259 JSON is UTF-8; a UTF-16 byte-order mark is not valid JSON
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["qfi", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+    )
+
+
 def test_records_commands_write_stdout_in_either_format(capsys):
     # sweep, figure2 and coeffs write their records to stdout without --out,
     # as CSV unless --format says json

@@ -155,3 +155,22 @@ def test_traced_qfi_mix_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]["trace.layers_absent"]["value"] == len(ABSENT_LAYERS)
+
+
+@pytest.mark.parametrize("workload", ["figure2", "wide_truncation"])
+def test_untimed_workload_run_is_correct(workload):
+    # one untraced second of each sweep workload, in a child interpreter
+    # (3 to 5 s): figure2's curve checks and wide_truncation's n_max 1000
+    # vs 50 agreement hold on every row, and no call fails
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
