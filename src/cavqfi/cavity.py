@@ -20,11 +20,14 @@ import numpy as np
 from . import kernels
 from .bogoliubov import BogoliubovSeries
 
-# Entries per row block of build_scenario_series.  A block takes two kernel
-# calls, one per row parity, each on about a quarter of the block's entries
-# (its rows of one parity against the columns of the other), so each complex
-# temporary of a call stays near 32 KB, and the loop over blocks (125 at
-# n_max 1000, 250 kernel calls) costs little beside the entries it computes.
+# Entries each row block of build_scenario_series computes: its rows from the
+# block's first row rightward, so a block runs over about _BLOCK_ENTRIES //
+# (n_max - start) rows and the blocks get taller down the matrix.  A block
+# takes two kernel calls, one per row parity, each on about a quarter of those
+# entries (its rows of one parity against the columns of the other), so each
+# complex temporary of a call stays near 32 KB, and the loop over blocks (66
+# at n_max 1000, 132 kernel calls) costs little beside the entries it
+# computes.  Up to n_max 90 one block holds every row and nothing is mirrored.
 _BLOCK_ENTRIES = 8192
 
 
@@ -142,26 +145,44 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     The parity selection rule makes both matrices a checkerboard: only
     entries with m - n odd can be nonzero.  The build zero-fills alpha1 and
     beta1 and, for each block of rows, calls the kernel twice, once for the
-    block's rows of each parity against the columns of the other parity.  No
-    same-parity entry reaches the drive integral; those entries stay +0.0,
-    and every other entry has the bits of the whole-matrix formula.  The two
-    outputs are the only n_max x n_max arrays the build allocates.
+    block's rows of each parity against the columns of the other parity from
+    the block's first row rightward.  No same-parity entry reaches the drive
+    integral; those entries stay +0.0.  The entries left of a block come by
+    symmetry from the earlier blocks, one tile of the block's columns per
+    block: to first order in h, alpha alpha^dag - beta beta^dag = 1 and the
+    symmetry of alpha beta^T read alpha1 = -alpha1^dag and beta1 = beta1^T
+    (Bruschi, Fuentes and Louko, arXiv:1105.1875), and the closed-form
+    entries satisfy both bit for bit, so every opposite-parity entry has the
+    bits of the whole-matrix formula.  The two outputs are the only
+    n_max x n_max arrays the build allocates.
     """
     n_max = scenario.n_max
     omegas = mode_frequencies(scenario)
     omega, tau = scenario.drive_omega, scenario.tau
     alpha1 = np.zeros((n_max, n_max), dtype=complex)
     beta1 = np.zeros((n_max, n_max), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // n_max)
-    for start in range(0, n_max, step):
-        stop = min(start + step, n_max)
-        # 0-based rows m - 1 of one parity against columns of the other
+    start = 0
+    while start < n_max:
+        stop = min(start + max(1, _BLOCK_ENTRIES // (n_max - start)), n_max)
+        # 0-based rows m - 1 of one parity against the columns of the other,
+        # from the block's first row rightward
         for first in range(start, min(start + 2, stop)):
-            rows, cols = slice(first, stop, 2), slice(1 - first % 2, None, 2)
+            rows = slice(first, stop, 2)
+            cols = slice(start + (first == start), None, 2)
             alpha_static, beta_static = static_matrices(n_max, rows, cols)
             alpha1[rows, cols], beta1[rows, cols] = kernels.time_dependent_coefficients(
                 omegas, omega, tau, alpha_static, beta_static, rows, cols
             )
+        if start:
+            # alpha1[n, m] = -conj(alpha1[m, n]) and beta1[n, m] = beta1[m, n]
+            # for the columns m left of the block.  0.0 - re and im + 0.0
+            # leave an exact zero +0.0, as the kernel gives it.
+            upper = alpha1[:start, start:stop].T
+            lower = alpha1[start:stop, :start]
+            np.subtract(0.0, upper.real, out=lower.real)
+            np.add(upper.imag, 0.0, out=lower.imag)
+            beta1[start:stop, :start] = beta1[:start, start:stop].T
+        start = stop
     alpha1.setflags(write=False)
     beta1.setflags(write=False)
     return BogoliubovSeries(n_max, alpha1, beta1)

@@ -5,9 +5,13 @@ Kernels:
     sinusoidally driven cavity, closed-form entries for a selection of rows
     against a selection of columns.  cavity.build_scenario_series calls it
     twice per block of rows, once for the block's rows of each parity
-    against the columns of the other parity: the parity selection rule
-    zeroes every same-parity entry, so half the n_max^2 entries never reach
-    the drive integral, and the temporaries stay a quarter of a block.
+    against the columns of the other parity from the block's first row
+    rightward: the parity selection rule zeroes every same-parity entry,
+    and the first-order identities alpha1 = -alpha1^dag and
+    beta1 = beta1^T (Bruschi, Fuentes and Louko, arXiv:1105.1875) give the
+    entries left of a block from the earlier blocks.  Up to n_max 90 half
+    the n_max^2 entries reach the drive integral, at n_max 1000 a quarter,
+    and the temporaries stay a quarter of a block.
     This kernel is most of the build's time, which perfbench reports per
     point as ``cavity.build_scenario_series.ms`` (the BENCH_<pr>.json files
     keep the measured values; its wide_truncation workload runs n_max 1000),

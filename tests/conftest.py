@@ -70,6 +70,30 @@ def fock_squeezed_overlap_sq(r, cutoff=60):
     return float(psi[0] ** 2)
 
 
+def kernel_coverage(calls, n_max):
+    """What a series build's kernel calls covered: (hits, expected, blocks).
+
+    calls holds the (rows, cols) slices of each kernels.time_dependent_coefficients
+    call.  blocks lists the row blocks (start, stop) in row order; the calls
+    of one block, one per row parity, share a stop, and the block starts at
+    the lower of their first rows.  hits counts the calls that reached each
+    entry; expected marks the opposite-parity entries at or right of their
+    row's block start.
+    """
+    starts = {}
+    hits = np.zeros((n_max, n_max), dtype=int)
+    for rows, cols in calls:
+        starts[rows.stop] = min(rows.start, starts.get(rows.stop, n_max))
+        hits[rows, cols] += 1
+    n = np.arange(n_max)
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    expected = np.zeros((n_max, n_max), dtype=bool)
+    blocks = sorted((start, stop) for stop, start in starts.items())
+    for start, stop in blocks:
+        expected[start:stop, start:] = odd[start:stop, start:]
+    return hits, expected, blocks
+
+
 def child_env(**overrides):
     """Environment for a child interpreter that imports this session's cavqfi.
 

@@ -14,6 +14,7 @@ from cavqfi import (
 from cavqfi import cavity, kernels
 from cavqfi.bogoliubov import BogoliubovSeries
 from cavqfi.cavity import mode_frequencies, static_matrices
+from conftest import kernel_coverage
 from oracles import (
     evaluate_series,
     mode_frequency,
@@ -239,7 +240,7 @@ def test_blocked_build_equals_whole_matrix_oracle():
     # integral and are +0.0, where the oracle's sign follows the integral
     step = cavity._BLOCK_ENTRIES // 210
     assert 210 // step >= 2 and 210 % step
-    for n_max in (3, 50, 210):
+    for n_max in (3, 50, 65, 210, 333):
         odd = opposite_parity(n_max)
         for overrides in (
             {},
@@ -260,14 +261,14 @@ def test_blocked_build_equals_whole_matrix_oracle():
 def test_static_selection_equals_whole_static_oracle(n_max):
     alpha, beta = whole_static_matrices(n_max)
     step = cavity._BLOCK_ENTRIES // 210
-    last = (n_max - 1) // step * step  # the ragged last row block at n_max 210
+    last = (n_max - 1) // step * step  # a row block down to the last row
     rng = np.random.default_rng(n_max)
     picks = np.sort(rng.choice(n_max, size=min(n_max, 7), replace=False))
     for rows, cols in (
         (slice(None), slice(None)),
         (slice(0, 1), slice(None)),
-        (slice(last, None, 2), slice(1 - last % 2, None, 2)),
-        (slice(last + 1, None, 2), slice(last % 2, None, 2)),
+        (slice(last, None, 2), slice(last + 1, None, 2)),
+        (slice(last + 1, None, 2), slice(last, None, 2)),
         (slice(1, None, 3), slice(None, None, -1)),
         (picks, picks[::-1]),
         (np.array([n_max - 1, 0]), slice(None)),
@@ -277,18 +278,63 @@ def test_static_selection_equals_whole_static_oracle(n_max):
         assert b_sel.tobytes() == beta[rows][:, cols].tobytes()
 
 
-@pytest.mark.parametrize("n_max", [3, 50, 210])
+def test_first_order_identities_hold_for_random_scenarios():
+    # to first order in h, alpha alpha^dag - beta beta^dag = 1 and the
+    # symmetry of alpha beta^T read alpha1 = -alpha1^dag and beta1 = beta1^T;
+    # the whole-matrix formula keeps both over seeded scenarios, on and off
+    # the round-trip lattice and the sum resonance, and the build, which
+    # mirrors the entries left of each row block, carries its bits
+    rng = np.random.default_rng(2801)
+    n_maxes = []
+    for _ in range(24):
+        n_max = int(rng.integers(3, 301))
+        k = int(rng.integers(1, n_max + 1))
+        kprime = int(rng.choice(np.arange(1 + k % 2, n_max + 1, 2)))
+        length = 10.0 ** rng.uniform(-7.0, -5.0)
+        sound_speed = 10.0 ** rng.uniform(-4.0, -2.0)
+        round_trip = 2.0 * length / sound_speed
+        tau = [0.0, int(rng.integers(1, 50)) * round_trip, rng.uniform(0.0, 50.0) * round_trip][
+            int(rng.integers(3))
+        ]
+        # a drive off every mode sum and difference, or the sum resonance
+        w_1 = math.pi * sound_speed / length
+        omega = rng.uniform(0.5, 5.0) * w_1 if rng.random() < 0.5 else None
+        sc = CavityScenario(
+            length=length, sound_speed=sound_speed, k=k, kprime=kprime,
+            tau=tau, omega=omega, n_max=n_max,
+        )
+        alpha1, beta1 = whole_matrix_coefficients(sc)
+        assert np.array_equal(alpha1, -alpha1.conj().T)
+        assert np.array_equal(beta1, beta1.T)
+        series = build_scenario_series(sc)
+        odd = opposite_parity(n_max)
+        assert series.alpha1[odd].tobytes() == alpha1[odd].tobytes()
+        assert series.beta1[odd].tobytes() == beta1[odd].tobytes()
+        n_maxes.append(n_max)
+    # both one-block and mirrored builds were drawn
+    assert min(n_maxes) <= cavity._BLOCK_ENTRIES // min(n_maxes)
+    assert max(n_maxes) > cavity._BLOCK_ENTRIES // max(n_maxes)
+
+
+@pytest.mark.parametrize("n_max", [3, 50, 210, 333])
 def test_build_passes_only_opposite_parity_entries(monkeypatch, n_max):
+    # every opposite-parity entry at or right of its row's block start
+    # reaches the kernel once; the entries left of it come by symmetry from
+    # the earlier blocks, and the same-parity ones stay +0.0
     original = kernels.time_dependent_coefficients
-    entries = []
+    calls = []
 
     def counted(omegas, omega, tau, alpha_static, beta_static, rows, cols):
-        entries.append(alpha_static.size)
+        calls.append((rows, cols))
         return original(omegas, omega, tau, alpha_static, beta_static, rows, cols)
 
     monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
     build_scenario_series(reference_scenario(n_max=n_max))
-    assert sum(entries) == opposite_parity(n_max).sum() == 2 * (n_max // 2) * (-(-n_max // 2))
+    hits, expected, blocks = kernel_coverage(calls, n_max)
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == n_max
+    assert (len(blocks) > 1) == (n_max > cavity._BLOCK_ENTRIES // n_max)
+    assert np.array_equal(hits, expected)
 
 
 def test_row_index_array_equals_whole_matrix_rows():

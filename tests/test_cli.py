@@ -584,6 +584,25 @@ def test_config_not_utf8_exit_two(tmp_path, capsys):
     )
 
 
+def test_config_integer_over_digit_limit_exit_two(tmp_path, capsys):
+    # int() refuses a decimal string over 4300 digits with ValueError
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": {"n_max": ' + "9" * 5000 + "}}")
+    assert main(["qfi", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config is not valid JSON: Exceeds the limit (4300 digits)"
+    )
+
+
+def test_config_nested_past_recursion_limit_exit_two(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["qfi", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config is not valid JSON: maximum recursion depth exceeded"
+    )
+
+
 def test_records_commands_write_stdout_in_either_format(capsys):
     # sweep, figure2 and coeffs write their records to stdout without --out,
     # as CSV unless --format says json

@@ -3,7 +3,7 @@ import numpy as np
 from cavqfi import kernels
 
 
-def testphase_integral_resonance_continuity():
+def test_phase_integral_resonance_continuity():
     # the sinc form must be smooth through x = +-omega
     tau, omega = 1.3, 7.0
     vals = [complex(kernels.phase_integral(np.float64(omega + d), omega, tau)) for d in (-1e-9, 0.0, 1e-9)]

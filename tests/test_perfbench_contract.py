@@ -19,6 +19,7 @@ import pytest
 import cavqfi
 from cavqfi import cavity, cli, kernels
 from cavqfi.policy import DEFAULT_POLICY
+from conftest import kernel_coverage
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -82,24 +83,20 @@ def test_series_build_calls_kernel_through_module_attribute(monkeypatch):
     # the tracer's kernels.time_dependent_coefficients spans measure the
     # build only while the build looks the kernel up on the module; it calls
     # it twice per row block, once per row parity, and those calls must
-    # cover every opposite-parity entry once and no same-parity entry
+    # cover every opposite-parity entry at or right of its row's block start
+    # once, and no other entry
     original = kernels.time_dependent_coefficients
-    hits = np.zeros((210, 210), dtype=int)
     calls = []
 
     def counted(*args):
-        rows, cols = args[-2:]
-        calls.append(rows)
-        hits[rows, cols] += 1
+        calls.append(args[-2:])
         return original(*args)
 
     monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
     cavity.build_scenario_series(cavity.CavityScenario(n_max=210))
-    step = cavity._BLOCK_ENTRIES // 210
-    assert len(calls) == 2 * -(-210 // step) > 2
-    n = np.arange(210)
-    odd = (n[:, None] + n[None, :]) % 2 == 1
-    assert np.array_equal(hits, odd.astype(int))
+    hits, expected, blocks = kernel_coverage(calls, 210)
+    assert len(calls) == 2 * len(blocks) > 2
+    assert np.array_equal(hits, expected)
 
 
 def test_coefficient_entries_count_first_order_only():
