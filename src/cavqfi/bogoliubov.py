@@ -7,7 +7,8 @@ alpha(h) = 1 + h alpha1 (+ h^2 diag(alpha2)), beta(h) = h beta1.
 Every two-mode state is built one way, from rows k and k' of the real
 symplectic matrix S(h) = 1 + h S1 (+ h^2 S2 on the pair columns), never
 from the full 2N x 2N matrix.  ``unsqueezed_rows`` takes those rows order
-by order, mapped by the un-squeezing of a squeezing r, once per point;
+by order from rows k and k' of the coefficients, mapped by the
+un-squeezing of a squeezing r, once per row set;
 ``unsqueezed_state_map`` forms their Gram matrix once, with the vacuum on
 the spectator columns and a given covariance on the pair columns, and
 gives each state as a 4x4 sum.  The QFI reads the rows in the frame where
@@ -64,12 +65,12 @@ class BogoliubovSeries:
             object.__setattr__(self, "alpha2", _frozen(alpha2, complex))
 
 
-def _check_mode_pair(series, k, kprime):
+def _check_mode_pair(n_modes, k, kprime):
     if k == kprime:
         raise ValueError("k and kprime must differ")
     for m in (k, kprime):
-        if not (1 <= m <= series.n_modes):
-            raise ValueError(f"mode {m} outside truncation range 1..{series.n_modes}")
+        if not (1 <= m <= n_modes):
+            raise ValueError(f"mode {m} outside truncation range 1..{n_modes}")
 
 
 def pair_columns(k: int, kprime: int) -> list:
@@ -105,21 +106,26 @@ class UnsqueezedRows:
     orders: np.ndarray
 
 
-def unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: int) -> UnsqueezedRows:
-    """Rows k, k' of the series un-squeezed by r.
+def unsqueezed_rows(alpha1, beta1, r: float, k: int, kprime: int, alpha2=None) -> UnsqueezedRows:
+    """Rows k, k' of a series, un-squeezed by r, from those rows of its coefficients.
 
-    A mode pair outside the series' truncation raises ValueError.
+    alpha1 and beta1 are (2, N) arrays, N the number of modes: rows k and
+    k' (in that order) of the first-order matrices.  alpha2, when given,
+    holds the second-order diagonal entries (alpha2_k, alpha2_k').  A
+    caller holding a whole series passes those rows of it; a cavity point
+    builds them alone (cavity.build_pair_rows).  Rows of another shape, or
+    a mode pair outside 1..N, raise ValueError.
     """
-    _check_mode_pair(series, k, kprime)
-    rows = [k - 1, kprime - 1]
+    n_modes = np.shape(alpha1)[-1]
+    if np.shape(alpha1) != (2, n_modes) or np.shape(beta1) != (2, n_modes):
+        raise ValueError("alpha1 and beta1 must be rows k, k' of equal length")
+    _check_mode_pair(n_modes, k, kprime)
     pair = pair_columns(k, kprime)
-    stacked = np.zeros((2 if series.alpha2 is None else 3, 4, 2 * series.n_modes))
+    stacked = np.zeros((2 if alpha2 is None else 3, 4, 2 * n_modes))
     stacked[0][:, pair] = np.eye(4)
-    stacked[1] = kernels.symplectic_blocks(series.alpha1[rows], series.beta1[rows])
-    if series.alpha2 is not None:
-        stacked[2][:, pair] = kernels.symplectic_blocks(
-            np.diag(series.alpha2[rows]), np.zeros((2, 2))
-        )
+    stacked[1] = kernels.symplectic_blocks(alpha1, beta1)
+    if alpha2 is not None:
+        stacked[2][:, pair] = kernels.symplectic_blocks(np.diag(alpha2), np.zeros((2, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.exp([-r, r, -r, r])
         cols = np.ones(stacked.shape[2])
@@ -195,4 +201,8 @@ def transform_reduced(
     """
     if initial.num_modes != 2:
         raise ValueError("initial state must have exactly two modes")
-    return unsqueezed_state_map(unsqueezed_rows(series, 0.0, k, kprime), initial.cov)(h)
+    _check_mode_pair(series.n_modes, k, kprime)
+    rows = [k - 1, kprime - 1]
+    alpha2 = None if series.alpha2 is None else series.alpha2[rows]
+    unsqueezed = unsqueezed_rows(series.alpha1[rows], series.beta1[rows], 0.0, k, kprime, alpha2)
+    return unsqueezed_state_map(unsqueezed, initial.cov)(h)

@@ -20,6 +20,10 @@ import numpy as np
 from . import kernels
 from .bogoliubov import BogoliubovSeries
 
+# Largest truncation: static_matrices forms (m + n)^3 in integers, exact in
+# float64 while it stays below 2^53, which holds up to n_max 104032.
+MAX_MODES = 100_000
+
 # Entries each row block of build_scenario_series computes: its rows from the
 # block's first row rightward, so a block runs over about _BLOCK_ENTRIES //
 # (n_max - start) rows and the blocks get taller down the matrix.  A block
@@ -28,6 +32,8 @@ from .bogoliubov import BogoliubovSeries
 # complex temporary of a call stays near 32 KB, and the loop over blocks (66
 # at n_max 1000, 132 kernel calls) costs little beside the entries it
 # computes.  Up to n_max 90 one block holds every row and nothing is mirrored.
+# The whole build serves coeffs, fidelity and the tests; a QFI point builds
+# rows k and k' alone (build_pair_rows).
 _BLOCK_ENTRIES = 8192
 
 
@@ -67,8 +73,19 @@ class CavityScenario:
             raise ValueError("k and kprime must have opposite parity")
         if self.n_max < max(self.k, self.kprime):
             raise ValueError("n_max must cover both chosen modes")
+        if self.n_max > MAX_MODES:
+            raise ValueError(f"n_max must be at most {MAX_MODES}")
         if self.n_measurements < 1:
             raise ValueError("n_measurements must be >= 1")
+        # every scale a point forms must be a float64: the mode frequencies
+        # up to w_{n_max} and the drive, the phases they turn through over
+        # tau, and c_s^2 of h = a L / c_s^2 (nonzero)
+        w_max = math.pi * self.n_max * self.sound_speed / self.length
+        drive = 2.0 * w_max if self.omega is None else abs(self.omega)
+        if not math.isfinite((2.0 * w_max + drive) * self.tau):
+            raise ValueError("the mode frequencies, the drive or their phases over tau overflow float64")
+        if not 0.0 < self.sound_speed * self.sound_speed < math.inf:
+            raise ValueError("sound_speed^2 leaves the float64 range")
 
     @property
     def drive_omega(self) -> float:
@@ -129,6 +146,35 @@ def free_phases(scenario: CavityScenario) -> np.ndarray:
     those of the lab frame.
     """
     return np.exp(-1j * mode_frequencies(scenario) * scenario.tau)
+
+
+def build_pair_rows(scenario: CavityScenario, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Rows k and k' of build_scenario_series's alpha1 and beta1, at each duration of taus.
+
+    Returns (alpha1, beta1), each (len(taus), 2, n_max): entry [i, 0] is row
+    k and [i, 1] row k' of the series of the scenario with tau = taus[i].
+    The work is O(n_max) per duration, not O(n_max^2).  Rows k and k' have
+    opposite parity, so each takes one kernel call, against the columns of
+    the other parity, with all the durations broadcast as a (len(taus), 1, 1)
+    tau; same-parity entries stay +0.0.  Every entry has the bits of the same
+    entry of build_scenario_series at that duration, whether the whole build
+    computes it or mirrors it, since the closed-form entries satisfy
+    alpha1 = -alpha1^dag and beta1 = beta1^T bit for bit.
+    """
+    n_max = scenario.n_max
+    omegas = mode_frequencies(scenario)
+    omega = scenario.drive_omega
+    tau = np.asarray(taus, dtype=float)[:, None, None]
+    alpha1 = np.zeros((len(tau), 2, n_max), dtype=complex)
+    beta1 = np.zeros((len(tau), 2, n_max), dtype=complex)
+    for i, mode in enumerate((scenario.k, scenario.kprime)):
+        # 0-based row mode - 1 against the columns of the other parity
+        rows, cols = slice(mode - 1, mode), slice(mode % 2, None, 2)
+        alpha_static, beta_static = static_matrices(n_max, rows, cols)
+        alpha1[:, i : i + 1, cols], beta1[:, i : i + 1, cols] = kernels.time_dependent_coefficients(
+            omegas, omega, tau, alpha_static, beta_static, rows, cols
+        )
+    return alpha1, beta1
 
 
 def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:

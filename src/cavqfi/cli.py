@@ -31,12 +31,13 @@ from .bogoliubov import transform_reduced, unsqueezed_rows, unsqueezed_state_map
 from .cavity import (
     CavityScenario,
     acceleration_from_h,
+    build_pair_rows,
     build_scenario_series,
     free_phases,
     h_from_acceleration,
     static_matrices,
 )
-from .errors import ConfigError, NoInformationError, NumericError
+from .errors import ConditioningError, ConfigError, NoInformationError, NumericError
 from .gaussian import initial_product_squeezed
 from .metrology import (
     cramer_rao,
@@ -166,27 +167,43 @@ def scenario_from_config(cfg, nmax_override=None):
     return point_scenario(CavityScenario(), **kwargs)
 
 
-def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
-    """Full single-point evaluation: series, QFI, bounds.
+# a point's duration and its two probes tau (1 - 16 eps) and tau (1 + 16 eps);
+# both factors are exact in float64
+_TAU_PROBES = np.array([1.0, 1.0 - 16 * np.finfo(float).eps, 1.0 + 16 * np.finfo(float).eps])
 
-    Rows k and k' of the interaction-picture series are taken once, in the
-    frame where the squeezed initial state is the vacuum
-    (bogoliubov.unsqueezed_rows), and both QFI routes read them.  The QFI
-    is their matrix-form H0 (qfi_analytic_h0), with no fitted inputs.
-    "tail_estimate" is the share of H0 carried by the modes above
-    n_max // 2 (nan when n_max // 2 does not cover the pair), from the same
-    one sum.  With want_numeric and H0 > 0, the fidelity-ladder QFI of the
-    same point is added as "qfi_numeric"; its numeric failures propagate.
-    At H0 <= 0 no ladder runs: there is no information to cross-check.  The
-    ladder steps the states of bogoliubov.unsqueezed_state_map, which sit
-    near the vacuum, so their fidelities take the float64 path; with the
-    pilot's growth test in qfi_numeric, none takes the mpmath path, and no
-    lab-frame state (transform_reduced) is formed.  The bounds are
-    cramer_rao's (inf at H0 <= 0), and "validity_margin" is H0 h^2 at the
-    probe amplitude, nan without a probe.  Returns a plain dict of floats.
+
+def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
+    """Full single-point evaluation: pair rows, QFI, bounds.
+
+    Rows k and k' of the interaction-picture series are built alone
+    (cavity.build_pair_rows), at the point's tau and at the probes
+    tau (1 -/+ 16 eps), and each row set is taken into the frame where the
+    squeezed initial state is the vacuum (bogoliubov.unsqueezed_rows).  The
+    QFI is the matrix-form H0 of the point's rows (qfi_analytic_h0), with
+    no fitted inputs.  "tail_estimate" is the share of H0 carried by the
+    modes above n_max // 2 (nan when n_max // 2 does not cover the pair),
+    from the same one sum.  With want_numeric and H0 > 0, the
+    fidelity-ladder QFI of the same point is added as "qfi_numeric"; its
+    numeric failures propagate.  At H0 <= 0 no ladder runs: there is no
+    information to cross-check.  The ladder steps the states of
+    bogoliubov.unsqueezed_state_map, which sit near the vacuum, so their
+    fidelities take the float64 path; with the pilot's growth test in
+    qfi_numeric, none takes the mpmath path, and no lab-frame state
+    (transform_reduced) is formed.  The bounds are cramer_rao's (inf at
+    H0 <= 0), and "validity_margin" is H0 h^2 at the probe amplitude, nan
+    without a probe.  Returns a plain dict of floats.
+
+    Last, a point whose probes' H0 moves from its H0 by more than
+    policy.tau_spread_max of |H0| raises ConditioningError naming tau, r
+    and the spread: H0 is not determined by the float64 inputs.  On the
+    round-trip lattice its e^{4r} coefficient is zero in exact arithmetic,
+    and the rounding of tau leaves a residue that e^{4r} amplifies.  L and
+    c_s enter the series only through c_s tau / L, so the tau probes cover
+    their rounding too.  Every other failure of the point comes first.
     """
-    series = build_scenario_series(scenario)
-    rows = unsqueezed_rows(series, scenario.squeezing, scenario.k, scenario.kprime)
+    r, k, kprime = scenario.squeezing, scenario.k, scenario.kprime
+    alpha1, beta1 = build_pair_rows(scenario, scenario.tau * _TAU_PROBES)
+    rows, *probes = (unsqueezed_rows(a, b, r, k, kprime) for a, b in zip(alpha1, beta1))
     h0 = qfi_analytic_h0(rows)
     qfi = h0.value
     out = {
@@ -200,6 +217,17 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     out["delta_h"], out["delta_a_m_per_s2"] = cramer_rao(
         qfi, scenario.n_measurements, scenario.length, scenario.sound_speed
     )
+    try:
+        spread = max(abs(qfi_analytic_h0(p).value - qfi) for p in probes)
+    except NumericError:  # a probe's H0 overflows float64 where the point's does not
+        spread = math.inf
+    if spread > DEFAULT_POLICY.tau_spread_max * abs(qfi):
+        relative = spread / abs(qfi) if qfi else math.inf
+        raise ConditioningError(
+            f"H0 = {qfi:.6e} at tau = {scenario.tau!r} s, r = {r!r} is not determined "
+            f"by its inputs: tau (1 +/- 16 eps) moves it by {relative:.3e} of itself, "
+            f"above {DEFAULT_POLICY.tau_spread_max:g}"
+        )
     h = math.nan if scenario.a_probe is None else h_from_acceleration(scenario.a_probe, scenario)
     out["validity_margin"] = qfi * h * h
     return out

@@ -3,18 +3,20 @@
 Kernels:
   * ``time_dependent_coefficients``: first-order coefficients for a
     sinusoidally driven cavity, closed-form entries for a selection of rows
-    against a selection of columns.  cavity.build_scenario_series calls it
-    twice per block of rows, once for the block's rows of each parity
-    against the columns of the other parity from the block's first row
-    rightward: the parity selection rule zeroes every same-parity entry,
-    and the first-order identities alpha1 = -alpha1^dag and
-    beta1 = beta1^T (Bruschi, Fuentes and Louko, arXiv:1105.1875) give the
-    entries left of a block from the earlier blocks.  Up to n_max 90 half
-    the n_max^2 entries reach the drive integral, at n_max 1000 a quarter,
-    and the temporaries stay a quarter of a block.
-    This kernel is most of the build's time, which perfbench reports per
-    point as ``cavity.build_scenario_series.ms`` (the BENCH_<pr>.json files
-    keep the measured values; its wide_truncation workload runs n_max 1000),
+    against a selection of columns, at one duration or at an array of
+    them.  A QFI point (cavity.build_pair_rows) calls it once per row
+    parity, for row k or k' against the columns of the other parity, with
+    its three durations broadcast as one (3, 1, 1) tau: O(n_max) entries.
+    cavity.build_scenario_series, which serves coeffs, fidelity and the
+    tests, calls it twice per block of rows, once for the block's rows of
+    each parity against the columns of the other parity from the block's
+    first row rightward: the parity selection rule zeroes every
+    same-parity entry, and the first-order identities alpha1 = -alpha1^dag
+    and beta1 = beta1^T (Bruschi, Fuentes and Louko, arXiv:1105.1875) give
+    the entries left of a block from the earlier blocks.  perfbench reports
+    its time per point as ``kernels.time_dependent_coefficients.ms`` (the
+    BENCH_*.json files keep the measured values; its wide_truncation
+    workload runs n_max 1000),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
     coefficient pairs, which builds rows k, k' of the symplectic matrix in
     bogoliubov.unsqueezed_rows.
@@ -58,8 +60,10 @@ def time_dependent_coefficients(
 
     rows and cols (each a slice or an index array of 0-based modes m - 1,
     default all) select the entries built; alpha_static and beta_static hold
-    just those entries.  Each entry's arithmetic does not depend on the
-    selection.
+    just those entries.  tau is a number or an array that broadcasts
+    against the (rows, cols) entries, such as a (d, 1, 1) array of d
+    durations, which gives (d, rows, cols) outputs.  Each entry's
+    arithmetic does not depend on the selection or on the other durations.
     """
     omegas = np.asarray(omegas, dtype=float)
     diff = omegas[rows][:, None] - omegas[cols][None, :]

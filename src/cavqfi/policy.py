@@ -1,8 +1,9 @@
 """Numeric tolerances: the fixed settings a result reads, in one place.
 
 The fields are the fidelity's branch clamp and its precision switch, the
-finite-difference QFI ladder's steps and plateau test, and the perturbative
-validity threshold.  They are implementation tolerances, not inputs of the
+finite-difference QFI ladder's steps and plateau test, the perturbative
+validity threshold and the largest spread of H0 under a change of tau at
+the rounding level.  They are implementation tolerances, not inputs of the
 physics, and no caller needs another value, so DEFAULT_POLICY is the only
 instance and nothing overrides it.  Fixed invariant tolerances of the state
 types live in gaussian.py, not here.  The mode truncation is a scenario field
@@ -30,6 +31,10 @@ class NumericPolicy:
     plateau_abs_floor: float = 1e-12     # below this the ladder counts as zero
     # validity of the perturbative expansion: flag when H0 * h^2 >= threshold
     validity_threshold: float = 1e-2
+    # refuse an H0 that moves by more than this share of itself when tau
+    # changes by 16 eps (cli.evaluate_scenario); measured spreads are at most
+    # 1.9e-10 off the round-trip lattice and reach 3.2e-3 on it at r = 50
+    tau_spread_max: float = 1e-6
 
 
 DEFAULT_POLICY = NumericPolicy()

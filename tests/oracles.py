@@ -3,7 +3,7 @@
 None of these is on a path that ``cavqfi`` runs: the series evaluated at
 one amplitude as whole coefficient matrices, the full-symplectic state
 transform (the ground truth for ``bogoliubov.transform_reduced``), the
-squeezed-frame route to the un-squeezed ladder state (the reference for
+un-squeezed rows of a whole series, the squeezed-frame route to the un-squeezed ladder state (the reference for
 ``bogoliubov.unsqueezed_state_map``), the exact-transform identities and
 symplectic defects, the physicality check, reference states, the
 closed-form static pair coefficients, the whole-matrix cavity series, the
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from cavqfi import kernels
-from cavqfi.bogoliubov import BogoliubovSeries, _check_mode_pair, pair_columns
+from cavqfi.bogoliubov import BogoliubovSeries, _check_mode_pair, pair_columns, unsqueezed_rows
 from cavqfi.cavity import CavityScenario
 from cavqfi.gaussian import SYMMETRY_TOL, GaussianState, _frozen, symplectic_form
 
@@ -179,7 +179,7 @@ def transform_full_oracle(
     """
     if initial.num_modes != 2:
         raise ValueError("initial state must have exactly two modes")
-    _check_mode_pair(series, k, kprime)
+    _check_mode_pair(series.n_modes, k, kprime)
     n = series.n_modes
     pair = pair_columns(k, kprime)
     cov = np.eye(2 * n)
@@ -196,6 +196,17 @@ def transform_full_oracle(
     return partial_trace(full, [k, kprime])
 
 
+def series_unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: int):
+    """bogoliubov.unsqueezed_rows of rows k, k' sliced from a whole series.
+
+    The package builds a point's rows alone (cavity.build_pair_rows); tests
+    that hold a whole series, random or built, pass its rows this way.
+    """
+    rows = [k - 1, kprime - 1]
+    alpha2 = None if series.alpha2 is None else series.alpha2[rows]
+    return unsqueezed_rows(series.alpha1[rows], series.beta1[rows], r, k, kprime, alpha2)
+
+
 def squeezed_frame_ladder_state(
     series: BogoliubovSeries, r: float, h: float, k: int, kprime: int
 ) -> GaussianState:
@@ -209,7 +220,7 @@ def squeezed_frame_ladder_state(
     by t_i t_j for t = (e^{-r}, e^{r}, e^{-r}, e^{r}).  The squeezed-frame
     entries reach e^{2r}, so this state carries their rounding.
     """
-    _check_mode_pair(series, k, kprime)
+    _check_mode_pair(series.n_modes, k, kprime)
     rows = [k - 1, kprime - 1]
     pair = pair_columns(k, kprime)
     s = h * kernels.symplectic_blocks(series.alpha1[rows], series.beta1[rows])

@@ -19,7 +19,6 @@ from cavqfi import (
     qfi_analytic_h0,
     qfi_numeric,
     transform_reduced,
-    unsqueezed_rows,
 )
 from cavqfi import kernels
 from cavqfi.cli import evaluate_scenario, main
@@ -28,6 +27,7 @@ from oracles import (
     mach_zehnder_qfi,
     resonant_beta_slope,
     series_symplectic_defect,
+    series_unsqueezed_rows,
     transform_full_oracle,
     vacuum,
 )
@@ -154,7 +154,7 @@ def test_criterion_4_analytic_numeric_cross_validation():
             numeric = qfi_numeric(
                 lambda h: transform_reduced(init, series, h, 1, 2), 0.0
             )
-            analytic = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
+            analytic = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
             rel = abs(analytic - numeric) / abs(numeric)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -23,6 +23,7 @@ from oracles import (
     evaluate_series,
     identity_defects,
     series_symplectic_defect,
+    series_unsqueezed_rows,
     squeezed_frame_ladder_state,
     symplectic_defect,
     transform_full_oracle,
@@ -45,7 +46,7 @@ def test_unsqueezed_rows_match_full_assembly(rng):
     canon = canonical_series(rng, n)
     for series in (canon, dataclasses.replace(canon, alpha2=random_alpha2(rng, n))):
         for k, kp in ((2, 5), (4, 1)):
-            rows = unsqueezed_rows(series, 0.0, k, kp)
+            rows = series_unsqueezed_rows(series, 0.0, k, kp)
             pair = pair_columns(k, kp)
             assert pair == [2 * k - 2, 2 * k - 1, 2 * kp - 2, 2 * kp - 1]
             assert rows.pair == tuple(pair)
@@ -258,7 +259,7 @@ def test_zero_amplitude_is_identity_for_every_series(rng):
             for init in (initial_product_squeezed(0.8, -0.3), random_physical_two_mode(rng)):
                 assert transform_reduced(init, s, 0.0, k, kp).cov.tobytes() == init.cov.tobytes()
             for r in (0.0, 0.7, -1.3, 5.0):
-                cov = unsqueezed_state_map(unsqueezed_rows(s, r, k, kp))(0.0).cov
+                cov = unsqueezed_state_map(series_unsqueezed_rows(s, r, k, kp))(0.0).cov
                 assert cov.tobytes() == np.eye(4).tobytes()
     # also when the higher Gram orders have overflowed float64 (0 * inf is
     # nan): the undriven state of `cavqfi fidelity` at r = 348
@@ -334,7 +335,7 @@ def with_second_order(series, rng):
 
 
 def assert_map_matches_squeezed_frame(series, r, hs, k=1, kp=2):
-    state_at = unsqueezed_state_map(unsqueezed_rows(series, r, k, kp))
+    state_at = unsqueezed_state_map(series_unsqueezed_rows(series, r, k, kp))
     for h in hs:
         new = state_at(h).cov
         old = squeezed_frame_ladder_state(series, r, h, k, kp).cov
@@ -353,13 +354,13 @@ def test_unsqueezed_state_map_matches_lab_frame(rng, r, n_max, tau, second_order
     # the ladder's states: h = 0 and steps around where H h^2 = 1e-6, up to
     # states whose entries have grown past 1e3
     series = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=n_max))
-    h_target = 1e-3 / math.sqrt(qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value)
+    h_target = 1e-3 / math.sqrt(qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value)
     if second_order:
         series = with_second_order(series, rng)
     hs = [0.0] + [f * h_target for f in (0.5, 1, 2, 30, 1e3, 1e5)]
     assert_map_matches_squeezed_frame(series, r, hs)
     # at h = 0 the state is exactly the vacuum
-    assert (unsqueezed_state_map(unsqueezed_rows(series, r, 1, 2))(0.0).cov == np.eye(4)).all()
+    assert (unsqueezed_state_map(series_unsqueezed_rows(series, r, 1, 2))(0.0).cov == np.eye(4)).all()
 
 
 def test_unsqueezed_state_map_random_series(rng):
@@ -371,18 +372,19 @@ def test_unsqueezed_state_map_random_series(rng):
 
 
 def test_unsqueezed_state_map_validation(rng):
-    rows = unsqueezed_rows(canonical_series(rng, 4), 1.0, 1, 2)
+    rows = series_unsqueezed_rows(canonical_series(rng, 4), 1.0, 1, 2)
     assert not rows.orders.flags.writeable
     state_at = unsqueezed_state_map(rows)
     with pytest.raises(ValueError):
         state_at(-1e-3)
+    series = canonical_series(rng, 4)
     with pytest.raises(ValueError):
-        unsqueezed_rows(canonical_series(rng, 4), 1.0, 1, 5)
+        unsqueezed_rows(series.alpha1[[0, 1]], series.beta1[[0, 1]], 1.0, 1, 5)
     # the Gram blocks grow as e^{4r} and leave float64 long before r = 400:
     # a driven state is a NumericError, with no numpy warning on the way,
     # while the h = 0 state is the vacuum
     with np.errstate(over="raise", invalid="raise"):
-        state_at = unsqueezed_state_map(unsqueezed_rows(canonical_series(rng, 4), 400.0, 1, 2))
+        state_at = unsqueezed_state_map(series_unsqueezed_rows(canonical_series(rng, 4), 400.0, 1, 2))
         with pytest.raises(NumericError, match="overflows"):
             state_at(1e-9)
         assert state_at(0.0).cov.tobytes() == np.eye(4).tobytes()

@@ -376,3 +376,32 @@ def test_build_arrays_adopted_not_copied(monkeypatch):
     assert series.alpha1 is built["alpha1"]
     assert series.beta1 is built["beta1"]
     assert not series.alpha1.flags.writeable and not series.beta1.flags.writeable
+
+
+@pytest.mark.parametrize("n_max", [3, 50, 91, 210, 1000])
+def test_pair_rows_equal_whole_build_rows(n_max):
+    # a point's rows k and k', at its tau and at the probes tau (1 -/+ 16 eps)
+    # that one broadcast kernel call per row covers, carry the bits (signed
+    # zeros included) of rows k and k' of the whole build at each duration.
+    # Rows 1 to 3 lie in the whole build's first row block; the last two
+    # rows, taken at the fixed drive (which shares its whole builds), are
+    # mirrored left of their block from n_max 91 on
+    eps = np.finfo(float).eps
+    built = {}
+    for tau in (0.0, 1e-300, 2.00013, 26.42274984585618, 30.0, 200.0):
+        taus = tau * np.array([1.0, 1.0 - 16 * eps, 1.0 + 16 * eps])
+        for omega in (None, 1234.5):
+            last = [(n_max - 1, n_max)] if omega is not None else []
+            for k, kprime in [(1, 2), (2, 3)] + last:
+                sc = reference_scenario(n_max=n_max, tau=tau, omega=omega, k=k, kprime=kprime)
+                alpha1, beta1 = cavity.build_pair_rows(sc, taus)
+                assert alpha1.shape == beta1.shape == (3, 2, n_max)
+                for i, t in enumerate(taus):
+                    key = (float(t), sc.drive_omega)
+                    if key not in built:
+                        built[key] = build_scenario_series(reference_scenario(
+                            n_max=n_max, tau=float(t), omega=sc.drive_omega
+                        ))
+                    rows = [k - 1, kprime - 1]
+                    assert alpha1[i].tobytes() == built[key].alpha1[rows].tobytes(), (tau, omega, k, i)
+                    assert beta1[i].tobytes() == built[key].beta1[rows].tobytes(), (tau, omega, k, i)

@@ -1,8 +1,11 @@
+import collections
 import copy
 import dataclasses
 import itertools
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavqfi import CavityScenario, bogoliubov, cli, metrology
+from cavqfi import CavityScenario, bogoliubov, cavity, cli, kernels, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
@@ -180,7 +183,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args)
 
-    for bound in (bogoliubov, metrology, cli):
+    for bound in (bogoliubov, cavity, kernels, metrology, cli):
         if getattr(bound, name, None) is original:
             monkeypatch.setattr(bound, name, counted)
     return calls
@@ -200,10 +203,20 @@ def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
 
 
 def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
-    # H0 and the qfi ladder read one un-squeezed pair-row value per point
-    calls = count_calls(monkeypatch, bogoliubov, "unsqueezed_rows")
+    # a point builds rows k and k' alone: one kernel call per row parity,
+    # through the module attribute that the benchmark's tracer wraps, for
+    # its tau and the two tau probes at once; each of the three row sets is
+    # un-squeezed once, and no point builds the whole series
+    kernel = count_calls(monkeypatch, kernels, "time_dependent_coefficients")
+    rows = count_calls(monkeypatch, bogoliubov, "unsqueezed_rows")
+    whole = count_calls(monkeypatch, cavity, "build_scenario_series")
     assert main(["qfi"]) == 0
-    assert len(calls) == 1
+    assert (len(kernel), len(rows), len(whole)) == (2, 3, 0)
+    eps = np.finfo(float).eps
+    for _, _, tau, alpha_static, _, row, cols in kernel:
+        assert tau.ravel().tolist() == [30.0, 30.0 * (1 - 16 * eps), 30.0 * (1 + 16 * eps)]
+        assert tau.shape == (3, 1, 1) and alpha_static.shape == (1, 25)
+        assert row.stop - row.start == 1 and (row.start - cols.start) % 2 == 1
     cfg = write_config(
         tmp_path,
         {
@@ -212,11 +225,12 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
         },
     )
     for command, points in (("figure2", 9), ("sweep", 3)):
-        calls.clear()
+        for calls in (kernel, rows):
+            calls.clear()
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == points + 1
-        assert len(calls) == points
+        assert (len(kernel), len(rows), len(whole)) == (2 * points, 3 * points, 0)
 
 
 def test_readme_qfi_sample_matches_cli(capsys):
@@ -232,14 +246,18 @@ def test_readme_qfi_sample_matches_cli(capsys):
     assert positions == sorted(positions)
 
 
+def readme_config_text():
+    """The README's JSON config block, as text."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```json\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_config_block_loads(tmp_path):
     # the README's JSON config is one the CLI accepts as it stands: every
     # section it shows exists, and its scenario is the reference set with a
     # probe acceleration
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.json"
-    path.write_text(block)
+    path.write_text(readme_config_text())
     cfg = cli.load_config(str(path))
     assert cli.scenario_from_config(cfg) == CavityScenario(a_probe=1e-9)
     name, values = cli._sweep_axis(cfg)
@@ -274,6 +292,163 @@ def test_squeezing_overflow_exit_one(tmp_path, capsys, command, payload):
     assert captured.out == ""
 
 
+# values of another type than a field takes, and numbers at and beyond the
+# float64 range and the program's limits, for config mutations
+WRONG_TYPES = ("10", "", True, False, None, [], {}, [1.0], {"value": 1.0}, "NaN")
+EXTREME_NUMBERS = (
+    1.7976931348623157e308, -1e308, 1e300, 1e19, 123456.5, 1e-300, 5e-324, -5e-324,
+    0, -0.0, -1, 2**64, -(2**63), 10**30, 100_000, 100_001,
+)
+NUMBER_TOKEN = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def _positions(node):
+    """(container, key) of every value inside a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _positions(value)
+
+
+def mutate_config(rng, text):
+    """Bytes of one seeded mutation of the JSON config text.
+
+    Up to two structural mutations: a value of the wrong type, an extreme
+    number, the value nested up to 60 containers deep, or an unknown key;
+    then, at random, a number token swapped for NaN or an infinity, and
+    bytes inserted that break the UTF-8 or the JSON.
+    """
+    doc = json.loads(text)
+    for kind in rng.sample(["type", "number", "nest", "unknown"], rng.randint(0, 2)):
+        parent, key = rng.choice(list(_positions(doc)))
+        if kind == "type":
+            parent[key] = copy.deepcopy(rng.choice(WRONG_TYPES))
+        elif kind == "number":
+            parent[key] = rng.choice(EXTREME_NUMBERS)
+        elif kind == "nest":
+            for _ in range(rng.randint(1, 60)):
+                parent[key] = [parent[key]] if rng.random() < 0.5 else {"value": parent[key]}
+        else:
+            objects = [doc] + [value for _, value in _positions(doc) if isinstance(value, dict)]
+            rng.choice(objects)[rng.choice(["extra", "scenario", "sweep", "fidelity", "n_max"])] = 1.0
+    data = json.dumps(doc, allow_nan=True).encode()
+    tokens = list(NUMBER_TOKEN.finditer(data))
+    if tokens and rng.random() < 0.3:
+        token = rng.choice(tokens)
+        nan = rng.choice([b"NaN", b"Infinity", b"-Infinity"])
+        data = data[: token.start()] + nan + data[token.end() :]
+    if rng.random() < 0.2:
+        at = rng.randrange(len(data) + 1)
+        junk = rng.choice([b"\xff", b"\x00", b"\xc3\x28", b"\xed\xa0\x80", b"}", b",", b"\"", b"[" * 3])
+        data = data[:at] + junk + data[at + rng.randint(0, 2) :]
+    return data
+
+
+def test_mutated_readme_configs_exit_cleanly(tmp_path, capsys):
+    # 200 seeded mutations of the README's config, each run through qfi:
+    # every one exits 0, 2 with a config error, or 1 with a numeric failure
+    # (a squeezing whose H0 overflows, a QFI of zero, an H0 that the tau
+    # probes move), and none ends in an exception or a numpy warning, which
+    # the suite turns into errors
+    rng = random.Random(2915)
+    path = tmp_path / "mutated.json"
+    expected = {0: "", 1: "numeric failure: ", 2: "config error: "}
+    codes = collections.Counter()
+    for case in range(200):
+        data = mutate_config(rng, readme_config_text())
+        path.write_bytes(data)
+        code = main(["qfi", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in expected and err.startswith(expected[code]), (case, data, err)
+        codes[code] += 1
+    # the draw reaches every exit code
+    assert set(codes) == {0, 1, 2}, codes
+
+
+def tau_spread(scenario):
+    """|H0| share by which the tau probes move a point's H0, measured as cli.evaluate_scenario does."""
+    alpha1, beta1 = cavity.build_pair_rows(scenario, scenario.tau * cli._TAU_PROBES)
+    h0 = [
+        metrology.qfi_analytic_h0(
+            bogoliubov.unsqueezed_rows(a, b, scenario.squeezing, scenario.k, scenario.kprime)
+        ).value
+        for a, b in zip(alpha1, beta1)
+    ]
+    return max(abs(value - h0[0]) for value in h0[1:]) / abs(h0[0])
+
+
+@pytest.mark.parametrize(
+    "r, spread, extra",
+    [
+        (50.0, "3.185e-03", {}),
+        (65.0, "1.019e+10", {}),
+        # one measurement keeps N H0 finite, and a probe's H0 overflows
+        (201.0, "inf", {"n_measurements": 1}),
+    ],
+)
+def test_qfi_refuses_h0_that_tau_rounding_moves(tmp_path, capsys, r, spread, extra):
+    # on the round-trip lattice H0's e^{4r} coefficient is zero in exact
+    # arithmetic, and the rounding of tau leaves a residue that e^{4r}
+    # amplifies: at r = 65 the reference point printed H0 1.5e64 with exit
+    # 0, and the ladder, which reads the same rows, agreed.  A change of
+    # tau by 16 eps moves such an H0 by more than policy.tau_spread_max of
+    # itself, and the point is a numeric failure that names tau, r and the
+    # spread, with no text and no record
+    cfg = write_config(tmp_path, {"scenario": {"squeezing_r": r, **extra}})
+    out = tmp_path / "qfi.csv"
+    assert main(["qfi", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("numeric failure: H0 = ")
+    assert f"at tau = 30.0 s, r = {r!r} is not determined by its inputs" in captured.err
+    assert f"moves it by {spread} of itself, above 1e-06" in captured.err
+
+
+@pytest.mark.parametrize("scenario", [{"squeezing_r": 45.0}, {"squeezing_r": 65.0, "duration_s": 2.00013}])
+def test_qfi_keeps_h0_that_tau_rounding_does_not_move(tmp_path, capsys, scenario):
+    # below the crossover on the lattice, and off the lattice, where H0's
+    # e^{4r} coefficient is not a rounding residue
+    assert main(["qfi", "--config", write_config(tmp_path, {"scenario": scenario})]) == 0
+    assert "QFI (analytic H0)" in capsys.readouterr().out
+
+
+def test_tau_spread_margin_on_emitted_grids():
+    # the default figure2 grid and the 25-point qfi grid sit orders of
+    # magnitude below the refusal threshold; on the reference lattice the
+    # spread crosses it between r = 45 and r = 46
+    limit = DEFAULT_POLICY.tau_spread_max
+    base = CavityScenario()
+    figure2 = [
+        tau_spread(dataclasses.replace(base, squeezing=r, tau=tau))
+        for r in cli.FIGURE2_SQUEEZINGS
+        for tau in cli.snapped_tau_grid(base, *cli.FIGURE2_TAU)
+    ]
+    assert len(figure2) == 75 and max(figure2) <= 1e-14
+    grid = [
+        tau_spread(dataclasses.replace(base, squeezing=r, tau=tau))
+        for r in (2.0, 5.0, 8.0, 9.0, 10.0)
+        for tau in (30.0, 200.0, 2.00013, 10.293056712267909, 17.8869724053911)
+    ]
+    assert max(grid) <= 1e-9
+    lattice = [tau_spread(dataclasses.replace(base, squeezing=r)) for r in (40.0, 45.0, 46.0, 50.0)]
+    assert lattice[0] < lattice[1] <= limit < lattice[2] < lattice[3]
+
+
+@pytest.mark.parametrize("out", [True, False])
+def test_sweep_with_refused_point_writes_nothing(tmp_path, capsys, out):
+    # every point is evaluated before any record is written, so one refused
+    # point (r = 65 on the lattice) fails the whole sweep with no output
+    cfg = write_config(
+        tmp_path, {"sweep": {"parameter": "r", "start": 10.0, "stop": 65.0, "count": 3}}
+    )
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg] + (["--out", str(path)] if out else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err.startswith("numeric failure: ") and "r = 65.0" in captured.err
+
+
 def test_config_error_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": {"mode_k": 1, "mode_kprime": 3}})
     assert main(["qfi", "--config", cfg]) == 2
@@ -300,6 +475,35 @@ def test_scenario_value_malformed_exit_two(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"scenario": {field: value}})
     assert main(["qfi", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        # a truncation past the exact range of the static coefficients'
+        # integer cubes; the whole build asked numpy for 149 GiB, and
+        # 10^30 modes for an array numpy cannot size
+        ({"n_max": 100_001}, "n_max must be at most 100000"),
+        ({"n_max": 10**30}, "n_max must be at most 100000"),
+        # scales whose frequencies or phases overflow float64: numpy's
+        # overflow warning, an error in the suite
+        ({"length_m": 5e-324}, "overflow float64"),
+        ({"sound_speed_m_per_s": 1e300}, "overflow float64"),
+        ({"drive_omega_rad_per_s": 1e308}, "overflow float64"),
+        ({"duration_s": 1e308}, "overflow float64"),
+        # c_s^2 of h = a L / c_s^2 leaves float64: a ZeroDivisionError
+        # with the probe, and (with L as large, which keeps the
+        # frequencies in range) a Python OverflowError in the bounds
+        ({"sound_speed_m_per_s": 1e-300}, "sound_speed^2 leaves the float64 range"),
+        ({"sound_speed_m_per_s": 1e200, "length_m": 1e200}, "sound_speed^2 leaves the float64 range"),
+    ],
+)
+def test_scenario_beyond_float64_exit_two(tmp_path, capsys, scenario, message):
+    # each of these ended in a traceback; now the scenario refuses it
+    cfg = write_config(tmp_path, {"scenario": {**scenario, "probe_acceleration_m_per_s2": 1e-9}})
+    assert main(["qfi", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid scenario: ") and message in err
 
 
 def test_unknown_scenario_field_exit_two(tmp_path, capsys):
@@ -359,6 +563,9 @@ SETTING_CHANGES = {
     ("numeric_policy", "plateau_rtol"): 1e-15,
     ("numeric_policy", "plateau_abs_floor"): 1e30,
     ("numeric_policy", "validity_threshold"): 0.5,
+    # the base point's H0 does not move under the tau probes; below zero
+    # every point is refused
+    ("numeric_policy", "tau_spread_max"): -1.0,
     ("scenario", "length_m"): 2e-6,
     ("scenario", "sound_speed_m_per_s"): 2e-3,
     ("scenario", "mode_k"): 3,

@@ -1,4 +1,5 @@
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -19,7 +20,9 @@ from cavqfi import (
     unsqueezed_rows,
 )
 from cavqfi.bogoliubov import unsqueezed_state_map
-from cavqfi.cavity import free_phases
+from cavqfi import cli
+from cavqfi.cavity import build_pair_rows, free_phases
+from cavqfi.cli import evaluate_scenario
 from cavqfi import metrology
 from cavqfi.errors import ConditioningError, NoPlateauError, NumericError
 from conftest import canonical_series, random_physical_two_mode, random_symplectic
@@ -27,6 +30,7 @@ from oracles import (
     evaluate_series,
     mach_zehnder_bound,
     mach_zehnder_qfi,
+    series_unsqueezed_rows,
     thermal_two_mode,
     transform_full_oracle,
     trivial_series,
@@ -182,7 +186,7 @@ def test_fidelity_float_stacked_matches_separate_determinants(rng):
     states = [vacuum(2), initial_product_squeezed(1.3, -0.4), initial_product_squeezed(4.5, 4.5)]
     states += [random_physical_two_mode(rng, mixed=bool(i % 2)) for i in range(40)]
     series = build_scenario_series(CavityScenario(squeezing=10.0, n_max=20))
-    state_at = unsqueezed_state_map(unsqueezed_rows(series, 10.0, 1, 2))
+    state_at = unsqueezed_state_map(series_unsqueezed_rows(series, 10.0, 1, 2))
     states += [state_at(h) for h in (0.0, 1e-11, 3e-11)]
     for s1 in states:
         for s2 in states:
@@ -225,7 +229,7 @@ def test_interaction_and_lab_frames_agree(r, tau):
     # apply the lab-frame phases G_m = e^{-i w_m tau} explicitly
     sc, series = scenario_series(tau=tau, squeezing=r)
     phases = free_phases(sc)
-    h0 = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
+    h0 = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
     lab_h0 = mp_matrix_form_h0(series, r, 1, 2, phases=phases)
     assert abs(h0 - lab_h0) <= 1e-12 * lab_h0
     init = initial_product_squeezed(r, r)
@@ -386,10 +390,10 @@ def test_qfi_numeric_no_plateau_carries_ladder(rng):
 
 
 def test_analytic_zero_series_is_zero():
-    assert qfi_analytic_h0(unsqueezed_rows(trivial_series(4), 0.0, 1, 2)).value == 0.0
-    assert qfi_analytic_h0(unsqueezed_rows(trivial_series(4), 2.0, 1, 2)).value == 0.0
+    assert qfi_analytic_h0(series_unsqueezed_rows(trivial_series(4), 0.0, 1, 2)).value == 0.0
+    assert qfi_analytic_h0(series_unsqueezed_rows(trivial_series(4), 2.0, 1, 2)).value == 0.0
     # a zero H0 reports a zero truncation change, not 0/0
-    zero = qfi_analytic_h0(unsqueezed_rows(trivial_series(4), 2.0, 1, 2))
+    zero = qfi_analytic_h0(series_unsqueezed_rows(trivial_series(4), 2.0, 1, 2))
     assert zero == H0Result(0.0, 0.0)
 
 
@@ -401,9 +405,9 @@ def test_analytic_cancellation_residue_is_zero():
     for r in (0.0, 2.0, 10.0):
         for tau in np.linspace(0.05, 3.0, 60):
             residue = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=3))
-            assert qfi_analytic_h0(unsqueezed_rows(residue, r, 1, 2)).value == 0.0
+            assert qfi_analytic_h0(series_unsqueezed_rows(residue, r, 1, 2)).value == 0.0
             covered = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=4))
-            assert qfi_analytic_h0(unsqueezed_rows(covered, r, 1, 2)).value > 0.0
+            assert qfi_analytic_h0(series_unsqueezed_rows(covered, r, 1, 2)).value > 0.0
 
 
 def test_analytic_r0_reduction(rng):
@@ -416,7 +420,7 @@ def test_analytic_r0_reduction(rng):
         np.sum(np.abs(mat[2:, col]) ** 2) for mat in (series.alpha1, series.beta1) for col in (0, 1)
     )
     expected = 2.0 * f_sums + 4.0 * abs(series.alpha1[0, 1]) ** 2
-    got = qfi_analytic_h0(unsqueezed_rows(series, 0.0, 1, 2)).value
+    got = qfi_analytic_h0(series_unsqueezed_rows(series, 0.0, 1, 2)).value
     assert got == pytest.approx(expected, rel=1e-10)
     numeric = qfi_numeric(
         lambda h: transform_reduced(initial_product_squeezed(0, 0), series, h, 1, 2), 0.0
@@ -429,7 +433,7 @@ def test_analytic_matches_numeric(rng):
     for r in (0.0, 0.6, 1.4):
         init = initial_product_squeezed(r, r)
         numeric = qfi_numeric(lambda h: transform_reduced(init, series, h, 1, 2), 0.0)
-        analytic = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
+        analytic = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
         assert analytic == pytest.approx(numeric, rel=1e-5)
 
 
@@ -437,17 +441,20 @@ def test_analytic_range_check(rng):
     # the mode pair is checked where its rows are taken, once per point
     # (bogoliubov.unsqueezed_rows)
     series = canonical_series(rng, 3)
+    alpha1, beta1 = series.alpha1[[0, 1]], series.beta1[[0, 1]]
     with pytest.raises(ValueError, match="outside truncation range"):
-        unsqueezed_rows(series, 1.0, 1, 5)
+        unsqueezed_rows(alpha1, beta1, 1.0, 1, 5)
     with pytest.raises(ValueError, match="must differ"):
-        unsqueezed_rows(series, 1.0, 2, 2)
+        unsqueezed_rows(alpha1, beta1, 1.0, 2, 2)
+    with pytest.raises(ValueError, match="rows k, k' of equal length"):
+        unsqueezed_rows(series.alpha1, series.beta1, 1.0, 1, 2)
 
 
 def test_analytic_symmetric_under_pair_swap(rng):
     series = canonical_series(rng, 6)
     for r in (0.0, 0.9):
-        forward = qfi_analytic_h0(unsqueezed_rows(series, r, 1, 2)).value
-        swapped = qfi_analytic_h0(unsqueezed_rows(series, r, 2, 1)).value
+        forward = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
+        swapped = qfi_analytic_h0(series_unsqueezed_rows(series, r, 2, 1)).value
         assert swapped == pytest.approx(forward, rel=1e-12)
 
 
@@ -535,7 +542,7 @@ def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel, pair, n
     k, kp = pair
     sc, series = scenario_series(tau=tau, squeezing=r, k=k, kprime=kp, n_max=n_max)
     exact = mp_matrix_form_h0(series, r, k, kp)
-    got = qfi_analytic_h0(unsqueezed_rows(series, r, k, kp)).value
+    got = qfi_analytic_h0(series_unsqueezed_rows(series, r, k, kp)).value
     assert abs(got - exact) <= 1e-12 * abs(exact)
     lab_exact = mp_matrix_form_h0(series, r, k, kp, phases=free_phases(sc))
     assert abs(got - lab_exact) <= 1e-12 * abs(lab_exact)
@@ -553,12 +560,75 @@ def test_analytic_within_rounding_bound_of_mpmath(n_max):
     for r in (0.0, 0.5, 2.0, 5.0, 10.0):
         for tau in (30.0, 200.0, 2.00013, 10.293056712267909, 17.8869724053911):
             _, series = scenario_series(tau=tau, squeezing=r, n_max=n_max)
-            rows = unsqueezed_rows(series, r, 1, 2)
+            rows = series_unsqueezed_rows(series, r, 1, 2)
             a1 = rows.orders[1]
             c1 = a1[:, rows.pair] + a1[:, rows.pair].T
             bound = 2 * n_max * eps * (np.sum(a1 * a1) + np.sum(c1 * c1) / 4)
             exact = float(mp_matrix_form_h0(series, r, 1, 2))
             assert abs(qfi_analytic_h0(rows).value - exact) <= bound, (r, tau)
+
+
+def mp_cavity_rows(scenario, dps=60):
+    """Rows k and k' of the cavity series from its closed form at dps digits.
+
+    An independent rebuild of cavity.build_pair_rows: the static
+    coefficients, the mode frequencies pi n c_s / L and the drive integral
+    int_0^tau sin(omega t) e^{i x t} dt, all in mpmath from the scenario's
+    float64 values taken exactly.  Returns a stand-in for a series whose
+    other rows are zero, which is all mp_matrix_form_h0 reads.
+    """
+    k, kp, n_max = scenario.k, scenario.kprime, scenario.n_max
+    with mpmath.workdps(dps):
+        c_s, length = mpmath.mpf(scenario.sound_speed), mpmath.mpf(scenario.length)
+        tau = mpmath.mpf(scenario.tau)
+        w = [mpmath.pi * n * c_s / length for n in range(n_max + 1)]
+        omega = w[k] + w[kp] if scenario.omega is None else mpmath.mpf(scenario.omega)
+
+        def drive(x):
+            # int_0^tau e^{i y t} dt = tau e^{i y tau / 2} sinc(y tau / 2), for y = x +/- omega
+            e = [tau * mpmath.expj(y * tau / 2) * mpmath.sinc(y * tau / 2) for y in (x + omega, x - omega)]
+            return (e[0] - e[1]) / mpmath.mpc(0, 2)
+
+        alpha1 = np.zeros((n_max, n_max), dtype=object)
+        beta1 = np.zeros((n_max, n_max), dtype=object)
+        for m in (k, kp):
+            for n in range(1 + m % 2, n_max + 1, 2):
+                root = mpmath.sqrt(m * n)
+                alpha_static = -2 * root / (mpmath.pi**2 * (n - m) ** 3)
+                beta_static = 2 * root / (mpmath.pi**2 * (m + n) ** 3)
+                diff, total = w[m] - w[n], w[m] + w[n]
+                alpha1[m - 1, n - 1] = 1j * alpha_static * diff * drive(diff)
+                beta1[m - 1, n - 1] = 1j * beta_static * total * drive(total)
+    return types.SimpleNamespace(n_modes=n_max, alpha1=alpha1, beta1=beta1)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # the reference point, on the round-trip lattice
+        {"tau": 2.00013},
+        {"squeezing": 2.0, "n_max": 200},
+    ],
+)
+def test_emitted_h0_matches_60_digit_rows(overrides):
+    # each emitted H0 matches the H0 of rows k and k' rebuilt at 60 digits
+    # from the closed form, within its rounding bound 2N eps (A + B/4) plus
+    # the spread that the tau probes measure; off the lattice at r = 10 the
+    # rounding of the inputs moves H0 by 1.1e-12 of itself, past the bound
+    # alone (6.5e-14) but inside the spread (1.8e-10)
+    sc = CavityScenario(**overrides)
+    emitted = evaluate_scenario(sc)["qfi"]
+    alpha1, beta1 = build_pair_rows(sc, sc.tau * cli._TAU_PROBES)
+    rows = [unsqueezed_rows(a, b, sc.squeezing, sc.k, sc.kprime) for a, b in zip(alpha1, beta1)]
+    h0 = [qfi_analytic_h0(r).value for r in rows]
+    assert h0[0] == emitted
+    a1 = rows[0].orders[1]
+    c1 = a1[:, rows[0].pair] + a1[:, rows[0].pair].T
+    eps = np.finfo(float).eps
+    bound = 2 * sc.n_max * eps * (np.sum(a1 * a1) + np.sum(c1 * c1) / 4)
+    spread = max(abs(value - emitted) for value in h0[1:])
+    exact = mp_matrix_form_h0(mp_cavity_rows(sc), sc.squeezing, sc.k, sc.kprime)
+    assert abs(emitted - float(exact)) <= bound + spread
 
 
 def test_analytic_second_order_passive_mixer_on_vacuum(rng):
@@ -571,12 +641,12 @@ def test_analytic_second_order_passive_mixer_on_vacuum(rng):
     zeros = np.zeros_like(canon.beta1)
     first_order = BogoliubovSeries(6, canon.alpha1, zeros)
     for k, kp in ((1, 2), (5, 3)):
-        scale = qfi_analytic_h0(unsqueezed_rows(first_order, 0.0, k, kp)).value
+        scale = qfi_analytic_h0(series_unsqueezed_rows(first_order, 0.0, k, kp)).value
         assert scale > 1.0
         for _ in range(3):
             completion = -0.5 * np.sum(np.abs(canon.alpha1) ** 2, axis=1) + 1j * rng.normal(size=6)
             completed = BogoliubovSeries(6, canon.alpha1, zeros, alpha2=completion)
-            got = qfi_analytic_h0(unsqueezed_rows(completed, 0.0, k, kp)).value
+            got = qfi_analytic_h0(series_unsqueezed_rows(completed, 0.0, k, kp)).value
             assert abs(got) <= 1e-14 * scale
 
 
@@ -586,8 +656,8 @@ def test_truncation_change_matches_halved_build(r):
     # partial sum over the upper columns is exactly H0(n_max) - H0(n_max // 2)
     _, full = scenario_series(tau=2.00013, squeezing=r, n_max=50)
     _, half = scenario_series(tau=2.00013, squeezing=r, n_max=25)
-    res = qfi_analytic_h0(unsqueezed_rows(full, r, 1, 2))
-    dropped = res.value - qfi_analytic_h0(unsqueezed_rows(half, r, 1, 2)).value
+    res = qfi_analytic_h0(series_unsqueezed_rows(full, r, 1, 2))
+    dropped = res.value - qfi_analytic_h0(series_unsqueezed_rows(half, r, 1, 2)).value
     assert res.truncation_change > 0.0
     assert abs(res.truncation_change * res.value - dropped) <= 4 * np.finfo(float).eps * res.value
 
@@ -598,8 +668,8 @@ def test_truncation_change_matches_halved_build(r):
 def test_truncation_change_bounds_doubling(r, tau):
     _, s50 = scenario_series(tau=tau, squeezing=r, n_max=50)
     _, s100 = scenario_series(tau=tau, squeezing=r, n_max=100)
-    res = qfi_analytic_h0(unsqueezed_rows(s50, r, 1, 2))
-    h100 = qfi_analytic_h0(unsqueezed_rows(s100, r, 1, 2)).value
+    res = qfi_analytic_h0(series_unsqueezed_rows(s50, r, 1, 2))
+    h100 = qfi_analytic_h0(series_unsqueezed_rows(s100, r, 1, 2)).value
     assert abs(h100 - res.value) / res.value <= res.truncation_change
 
 
