@@ -113,7 +113,7 @@ def unsqueezed_rows(alpha1, beta1, r: float, k: int, kprime: int, alpha2=None) -
     k' (in that order) of the first-order matrices.  alpha2, when given,
     holds the second-order diagonal entries (alpha2_k, alpha2_k').  A
     caller holding a whole series passes those rows of it; a cavity point
-    builds them alone (cavity.build_pair_rows).  Rows of another shape, or
+    builds them alone (cavity.build_rows).  Rows of another shape, or
     a mode pair outside 1..N, raise ValueError.
     """
     n_modes = np.shape(alpha1)[-1]

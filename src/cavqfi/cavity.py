@@ -24,19 +24,6 @@ from .bogoliubov import BogoliubovSeries
 # float64 while it stays below 2^53, which holds up to n_max 104032.
 MAX_MODES = 100_000
 
-# Entries each row block of build_scenario_series computes: its rows from the
-# block's first row rightward, so a block runs over about _BLOCK_ENTRIES //
-# (n_max - start) rows and the blocks get taller down the matrix.  A block
-# takes two kernel calls, one per row parity, each on about a quarter of those
-# entries (its rows of one parity against the columns of the other), so each
-# complex temporary of a call stays near 32 KB, and the loop over blocks (66
-# at n_max 1000, 132 kernel calls) costs little beside the entries it
-# computes.  Up to n_max 90 one block holds every row and nothing is mirrored.
-# The whole build serves coeffs, fidelity and the tests; a QFI point builds
-# rows k and k' alone (build_pair_rows).
-_BLOCK_ENTRIES = 8192
-
-
 @dataclasses.dataclass(frozen=True)
 class CavityScenario:
     """Physical parameters of one accelerometer configuration.
@@ -148,30 +135,32 @@ def free_phases(scenario: CavityScenario) -> np.ndarray:
     return np.exp(-1j * mode_frequencies(scenario) * scenario.tau)
 
 
-def build_pair_rows(scenario: CavityScenario, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Rows k and k' of build_scenario_series's alpha1 and beta1, at each duration of taus.
+def build_rows(scenario: CavityScenario, modes, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``modes`` of the first-order alpha1 and beta1, at each duration of taus.
 
-    Returns (alpha1, beta1), each (len(taus), 2, n_max): entry [i, 0] is row
-    k and [i, 1] row k' of the series of the scenario with tau = taus[i].
-    The work is O(n_max) per duration, not O(n_max^2).  Rows k and k' have
-    opposite parity, so each takes one kernel call, against the columns of
-    the other parity, with all the durations broadcast as a (len(taus), 1, 1)
-    tau; same-parity entries stay +0.0.  Every entry has the bits of the same
-    entry of build_scenario_series at that duration, whether the whole build
-    computes it or mirrors it, since the closed-form entries satisfy
-    alpha1 = -alpha1^dag and beta1 = beta1^T bit for bit.
+    modes are 1-based mode numbers; taus is a duration or an array of them,
+    in place of scenario.tau.  Returns (alpha1, beta1), each of shape
+    np.shape(taus) + (len(modes), n_max), owned by the caller: entry
+    [..., i, :] is row modes[i] of the series of the scenario at that
+    duration.  Each mode takes one kernel call, looked up on the module, for
+    its row against the columns of the other parity, with the durations
+    broadcast as tau; the parity selection rule zeroes the same-parity
+    entries, which stay +0.0 and never reach the drive integral.  The work
+    is O(n_max) per row and duration, and no temporary is larger than one
+    row.  This is the only code that forms coefficient rows, so every entry
+    has the bits of the same entry whatever rows are built with it.
     """
     n_max = scenario.n_max
     omegas = mode_frequencies(scenario)
     omega = scenario.drive_omega
-    tau = np.asarray(taus, dtype=float)[:, None, None]
-    alpha1 = np.zeros((len(tau), 2, n_max), dtype=complex)
-    beta1 = np.zeros((len(tau), 2, n_max), dtype=complex)
-    for i, mode in enumerate((scenario.k, scenario.kprime)):
+    tau = np.asarray(taus, dtype=float)[..., None, None]
+    shape = np.shape(taus) + (len(modes), n_max)
+    alpha1, beta1 = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    for i, mode in enumerate(modes):
         # 0-based row mode - 1 against the columns of the other parity
         rows, cols = slice(mode - 1, mode), slice(mode % 2, None, 2)
         alpha_static, beta_static = static_matrices(n_max, rows, cols)
-        alpha1[:, i : i + 1, cols], beta1[:, i : i + 1, cols] = kernels.time_dependent_coefficients(
+        alpha1[..., i : i + 1, cols], beta1[..., i : i + 1, cols] = kernels.time_dependent_coefficients(
             omegas, omega, tau, alpha_static, beta_static, rows, cols
         )
     return alpha1, beta1
@@ -188,47 +177,11 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     corresponding |beta1| entries grow linearly in tau with slope
     |beta_static| (w_k + w_kp) / 2.
 
-    The parity selection rule makes both matrices a checkerboard: only
-    entries with m - n odd can be nonzero.  The build zero-fills alpha1 and
-    beta1 and, for each block of rows, calls the kernel twice, once for the
-    block's rows of each parity against the columns of the other parity from
-    the block's first row rightward.  No same-parity entry reaches the drive
-    integral; those entries stay +0.0.  The entries left of a block come by
-    symmetry from the earlier blocks, one tile of the block's columns per
-    block: to first order in h, alpha alpha^dag - beta beta^dag = 1 and the
-    symmetry of alpha beta^T read alpha1 = -alpha1^dag and beta1 = beta1^T
-    (Bruschi, Fuentes and Louko, arXiv:1105.1875), and the closed-form
-    entries satisfy both bit for bit, so every opposite-parity entry has the
-    bits of the whole-matrix formula.  The two outputs are the only
-    n_max x n_max arrays the build allocates.
+    It is build_rows over every mode at scenario.tau; the two outputs are
+    the only n_max x n_max arrays it allocates, and BogoliubovSeries adopts
+    them, read-only, without a copy.
     """
-    n_max = scenario.n_max
-    omegas = mode_frequencies(scenario)
-    omega, tau = scenario.drive_omega, scenario.tau
-    alpha1 = np.zeros((n_max, n_max), dtype=complex)
-    beta1 = np.zeros((n_max, n_max), dtype=complex)
-    start = 0
-    while start < n_max:
-        stop = min(start + max(1, _BLOCK_ENTRIES // (n_max - start)), n_max)
-        # 0-based rows m - 1 of one parity against the columns of the other,
-        # from the block's first row rightward
-        for first in range(start, min(start + 2, stop)):
-            rows = slice(first, stop, 2)
-            cols = slice(start + (first == start), None, 2)
-            alpha_static, beta_static = static_matrices(n_max, rows, cols)
-            alpha1[rows, cols], beta1[rows, cols] = kernels.time_dependent_coefficients(
-                omegas, omega, tau, alpha_static, beta_static, rows, cols
-            )
-        if start:
-            # alpha1[n, m] = -conj(alpha1[m, n]) and beta1[n, m] = beta1[m, n]
-            # for the columns m left of the block.  0.0 - re and im + 0.0
-            # leave an exact zero +0.0, as the kernel gives it.
-            upper = alpha1[:start, start:stop].T
-            lower = alpha1[start:stop, :start]
-            np.subtract(0.0, upper.real, out=lower.real)
-            np.add(upper.imag, 0.0, out=lower.imag)
-            beta1[start:stop, :start] = beta1[:start, start:stop].T
-        start = stop
+    alpha1, beta1 = build_rows(scenario, range(1, scenario.n_max + 1), scenario.tau)
     alpha1.setflags(write=False)
     beta1.setflags(write=False)
-    return BogoliubovSeries(n_max, alpha1, beta1)
+    return BogoliubovSeries(scenario.n_max, alpha1, beta1)

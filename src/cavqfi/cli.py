@@ -9,7 +9,9 @@ A run takes three steps: main checks the options, loads the config and
 builds the base scenario; the command builds its points (every scenario
 through point_scenario) and reads the rest of its config; then it evaluates
 the points.  So a configuration error shows before any point is evaluated,
-except an unwritable --out, which shows when the record is written.
+except an unwritable --out, which shows when the records are written;
+coeffs opens --out before it forms its first row and writes each row as it
+forms it.
 
 Exit codes: 0 success, 1 numeric failure (no information / no plateau /
 conditioning), 2 configuration error.
@@ -18,6 +20,7 @@ conditioning), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -27,12 +30,11 @@ import sys
 
 import numpy as np
 
-from .bogoliubov import transform_reduced, unsqueezed_rows, unsqueezed_state_map
+from .bogoliubov import unsqueezed_rows, unsqueezed_state_map
 from .cavity import (
     CavityScenario,
     acceleration_from_h,
-    build_pair_rows,
-    build_scenario_series,
+    build_rows,
     free_phases,
     h_from_acceleration,
     static_matrices,
@@ -176,7 +178,7 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     """Full single-point evaluation: pair rows, QFI, bounds.
 
     Rows k and k' of the interaction-picture series are built alone
-    (cavity.build_pair_rows), at the point's tau and at the probes
+    (cavity.build_rows), at the point's tau and at the probes
     tau (1 -/+ 16 eps), and each row set is taken into the frame where the
     squeezed initial state is the vacuum (bogoliubov.unsqueezed_rows).  The
     QFI is the matrix-form H0 of the point's rows (qfi_analytic_h0), with
@@ -188,10 +190,10 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     information to cross-check.  The ladder steps the states of
     bogoliubov.unsqueezed_state_map, which sit near the vacuum, so their
     fidelities take the float64 path; with the pilot's growth test in
-    qfi_numeric, none takes the mpmath path, and no lab-frame state
-    (transform_reduced) is formed.  The bounds are cramer_rao's (inf at
-    H0 <= 0), and "validity_margin" is H0 h^2 at the probe amplitude, nan
-    without a probe.  Returns a plain dict of floats.
+    qfi_numeric, none takes the mpmath path, and no lab-frame state is
+    formed.  The bounds are cramer_rao's (inf at H0 <= 0), and
+    "validity_margin" is H0 h^2 at the probe amplitude, nan without a
+    probe.  Returns a plain dict of floats.
 
     Last, a point whose probes' H0 moves from its H0 by more than
     policy.tau_spread_max of |H0| raises ConditioningError naming tau, r
@@ -202,7 +204,7 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     their rounding too.  Every other failure of the point comes first.
     """
     r, k, kprime = scenario.squeezing, scenario.k, scenario.kprime
-    alpha1, beta1 = build_pair_rows(scenario, scenario.tau * _TAU_PROBES)
+    alpha1, beta1 = build_rows(scenario, (k, kprime), scenario.tau * _TAU_PROBES)
     rows, *probes = (unsqueezed_rows(a, b, r, k, kprime) for a, b in zip(alpha1, beta1))
     h0 = qfi_analytic_h0(rows)
     qfi = h0.value
@@ -306,20 +308,15 @@ def snapped_tau_grid(scenario, start, stop, count):
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path, text):
-    if path is None:
-        sys.stdout.write(text)
-        return
+@contextlib.contextmanager
+def _output(path):
+    """A text stream to path (stdout when None); an OSError opening or
+    writing it is a ConfigError."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _strict_json(value):
@@ -334,23 +331,41 @@ def _strict_json(value):
     return value
 
 
-def _write_json(path, payload):
-    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_text(path, text + "\n")
+def _json_text(value):
+    return json.dumps(_strict_json(value), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write_records(out, fmt, header, rows):
-    if fmt == "json":
-        _write_json(out, {"records": [dict(zip(header, row)) for row in rows]})
-    else:
-        _write_csv(out, header, rows)
+def _write_records(path, fmt, header, chunks):
+    """Records to path (stdout when None) as CSV, or as JSON {"records": [...]}.
+
+    chunks yields lists of rows, each row the values of header in order.
+    path is opened before the first chunk is drawn, and each chunk is
+    written before the next is drawn, so one chunk is held at a time.  The
+    JSON has the bytes of _json_text of the whole document.
+    """
+    with _output(path) as fh:
+        if fmt != "json":
+            fh.write(",".join(header) + "\n")
+            for rows in chunks:
+                fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+            return
+        fh.write('{\n  "records": [')
+        sep = "\n"
+        for rows in chunks:
+            if rows:
+                # the chunk's records as a list, two spaces less deep than
+                # in the document
+                text = _json_text([dict(zip(header, row)) for row in rows])
+                fh.write(sep + "  " + text[2:-2].replace("\n", "\n  "))
+                sep = ",\n"
+        fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def _emit_records(points, out, fmt):
     header = list(CSV_COLUMNS)
     if points:
         header.extend(c for c in _AXIS_COLUMNS.values() if c in points[0])
-    _write_records(out, fmt, header, [[p[c] for c in header] for p in points])
+    _write_records(out, fmt, header, [[[p[c] for c in header] for p in points]])
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +378,10 @@ def _write_record(args, header, record):
     if args.out is None:
         return
     if args.format == "json":
-        _write_json(args.out, record)
+        with _output(args.out) as fh:
+            fh.write(_json_text(record) + "\n")
     else:
-        _write_csv(args.out, header, [[record[c] for c in header]])
+        _write_records(args.out, "csv", header, [[[record[c] for c in header]]])
 
 
 def cmd_qfi(args, cfg, scenario):
@@ -448,9 +464,13 @@ def cmd_fidelity(args, cfg, scenario):
         )
         h = config_number(state.get("amplitude_h", 0.0), f"fidelity.{what}.amplitude_h", minimum=0.0)
         states.append((r_k, r_kp, h))
-    series = build_scenario_series(scenario)
+    # the lab-frame states of modes k, k': rows k and k' at r = 0, where
+    # the un-squeezing is exactly 1, with each initial covariance on the
+    # pair columns
+    k, kprime = scenario.k, scenario.kprime
+    rows = unsqueezed_rows(*build_rows(scenario, (k, kprime), scenario.tau), 0.0, k, kprime)
     state_a, state_b = (
-        transform_reduced(initial_product_squeezed(r_k, r_kp), series, h, scenario.k, scenario.kprime)
+        unsqueezed_state_map(rows, initial_product_squeezed(r_k, r_kp).cov)(h)
         for r_k, r_kp, h in states
     )
     fb = fidelity_two_mode(state_a, state_b)
@@ -461,23 +481,27 @@ def cmd_fidelity(args, cfg, scenario):
 
 
 def cmd_coeffs(args, cfg, scenario):
-    if args.static:
-        alpha, beta = static_matrices(scenario.n_max)
-        alpha = alpha.astype(complex)
-        beta = beta.astype(complex)
-        g = np.ones(scenario.n_max, dtype=complex)
-    else:
-        # the series is in the interaction picture; dump the lab frame
-        series = build_scenario_series(scenario)
-        g = free_phases(scenario)
-        alpha, beta = g[:, None] * series.alpha1, g[:, None] * series.beta1
+    """The lab-frame series, or with --static the static coefficients, a row at a time."""
+    n_max = scenario.n_max
+    phases = free_phases(scenario)
     header = ["m", "n", "alpha1_re", "alpha1_im", "beta1_re", "beta1_im", "g_m_re", "g_m_im"]
-    rows = [
-        [m + 1, j + 1, a.real, a.imag, b.real, b.imag, g[m].real, g[m].imag]
-        for m in range(scenario.n_max)
-        for j, (a, b) in enumerate(zip(alpha[m], beta[m]))
-    ]
-    _write_records(args.out, args.format, header, rows)
+
+    def chunks():
+        for m in range(n_max):
+            if args.static:
+                g = 1.0 + 0.0j
+                alpha, beta = static_matrices(n_max, slice(m, m + 1))
+            else:
+                # the series is in the interaction picture; row m times
+                # G_m is that row in the lab frame
+                g = phases[m]
+                alpha, beta = (g * row for row in build_rows(scenario, [m + 1], scenario.tau))
+            yield [
+                [m + 1, j + 1, a.real, a.imag, b.real, b.imag, g.real, g.imag]
+                for j, (a, b) in enumerate(zip(alpha[0].tolist(), beta[0].tolist()))
+            ]
+
+    _write_records(args.out, args.format, header, chunks())
     return 0
 
 

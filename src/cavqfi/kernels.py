@@ -4,19 +4,12 @@ Kernels:
   * ``time_dependent_coefficients``: first-order coefficients for a
     sinusoidally driven cavity, closed-form entries for a selection of rows
     against a selection of columns, at one duration or at an array of
-    them.  A QFI point (cavity.build_pair_rows) calls it once per row
-    parity, for row k or k' against the columns of the other parity, with
-    its three durations broadcast as one (3, 1, 1) tau: O(n_max) entries.
-    cavity.build_scenario_series, which serves coeffs, fidelity and the
-    tests, calls it twice per block of rows, once for the block's rows of
-    each parity against the columns of the other parity from the block's
-    first row rightward: the parity selection rule zeroes every
-    same-parity entry, and the first-order identities alpha1 = -alpha1^dag
-    and beta1 = beta1^T (Bruschi, Fuentes and Louko, arXiv:1105.1875) give
-    the entries left of a block from the earlier blocks.  perfbench reports
-    its time per point as ``kernels.time_dependent_coefficients.ms`` (the
-    BENCH_*.json files keep the measured values; its wide_truncation
-    workload runs n_max 1000),
+    them.  cavity.build_rows, the only caller, calls it once per row, for
+    that row against the columns of the other parity (the parity selection
+    rule zeroes every same-parity entry), with the durations broadcast as
+    tau.  perfbench reports its time per point as
+    ``kernels.time_dependent_coefficients.ms`` (the BENCH_*.json files keep
+    the measured values; its wide_truncation workload runs n_max 1000),
   * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
     coefficient pairs, which builds rows k, k' of the symplectic matrix in
     bogoliubov.unsqueezed_rows.

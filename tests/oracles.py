@@ -199,7 +199,7 @@ def transform_full_oracle(
 def series_unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: int):
     """bogoliubov.unsqueezed_rows of rows k, k' sliced from a whole series.
 
-    The package builds a point's rows alone (cavity.build_pair_rows); tests
+    The package builds a point's rows alone (cavity.build_rows); tests
     that hold a whole series, random or built, pass its rows this way.
     """
     rows = [k - 1, kprime - 1]
@@ -266,15 +266,17 @@ def static_first_order(k: int, kprime: int) -> tuple[float, float]:
     return alpha1, beta1
 
 
-def whole_static_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Static (alpha, beta) matrices over 1..n_max, every entry at once.
+def whole_static_matrices(n_max: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Static (alpha, beta) matrices over 1..n_max, every entry of rows at once.
 
     The float formula that cavity.static_matrices used before it took row
     and column selections: same-parity entries masked to +0.0 by np.where,
-    cubes by ``**3``.
+    cubes by ``**3``.  rows (a slice or an index array of 0-based modes
+    m - 1, default all) keeps those rows; the formula is elementwise, so
+    each entry has the same bits whichever rows are formed.
     """
     n = np.arange(1, n_max + 1, dtype=float)
-    rows, cols = n[:, None], n[None, :]
+    rows, cols = n[rows][:, None], n[None, :]
     odd = ((rows - cols) % 2).astype(bool)
     root = np.sqrt(rows * cols)
     diff = np.where(odd, cols - rows, 1.0)
@@ -289,19 +291,24 @@ def mode_frequency(n: int, scenario: CavityScenario) -> float:
     return math.pi * n * scenario.sound_speed / scenario.length
 
 
-def whole_matrix_coefficients(scenario: CavityScenario) -> tuple[np.ndarray, np.ndarray]:
+def whole_matrix_coefficients(
+    scenario: CavityScenario, rows=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
     """Interaction-picture (alpha1, beta1) of the cavity series in one call.
 
     The single whole-matrix formula that cavity.build_scenario_series used
-    before it filled the matrices in row blocks: per-mode frequencies from
-    mode_frequency, every n_max x n_max static and drive term at once, the
+    before it built the series a row at a time: per-mode frequencies from
+    mode_frequency, every static and drive term of the rows at once, the
     same-parity entries included (they come out as zeros of either sign).
+    rows (a slice or an index array of 0-based modes m - 1, default all)
+    forms only those rows, each entry with the bits it has in the whole
+    matrix.
     """
     omegas = np.array([mode_frequency(n, scenario) for n in range(1, scenario.n_max + 1)])
-    alpha_static, beta_static = whole_static_matrices(scenario.n_max)
+    alpha_static, beta_static = whole_static_matrices(scenario.n_max, rows)
     omega, tau = scenario.drive_omega, scenario.tau
-    diff = omegas[:, None] - omegas[None, :]
-    total = omegas[:, None] + omegas[None, :]
+    diff = omegas[rows][:, None] - omegas[None, :]
+    total = omegas[rows][:, None] + omegas[None, :]
     alpha1 = 1j * alpha_static * diff * kernels.phase_integral(diff, omega, tau)
     beta1 = 1j * beta_static * total * kernels.phase_integral(total, omega, tau)
     return alpha1, beta1

@@ -233,13 +233,20 @@ def opposite_parity(n_max):
     return (n[:, None] + n[None, :]) % 2 == 1
 
 
-def test_blocked_build_equals_whole_matrix_oracle():
-    # n_max 210 spans several row blocks with a ragged last one; tobytes()
-    # tells a signed zero from its opposite.  Opposite-parity entries carry
-    # the oracle's bits; the same-parity entries never reach the drive
-    # integral and are +0.0, where the oracle's sign follows the integral
-    step = cavity._BLOCK_ENTRIES // 210
-    assert 210 // step >= 2 and 210 % step
+def assert_oracle_bits(built, oracle, odd):
+    """built carries oracle's bits on the opposite-parity entries odd and +0.0 elsewhere.
+
+    tobytes() tells a signed zero from its opposite.  The same-parity
+    entries never reach the drive integral and are +0.0, where the oracle's
+    sign follows the integral.
+    """
+    assert built[odd].tobytes() == oracle[odd].tobytes()
+    zeros = built[~odd]
+    assert not zeros.any()
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+
+
+def test_series_build_equals_whole_matrix_oracle():
     for n_max in (3, 50, 65, 210, 333):
         odd = opposite_parity(n_max)
         for overrides in (
@@ -251,17 +258,13 @@ def test_blocked_build_equals_whole_matrix_oracle():
             sc = reference_scenario(n_max=n_max, **overrides)
             series = build_scenario_series(sc)
             for built, oracle in zip((series.alpha1, series.beta1), whole_matrix_coefficients(sc)):
-                assert built[odd].tobytes() == oracle[odd].tobytes()
-                zeros = built[~odd]
-                assert not zeros.any()
-                assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+                assert_oracle_bits(built, oracle, odd)
 
 
 @pytest.mark.parametrize("n_max", [3, 50, 210])
 def test_static_selection_equals_whole_static_oracle(n_max):
     alpha, beta = whole_static_matrices(n_max)
-    step = cavity._BLOCK_ENTRIES // 210
-    last = (n_max - 1) // step * step  # a row block down to the last row
+    last = (n_max - 1) // 39 * 39  # a ragged run of rows down to the last row
     rng = np.random.default_rng(n_max)
     picks = np.sort(rng.choice(n_max, size=min(n_max, 7), replace=False))
     for rows, cols in (
@@ -283,9 +286,8 @@ def test_first_order_identities_hold_for_random_scenarios():
     # symmetry of alpha beta^T read alpha1 = -alpha1^dag and beta1 = beta1^T;
     # the whole-matrix formula keeps both over seeded scenarios, on and off
     # the round-trip lattice and the sum resonance, and the build, which
-    # mirrors the entries left of each row block, carries its bits
+    # forms the entries on both sides of the diagonal, carries its bits
     rng = np.random.default_rng(2801)
-    n_maxes = []
     for _ in range(24):
         n_max = int(rng.integers(3, 301))
         k = int(rng.integers(1, n_max + 1))
@@ -310,17 +312,12 @@ def test_first_order_identities_hold_for_random_scenarios():
         odd = opposite_parity(n_max)
         assert series.alpha1[odd].tobytes() == alpha1[odd].tobytes()
         assert series.beta1[odd].tobytes() == beta1[odd].tobytes()
-        n_maxes.append(n_max)
-    # both one-block and mirrored builds were drawn
-    assert min(n_maxes) <= cavity._BLOCK_ENTRIES // min(n_maxes)
-    assert max(n_maxes) > cavity._BLOCK_ENTRIES // max(n_maxes)
 
 
 @pytest.mark.parametrize("n_max", [3, 50, 210, 333])
 def test_build_passes_only_opposite_parity_entries(monkeypatch, n_max):
-    # every opposite-parity entry at or right of its row's block start
-    # reaches the kernel once; the entries left of it come by symmetry from
-    # the earlier blocks, and the same-parity ones stay +0.0
+    # one kernel call per row, through the module attribute, reaches every
+    # opposite-parity entry once; the same-parity ones stay +0.0
     original = kernels.time_dependent_coefficients
     calls = []
 
@@ -330,10 +327,8 @@ def test_build_passes_only_opposite_parity_entries(monkeypatch, n_max):
 
     monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
     build_scenario_series(reference_scenario(n_max=n_max))
-    hits, expected, blocks = kernel_coverage(calls, n_max)
-    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
-    assert blocks[-1][1] == n_max
-    assert (len(blocks) > 1) == (n_max > cavity._BLOCK_ENTRIES // n_max)
+    hits, expected, rows = kernel_coverage(calls, n_max)
+    assert rows == [[m] for m in range(n_max)]
     assert np.array_equal(hits, expected)
 
 
@@ -381,27 +376,23 @@ def test_build_arrays_adopted_not_copied(monkeypatch):
 @pytest.mark.parametrize("n_max", [3, 50, 91, 210, 1000])
 def test_pair_rows_equal_whole_build_rows(n_max):
     # a point's rows k and k', at its tau and at the probes tau (1 -/+ 16 eps)
-    # that one broadcast kernel call per row covers, carry the bits (signed
-    # zeros included) of rows k and k' of the whole build at each duration.
-    # Rows 1 to 3 lie in the whole build's first row block; the last two
-    # rows, taken at the fixed drive (which shares its whole builds), are
-    # mirrored left of their block from n_max 91 on
+    # that one broadcast kernel call per row covers, carry the bits of rows
+    # k and k' of the whole-matrix formula at each duration, with +0.0 on
+    # the same-parity entries; the last two rows are taken at the fixed drive
     eps = np.finfo(float).eps
-    built = {}
+    odd = opposite_parity(n_max)
     for tau in (0.0, 1e-300, 2.00013, 26.42274984585618, 30.0, 200.0):
         taus = tau * np.array([1.0, 1.0 - 16 * eps, 1.0 + 16 * eps])
         for omega in (None, 1234.5):
             last = [(n_max - 1, n_max)] if omega is not None else []
             for k, kprime in [(1, 2), (2, 3)] + last:
                 sc = reference_scenario(n_max=n_max, tau=tau, omega=omega, k=k, kprime=kprime)
-                alpha1, beta1 = cavity.build_pair_rows(sc, taus)
+                alpha1, beta1 = cavity.build_rows(sc, (k, kprime), taus)
                 assert alpha1.shape == beta1.shape == (3, 2, n_max)
+                rows = [k - 1, kprime - 1]
                 for i, t in enumerate(taus):
-                    key = (float(t), sc.drive_omega)
-                    if key not in built:
-                        built[key] = build_scenario_series(reference_scenario(
-                            n_max=n_max, tau=float(t), omega=sc.drive_omega
-                        ))
-                    rows = [k - 1, kprime - 1]
-                    assert alpha1[i].tobytes() == built[key].alpha1[rows].tobytes(), (tau, omega, k, i)
-                    assert beta1[i].tobytes() == built[key].beta1[rows].tobytes(), (tau, omega, k, i)
+                    oracle = whole_matrix_coefficients(
+                        reference_scenario(n_max=n_max, tau=float(t), omega=sc.drive_omega), rows
+                    )
+                    for built, expected in zip((alpha1[i], beta1[i]), oracle):
+                        assert_oracle_bits(built, expected, odd[rows])

@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from cavqfi import CavityScenario, bogoliubov, cavity, cli, kernels, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
-from oracles import lattice_qfi
+from oracles import lattice_qfi, whole_matrix_coefficients
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -368,7 +369,8 @@ def test_mutated_readme_configs_exit_cleanly(tmp_path, capsys):
 
 def tau_spread(scenario):
     """|H0| share by which the tau probes move a point's H0, measured as cli.evaluate_scenario does."""
-    alpha1, beta1 = cavity.build_pair_rows(scenario, scenario.tau * cli._TAU_PROBES)
+    taus = scenario.tau * cli._TAU_PROBES
+    alpha1, beta1 = cavity.build_rows(scenario, (scenario.k, scenario.kprime), taus)
     h0 = [
         metrology.qfi_analytic_h0(
             bogoliubov.unsqueezed_rows(a, b, scenario.squeezing, scenario.k, scenario.kprime)
@@ -753,7 +755,7 @@ def test_fidelity_states_parsed_before_series(tmp_path, monkeypatch, capsys, sce
     def refuse(*args):
         raise AssertionError("the series was built before the states were read")
 
-    monkeypatch.setattr(cli, "build_scenario_series", refuse)
+    monkeypatch.setattr(cli, "build_rows", refuse)
     cfg = write_config(
         tmp_path, {"scenario": scenario, "fidelity": {"state_b": {"amplitude_h": -1}}}
     )
@@ -769,6 +771,7 @@ def test_fidelity_states_parsed_before_series(tmp_path, monkeypatch, capsys, sce
         # qfi prints its text before it writes the record
         (["qfi", "--config", "{cfg}", "--out", "{dir}"], True),
         (["coeffs", "--nmax", "2", "--out", "{dir}/missing/x.csv"], False),
+        (["coeffs", "--nmax", "2", "--format", "json", "--out", "{dir}/missing/x.json"], False),
     ],
 )
 def test_unwritable_out_exit_two(tmp_path, capsys, argv, printed):
@@ -931,8 +934,6 @@ def test_coeffs_static_must_be_boolean(tmp_path, capsys, value):
 def test_coeffs_dumps_lab_frame(tmp_path):
     # the series is held in the interaction picture; coeffs puts the free
     # rotation back: g_m = e^{-i w_m tau} and row m of each matrix times g_m
-    from cavqfi import build_scenario_series
-
     tau = 2.00013
     cfg = write_config(tmp_path, {"scenario": {"duration_s": tau, "n_max": 5}})
     out_path = tmp_path / "coeffs.csv"
@@ -944,14 +945,81 @@ def test_coeffs_dumps_lab_frame(tmp_path):
     g = table[:, 6] + 1j * table[:, 7]
     omegas = np.pi * m * 1e-3 / 1e-6
     assert np.max(np.abs(g - np.exp(-1j * omegas * tau))) <= 1e-15
-    series = build_scenario_series(
+    oracle = whole_matrix_coefficients(
         CavityScenario(length=1e-6, sound_speed=1e-3, k=1, kprime=2, squeezing=10.0, tau=tau, n_max=5)
     )
     rows, cols = m - 1, table[:, 1].astype(int) - 1
-    for column, matrix in ((2, series.alpha1), (4, series.beta1)):
+    for column, matrix in zip((2, 4), oracle):
         lab = g * matrix[rows, cols]
         dumped = table[:, column] + 1j * table[:, column + 1]
         assert np.max(np.abs(dumped - lab)) <= 1e-15 * np.max(np.abs(lab))
+
+
+@pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--static"]])
+def test_coeffs_streams_one_row_at_a_time(tmp_path, flags):
+    # coeffs forms and writes one row of records at a time, so its traced
+    # allocation peak at n_max 60 stays under 1 MB (3.0, 9.1 and 2.9 MB
+    # when the whole series and every record were held at once; the peak
+    # of those grows as n_max^2, of a row as n_max)
+    import tracemalloc
+
+    out = tmp_path / "coeffs.out"
+    main(["coeffs", "--nmax", "2", "--out", str(out)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["coeffs", "--nmax", "60", "--out", str(out), *flags]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert out.stat().st_size > 60 * 60 * 100
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "f346147229e0c43ac1fce2cdba53854587e0fe21ad1e54deb893147327f68716"),
+        (["--format", "json"], "8e4d0a190e848c0b833f40aeaaa62ff5948c3eb04a967c91bf736901acb81c60"),
+        (["--static"], "5cf733a4770a2012e7ddf1b6550ddb5d1d72a731e240e8c4b9b31812a72ac3b0"),
+    ],
+)
+def test_coeffs_bytes_pinned(tmp_path, flags, digest):
+    # the bytes of the whole-matrix dump, lab-frame and static, from
+    # before the series was built a row at a time
+    out = tmp_path / "coeffs.out"
+    assert main(["coeffs", "--nmax", "210", "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_fidelity_record_bytes_pinned(tmp_path, capsys):
+    # the bytes of one fidelity record, from before its states were formed
+    # from rows k and k' alone
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": {"squeezing_r": 2.0, "n_max": 50, "duration_s": 2.00013},
+            "fidelity": {
+                "state_a": {"squeezing_r_k": 1.0, "amplitude_h": 1e-4},
+                "state_b": {"squeezing_r_kprime": 0.5, "amplitude_h": 2e-4},
+            },
+        },
+    )
+    out = tmp_path / "fidelity.json"
+    assert main(["fidelity", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "fidelity            : 2.7517443642627354e-01\n"
+    digest = "c844f07725e49a93f631d7b11a3b472e20d3b7a32d6144c8e3491dd6b46051b3"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_coeffs_opens_out_before_forming_a_row(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a row was formed before --out was opened")
+
+    monkeypatch.setattr(cli, "build_rows", refuse)
+    out = tmp_path / "missing" / "coeffs.json"
+    assert main(["coeffs", "--nmax", "2", "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write output: ")
 
 
 def test_sweep_requires_section(tmp_path, capsys):

@@ -21,7 +21,7 @@ from cavqfi import (
 )
 from cavqfi.bogoliubov import unsqueezed_state_map
 from cavqfi import cli
-from cavqfi.cavity import build_pair_rows, free_phases
+from cavqfi.cavity import build_rows, free_phases
 from cavqfi.cli import evaluate_scenario
 from cavqfi import metrology
 from cavqfi.errors import ConditioningError, NoPlateauError, NumericError
@@ -571,7 +571,7 @@ def test_analytic_within_rounding_bound_of_mpmath(n_max):
 def mp_cavity_rows(scenario, dps=60):
     """Rows k and k' of the cavity series from its closed form at dps digits.
 
-    An independent rebuild of cavity.build_pair_rows: the static
+    An independent rebuild of cavity.build_rows for rows k, k': the static
     coefficients, the mode frequencies pi n c_s / L and the drive integral
     int_0^tau sin(omega t) e^{i x t} dt, all in mpmath from the scenario's
     float64 values taken exactly.  Returns a stand-in for a series whose
@@ -618,7 +618,7 @@ def test_emitted_h0_matches_60_digit_rows(overrides):
     # alone (6.5e-14) but inside the spread (1.8e-10)
     sc = CavityScenario(**overrides)
     emitted = evaluate_scenario(sc)["qfi"]
-    alpha1, beta1 = build_pair_rows(sc, sc.tau * cli._TAU_PROBES)
+    alpha1, beta1 = build_rows(sc, (sc.k, sc.kprime), sc.tau * cli._TAU_PROBES)
     rows = [unsqueezed_rows(a, b, sc.squeezing, sc.k, sc.kprime) for a, b in zip(alpha1, beta1)]
     h0 = [qfi_analytic_h0(r).value for r in rows]
     assert h0[0] == emitted

@@ -82,9 +82,8 @@ def test_precision_path_threshold():
 def test_series_build_calls_kernel_through_module_attribute(monkeypatch):
     # the tracer's kernels.time_dependent_coefficients spans measure the
     # build only while the build looks the kernel up on the module; it calls
-    # it twice per row block, once per row parity, and those calls must
-    # cover every opposite-parity entry at or right of its row's block start
-    # once, and no other entry
+    # it once per row, and those calls must cover every opposite-parity
+    # entry once, and no other entry
     original = kernels.time_dependent_coefficients
     calls = []
 
@@ -94,8 +93,8 @@ def test_series_build_calls_kernel_through_module_attribute(monkeypatch):
 
     monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
     cavity.build_scenario_series(cavity.CavityScenario(n_max=210))
-    hits, expected, blocks = kernel_coverage(calls, 210)
-    assert len(calls) == 2 * len(blocks) > 2
+    hits, expected, rows = kernel_coverage(calls, 210)
+    assert rows == [[m] for m in range(210)]
     assert np.array_equal(hits, expected)
 
 
