@@ -19,6 +19,7 @@ from .metrology import (
     H0Result,
     cramer_rao,
     fidelity_two_mode,
+    h0_coefficients,
     qfi_analytic_h0,
     qfi_numeric,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "build_scenario_series",
     "cramer_rao",
     "fidelity_two_mode",
+    "h0_coefficients",
     "h_from_acceleration",
     "initial_product_squeezed",
     "qfi_analytic_h0",

@@ -11,11 +11,13 @@ by order from rows k and k' of the coefficients, mapped by the
 un-squeezing of a squeezing r, once per row set;
 ``unsqueezed_state_map`` forms their Gram matrix once, with the vacuum on
 the spectator columns and a given covariance on the pair columns, and
-gives each state as a 4x4 sum.  The QFI reads the rows in the frame where
-the squeezed initial state is the vacuum: the matrix-form QFI
-(metrology.qfi_analytic_h0) and the QFI ladder's states read that one
-value.  ``transform_reduced`` is the r = 0 case: the state of modes k, k'
-after the series, for any two-mode initial covariance.
+gives each state as a 4x4 sum.  They serve the states alone: the QFI
+ladder reads the rows of a point in the frame where the squeezed initial
+state is the vacuum, and ``cavqfi fidelity`` reads them at r = 0.  The
+matrix-form QFI forms no un-squeezed rows: it reads coefficients of
+e^{2 p r} summed over rows k and k' at r = 0 (metrology.h0_coefficients).
+``transform_reduced`` is the r = 0 case: the state of modes k, k' after
+the series, for any two-mode initial covariance.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from .gaussian import initial_product_squeezed
 from .metrology import (
     cramer_rao,
     fidelity_two_mode,
+    h0_coefficients,
     qfi_analytic_h0,
     qfi_numeric,
 )
@@ -179,16 +180,18 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
 
     Rows k and k' of the interaction-picture series are built alone
     (cavity.build_rows), at the point's tau and at the probes
-    tau (1 -/+ 16 eps), and each row set is taken into the frame where the
-    squeezed initial state is the vacuum (bogoliubov.unsqueezed_rows).  The
-    QFI is the matrix-form H0 of the point's rows (qfi_analytic_h0), with
-    no fitted inputs.  "tail_estimate" is the share of H0 carried by the
-    modes above n_max // 2 (nan when n_max // 2 does not cover the pair),
-    from the same one sum.  With want_numeric and H0 > 0, the
-    fidelity-ladder QFI of the same point is added as "qfi_numeric"; its
-    numeric failures propagate.  At H0 <= 0 no ladder runs: there is no
-    information to cross-check.  The ladder steps the states of
-    bogoliubov.unsqueezed_state_map, which sit near the vacuum, so their
+    tau (1 -/+ 16 eps), and their coefficients of e^{2 p r}
+    (metrology.h0_coefficients) give the matrix-form H0 of all three at
+    the point's squeezing in one call (qfi_analytic_h0), with no fitted
+    inputs and no un-squeezed rows.  "tail_estimate" is the share of H0
+    carried by the modes above n_max // 2 (nan when n_max // 2 does not
+    cover the pair), from the same coefficients.  With want_numeric and
+    H0 > 0, the fidelity-ladder QFI of the same point is added as
+    "qfi_numeric"; its numeric failures propagate.  At H0 <= 0 no ladder
+    runs: there is no information to cross-check.  The ladder steps the
+    states of bogoliubov.unsqueezed_state_map of the point's rows at tau,
+    taken into the frame where the squeezed initial state is the vacuum
+    (bogoliubov.unsqueezed_rows), which sit near the vacuum, so their
     fidelities take the float64 path; with the pilot's growth test in
     qfi_numeric, none takes the mpmath path, and no lab-frame state is
     formed.  The bounds are cramer_rao's (inf at H0 <= 0), and
@@ -201,12 +204,14 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     round-trip lattice its e^{4r} coefficient is zero in exact arithmetic,
     and the rounding of tau leaves a residue that e^{4r} amplifies.  L and
     c_s enter the series only through c_s tau / L, so the tau probes cover
-    their rounding too.  Every other failure of the point comes first.
+    their rounding too.  A probe's H0 that overflows float64 where the
+    point's does not is an infinite spread.  Every other failure of the
+    point comes first.
     """
     r, k, kprime = scenario.squeezing, scenario.k, scenario.kprime
     alpha1, beta1 = build_rows(scenario, (k, kprime), scenario.tau * _TAU_PROBES)
-    rows, *probes = (unsqueezed_rows(a, b, r, k, kprime) for a, b in zip(alpha1, beta1))
-    h0 = qfi_analytic_h0(rows)
+    # a cavity series has no second order
+    h0 = qfi_analytic_h0(h0_coefficients(alpha1, beta1, k, kprime, None), r)
     qfi = h0.value
     out = {
         "tau_s": scenario.tau,
@@ -215,14 +220,12 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
         "tail_estimate": h0.truncation_change,
     }
     if want_numeric and qfi > 0.0:
+        rows = unsqueezed_rows(alpha1[0], beta1[0], r, k, kprime)
         out["qfi_numeric"] = qfi_numeric(unsqueezed_state_map(rows), 0.0)
     out["delta_h"], out["delta_a_m_per_s2"] = cramer_rao(
         qfi, scenario.n_measurements, scenario.length, scenario.sound_speed
     )
-    try:
-        spread = max(abs(qfi_analytic_h0(p).value - qfi) for p in probes)
-    except NumericError:  # a probe's H0 overflows float64 where the point's does not
-        spread = math.inf
+    spread = max(abs(probe - qfi) for probe in h0.probes)
     if spread > DEFAULT_POLICY.tau_spread_max * abs(qfi):
         relative = spread / abs(qfi) if qfi else math.inf
         raise ConditioningError(
@@ -319,20 +322,22 @@ def _output(path):
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-def _strict_json(value):
-    """value with every nan or infinite float as None: RFC 8259 JSON has no
-    NaN or Infinity tokens, and strict parsers refuse them."""
-    if isinstance(value, dict):
-        return {key: _strict_json(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_strict_json(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _record_json(record, depth):
+    """A flat record as json.dumps(record, indent=2, sort_keys=True) writes it at nesting depth ``depth``.
 
-
-def _json_text(value):
-    return json.dumps(_strict_json(value), indent=2, sort_keys=True, allow_nan=False)
+    Every nan or infinite float is null: RFC 8259 JSON has no NaN or
+    Infinity tokens, and strict parsers refuse them.  A record holds no
+    nested values, so each of its items sits one level deeper than the
+    record, and the indentation rides in the item separator: json.dumps
+    then runs its C encoder, where indent would run the pure-Python one.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    strict = {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in record.items()
+    }
+    text = json.dumps(strict, sort_keys=True, allow_nan=False, separators=("," + pad, ": "))
+    return "{" + pad + text[1:-1] + pad[:-2] + "}"
 
 
 def _write_records(path, fmt, header, chunks):
@@ -341,7 +346,8 @@ def _write_records(path, fmt, header, chunks):
     chunks yields lists of rows, each row the values of header in order.
     path is opened before the first chunk is drawn, and each chunk is
     written before the next is drawn, so one chunk is held at a time.  The
-    JSON has the bytes of _json_text of the whole document.
+    JSON has the bytes of json.dumps of the whole document with indent=2
+    and sort_keys=True.
     """
     with _output(path) as fh:
         if fmt != "json":
@@ -353,10 +359,8 @@ def _write_records(path, fmt, header, chunks):
         sep = "\n"
         for rows in chunks:
             if rows:
-                # the chunk's records as a list, two spaces less deep than
-                # in the document
-                text = _json_text([dict(zip(header, row)) for row in rows])
-                fh.write(sep + "  " + text[2:-2].replace("\n", "\n  "))
+                records = (_record_json(dict(zip(header, row)), 2) for row in rows)
+                fh.write(sep + "    " + ",\n    ".join(records))
                 sep = ",\n"
         fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
@@ -379,7 +383,7 @@ def _write_record(args, header, record):
         return
     if args.format == "json":
         with _output(args.out) as fh:
-            fh.write(_json_text(record) + "\n")
+            fh.write(_record_json(record, 0) + "\n")
     else:
         _write_records(args.out, "csv", header, [[[record[c] for c in header]]])
 

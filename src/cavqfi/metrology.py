@@ -16,20 +16,25 @@ and one complex, with the values of four separate calls.
 These and the ladder's step and plateau targets are the fixed tolerances of
 policy.DEFAULT_POLICY.
 
-The QFI comes in two independent routes, and both read one input per point:
-rows k and k' of the interaction-picture series in the frame where the
-initial state is the vacuum (bogoliubov.UnsqueezedRows).  Production uses
-the matrix form qfi_analytic_h0: H0 = tr C2 - tr(C1^2) / 4 for the
-transformed covariance I + h C1 + h^2 C2, with no fitted inputs.  H0 is a
-sum of per-column terms, so the same sum also measures how much of H0 the
-modes above a halved truncation carry.  The finite-difference step ladder
-on the fidelity with Richardson extrapolation (qfi_numeric) is the
-independent cross-check: ``cavqfi qfi`` reports both, and the test suite
-compares them.  ``cavqfi qfi`` feeds the ladder the states of
-bogoliubov.unsqueezed_state_map (one Gram matrix per point), which sit
-near the vacuum, and the ladder's pilot shrinks a step whose state has
-grown past extended_precision_above without taking its fidelity, so every
-fidelity stays on the float64 path.
+The QFI comes in two independent routes, and both read rows k and k' of
+the interaction-picture series of a point.  Production uses the matrix
+form qfi_analytic_h0: H0 = tr C2 - tr(C1^2) / 4 for the transformed
+covariance I + h C1 + h^2 C2 in the frame where the initial state is the
+vacuum, with no fitted inputs.  In that frame each entry of the rows is
+its r = 0 value times a power of e^r, so H0 is a sum of coefficients times
+e^{2 p r}, p = -2..2, which rows k and k' at r = 0 fix
+(h0_coefficients): one call takes a point's duration and its two tau
+probes, and no un-squeezed row is formed for H0.  The same sums measure
+how much of H0 the modes above a halved truncation carry.  The
+finite-difference step ladder on the fidelity with Richardson
+extrapolation (qfi_numeric) is the independent cross-check: ``cavqfi qfi``
+reports both, and the test suite compares them.  ``cavqfi qfi`` feeds the
+ladder the states of bogoliubov.unsqueezed_state_map of the rows at the
+point's duration, un-squeezed once (bogoliubov.unsqueezed_rows, which
+serves only the ladder and ``cavqfi fidelity``), which sit near the
+vacuum, and the ladder's pilot shrinks a step whose state has grown past
+extended_precision_above without taking its fidelity, so every fidelity
+stays on the float64 path.
 
 cramer_rao turns a QFI into the two Cramer-Rao bounds and nothing more.
 Whether a probe amplitude lies inside the perturbative domain (H0 h^2
@@ -44,7 +49,7 @@ import math
 
 import numpy as np
 
-from .bogoliubov import UnsqueezedRows
+from .bogoliubov import _check_mode_pair
 from .errors import ConditioningError, NoPlateauError, NumericError
 from .gaussian import GaussianState, symplectic_form
 from .policy import DEFAULT_POLICY
@@ -264,68 +269,162 @@ def qfi_numeric(state_at, h: float, return_diagnostics: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# the matrix-form leading-order QFI
+# the matrix-form leading-order QFI, from coefficients of e^{2 p r}
 # ---------------------------------------------------------------------------
+
+# the powers p = -2..2 of e^{2 p r}, in the order of the coefficients' last axis
+_POWERS = np.arange(-2, 3)
+
+
+@dataclasses.dataclass(frozen=True)
+class H0Coefficients:
+    """The parts of H0 for modes (k, k') as coefficients of e^{2 p r}, p = -2..2.
+
+    Built by h0_coefficients from rows k and k' at r = 0.  parts has shape
+    (..., 3, 5), its leading axes those of the rows (one entry per
+    duration) and its last axis p + 2.  parts[..., 0, :] holds A = sum A1^2,
+    parts[..., 1, :] holds B/4 = ||C1||_F^2 / 4 (zero at p = +-1) and
+    parts[..., 2, :] holds the part of A carried by the modes above
+    n_modes // 2 (zero but at p = +-1; nan when those modes include k or
+    k').  second holds 2 tr A2, which does not depend on r (zero without a
+    second order).
+    """
+
+    n_modes: int
+    parts: np.ndarray
+    second: np.ndarray
+
+
+def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficients:
+    """H0's coefficients of e^{2 p r} from rows k and k' of alpha1 and beta1 at r = 0.
+
+    alpha1 and beta1 are (..., 2, N) arrays, N the number of modes: rows k
+    and k' (in that order) of the first-order matrices, with any leading
+    axes (a cavity point stacks its durations there, cavity.build_rows).
+    alpha2 is None for a series with no second order (a cavity series has
+    none), or the (..., 2) array of the second-order diagonal entries
+    (alpha2_k, alpha2_k').  Rows of another shape, or a mode pair outside
+    1..N, raise ValueError.
+
+    The un-squeezed first order A1 = t S1 T^-1 (bogoliubov.UnsqueezedRows)
+    scales entry (i, j) of S1, the rows at r = 0, by t_i / T_j, a power of
+    e^r: row i is an x row (t_i = e^{-r}) or a p row (e^r), and T_j is t_j
+    on the pair columns and 1 on the spectators.  So A and B/4 are sums of
+    coefficients times e^{2 p r}, and the coefficients are sums over S1,
+    whose 2x2 block for the entry (a, b) of alpha1 and beta1 has the x row
+    (Re(a-b), Im(a+b)) and the p row (-Im(a-b), Re(a+b)):
+      - a spectator column adds its x rows' squares,
+        |a - conj(b)|^2, to A at p = -1 and its p rows' squares,
+        |a + conj(b)|^2, at p = +1;
+      - the pair columns form a 4x4 block P, which adds its squares to A
+        at p = -2 from x rows to p columns (Im(a+b)^2), at p = +2 from p
+        rows to x columns (Im(a-b)^2) and at p = 0 within a quadrature.
+        With P' the scaled block, B/4 = ||P' + P'^T||_F^2 / 4 takes half of
+        A's pair squares at p = -+2; at p = 0 it takes the squares of
+        P + P^T within a quadrature over 4, plus the products P_ij P_ji
+        from x rows to p columns.
+    t S2 t^-1 keeps the diagonal of S2, so 2 tr A2 = 2 tr S2.
+    """
+    alpha1, beta1 = np.asarray(alpha1, dtype=complex), np.asarray(beta1, dtype=complex)
+    n_modes = alpha1.shape[-1]
+    if alpha1.ndim < 2 or alpha1.shape[-2] != 2 or beta1.shape != alpha1.shape:
+        raise ValueError("alpha1 and beta1 must be rows k, k' of equal length")
+    _check_mode_pair(n_modes, k, kprime)
+    cols = [k - 1, kprime - 1]
+    half = n_modes // 2
+    parts = np.zeros(alpha1.shape[:-2] + (3, 5))
+    column, c1, upper = parts[..., 0, :], parts[..., 1, :], parts[..., 2, :]
+    # the pair block P, rows k, k' against columns k, k', in its 2x2
+    # quadrature blocks: x rows to x columns Re(a-b), x rows to p columns
+    # Im(a+b), p rows to x columns -Im(a-b), p rows to p columns Re(a+b)
+    a, b = alpha1[..., cols], beta1[..., cols]
+    d, s = a - b, a + b
+    xx, xp, px, pp = d.real, s.imag, -d.imag, s.real
+    blocks = np.stack([xp, xx, pp, px, xx + xx.swapaxes(-2, -1), pp + pp.swapaxes(-2, -1)])
+    low, same_x, same_p, high, sym_x, sym_p = (blocks * blocks).sum((-2, -1))
+    cross = (xp * px.swapaxes(-2, -1)).sum((-2, -1))
+    column[..., 0], column[..., 2], column[..., 4] = low, same_x + same_p, high
+    c1[..., 0], c1[..., 2], c1[..., 4] = 0.5 * low, 0.25 * (sym_x + sym_p) + cross, 0.5 * high
+    # the spectator columns, with the pair columns zeroed: x rows
+    # |a - conj(b)|^2 at p = -1 and p rows |a + conj(b)|^2 at p = +1,
+    # squared in place as (re, im) floats
+    conj_beta = np.conj(beta1)
+    for at, rows in ((1, alpha1 - conj_beta), (3, np.add(alpha1, conj_beta, out=conj_beta))):
+        rows[..., cols] = 0.0
+        entries = rows.view(float)
+        np.square(entries, out=entries)
+        column[..., at] = entries.sum((-2, -1))
+        upper[..., at] = entries[..., 2 * half :].sum((-2, -1))
+    if max(cols) >= half:
+        upper[...] = math.nan
+    second = np.zeros(parts.shape[:-2]) if alpha2 is None else 4.0 * np.real(alpha2).sum(-1)
+    return H0Coefficients(n_modes, parts, second)
 
 
 @dataclasses.dataclass(frozen=True)
 class H0Result:
     value: float
     truncation_change: float
+    probes: tuple = ()
 
 
-def qfi_analytic_h0(rows: UnsqueezedRows) -> H0Result:
-    """Leading-order QFI H0 of modes (k, k'), in matrix form, from their un-squeezed rows.
+def qfi_analytic_h0(coefficients: H0Coefficients, r: float) -> H0Result:
+    """Leading-order QFI H0 of modes (k, k') at squeezing r, in matrix form.
 
-    In the frame of ``rows`` the initial state is the vacuum, so the
+    In the frame where the squeezed initial state is the vacuum, the
     transformed covariance is the unit polynomial I + h C1 + h^2 C2, and
     H0 = tr C2 - tr(C1^2) / 4 (Gaussian QFI from sigma and its
     derivatives: Monras, arXiv:1303.3682; Safranek, Lee and Fuentes,
-    arXiv:1502.07924).  With the orders A1 (and A2) of ``rows``,
-    C1 = A1[:, pair] + A1[:, pair]^T and tr C2 = sum A1^2 (+ 2 tr A2), so
-      H0 = sum A1^2 - ||A1[:, pair] + A1[:, pair]^T||_F^2 / 4 (+ 2 tr A2).
-    Nothing inverts a squeezed covariance: at r = 10 its entries reach
-    e^{20} and their roundoff alone exceeds its smallest eigenvalue e^{-20}.
+    arXiv:1502.07924).  With the orders A1 (and A2) of the un-squeezed
+    rows, C1 = A1[:, pair] + A1[:, pair]^T and tr C2 = sum A1^2 (+ 2 tr A2),
+    so H0 = A - B/4 (+ 2 tr A2) for the column sum A = sum A1^2 and
+    B/4 = ||C1||_F^2 / 4, both non-negative.  ``coefficients``
+    (h0_coefficients) holds A and B/4 as coefficients of e^{2 p r}, so H0
+    at r is their weighted sum: nothing forms the un-squeezed rows, and
+    nothing inverts a squeezed covariance.  Each term is weighted on its
+    own, c_p e^{2 p r}, and overflows float64 only when its value does
+    (e^{4r} alone leaves float64 from r = 177.5).
 
-    H0 is the column sum A = sum A1^2 less the C1 term B/4, both
-    non-negative (plus 2 tr A2).  When |H0| is within their float64
-    rounding bound 2N eps (A + B/4 + |2 tr A2|), for N modes (rows 2N wide),
-    the difference is a cancellation residue and H0 is 0.0: no information,
-    not a tiny QFI of either sign.  The truncation change
-    (H0(N) - H0(N // 2)) / H0 is the partial sum of A1^2 over the modes
-    above N // 2, which is exactly what the halved truncation drops; it is
-    nan when N // 2 does not cover the pair and 0.0 when H0 is zero.  Sums
-    that overflow float64 (they grow as e^{4|r|}) raise NumericError.
+    When |H0| is within the float64 rounding bound 2N eps (A + B/4 + |2 tr A2|),
+    for N modes, the difference is a cancellation residue and H0 is 0.0:
+    no information, not a tiny QFI of either sign.  The truncation change
+    (H0(N) - H0(N // 2)) / H0 is the part of A carried by the modes above
+    N // 2, which is exactly what the halved truncation drops, over H0; it
+    is nan when N // 2 does not cover the pair and 0.0 when H0 is zero.
+
+    With leading axes of durations, the first duration is the point's and
+    the others are probes of it: value and truncation_change are the
+    point's, and probes holds the other H0 in order, each decided against
+    its own bound, and inf for one whose sums overflow float64.  Sums of
+    the point that overflow float64 (they grow as e^{4|r|}) raise
+    NumericError.
     """
-    a1 = rows.orders[1]
-    pair = rows.pair
-    n = a1.shape[1] // 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = a1 * a1
-        column_sum = terms.sum()
-        c1 = a1[:, pair] + a1[:, pair].T
-        c1_term = 0.25 * np.sum(c1 * c1)
-        value = column_sum - c1_term
-        # 2N eps of their size bounds the rounding of the two sums (numpy
-        # sums pairwise); an H0 inside it is a cancellation residue
-        rounding = 2 * n * _EPS
-        bound = rounding * column_sum + rounding * c1_term
-        if len(rows.orders) == 3:
-            second = 2.0 * np.trace(rows.orders[2][:, pair])
-            value += second
-            bound += rounding * abs(second)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = np.exp(2.0 * _POWERS * r)
+        terms = coefficients.parts * weights
+        far = np.isinf(weights)
+        if far.any():
+            terms[..., far] = np.exp(2.0 * _POWERS[far] * r + np.log(coefficients.parts[..., far]))
+        column, c1, upper = terms.sum(-1).reshape(-1, 3).T
+        second = np.reshape(coefficients.second, -1)
+        value = column - c1 + second
+        # 2N eps of their size bounds the rounding of the sums; an H0
+        # inside it is a cancellation residue
+        rounding = 2 * coefficients.n_modes * _EPS
+        bound = rounding * column + rounding * c1 + rounding * np.abs(second)
     # at the reference point the sums leave float64 near r = 205
-    if not math.isfinite(bound):
-        raise NumericError(f"H0 overflows float64 at squeezing r = {rows.r}")
-    value = 0.0 if abs(value) <= bound else float(value)
-    half = n // 2
-    if max(pair) >= 2 * half:
+    if not math.isfinite(bound[0]):
+        raise NumericError(f"H0 overflows float64 at squeezing r = {r}")
+    value = np.where(np.abs(value) <= bound, 0.0, value)
+    value[~np.isfinite(bound)] = math.inf
+    point = float(value[0])
+    if math.isnan(upper[0]):
         change = math.nan
-    elif value == 0.0:
+    elif point == 0.0:
         change = 0.0
     else:
-        change = float(terms[:, 2 * half :].sum() / value)
-    return H0Result(value, change)
+        change = float(upper[0]) / point
+    return H0Result(point, change, tuple(value[1:].tolist()))
 
 
 # ---------------------------------------------------------------------------

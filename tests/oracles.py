@@ -3,7 +3,9 @@
 None of these is on a path that ``cavqfi`` runs: the series evaluated at
 one amplitude as whole coefficient matrices, the full-symplectic state
 transform (the ground truth for ``bogoliubov.transform_reduced``), the
-un-squeezed rows of a whole series, the squeezed-frame route to the un-squeezed ladder state (the reference for
+un-squeezed rows and the H0 of a whole series, the matrix-form H0 summed
+over the un-squeezed rows (the reference for ``metrology.qfi_analytic_h0``),
+the squeezed-frame route to the un-squeezed ladder state (the reference for
 ``bogoliubov.unsqueezed_state_map``), the exact-transform identities and
 symplectic defects, the physicality check, reference states, the
 closed-form static pair coefficients, the whole-matrix cavity series, the
@@ -26,9 +28,17 @@ import math
 import numpy as np
 
 from cavqfi import kernels
-from cavqfi.bogoliubov import BogoliubovSeries, _check_mode_pair, pair_columns, unsqueezed_rows
+from cavqfi.bogoliubov import (
+    BogoliubovSeries,
+    UnsqueezedRows,
+    _check_mode_pair,
+    pair_columns,
+    unsqueezed_rows,
+)
 from cavqfi.cavity import CavityScenario
+from cavqfi.errors import NumericError
 from cavqfi.gaussian import SYMMETRY_TOL, GaussianState, _frozen, symplectic_form
+from cavqfi.metrology import H0Result, h0_coefficients, qfi_analytic_h0
 
 # ---------------------------------------------------------------------------
 # states and the physicality check
@@ -205,6 +215,60 @@ def series_unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: i
     rows = [k - 1, kprime - 1]
     alpha2 = None if series.alpha2 is None else series.alpha2[rows]
     return unsqueezed_rows(series.alpha1[rows], series.beta1[rows], r, k, kprime, alpha2)
+
+
+def series_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> H0Result:
+    """metrology.qfi_analytic_h0 at r of rows k, k' sliced from a whole series.
+
+    The package builds a point's rows alone (cavity.build_rows) and takes
+    their coefficients (metrology.h0_coefficients); tests that hold a whole
+    series, random or built, take its H0 this way.
+    """
+    rows = [k - 1, kprime - 1]
+    alpha2 = None if series.alpha2 is None else series.alpha2[rows]
+    coefficients = h0_coefficients(series.alpha1[rows], series.beta1[rows], k, kprime, alpha2)
+    return qfi_analytic_h0(coefficients, r)
+
+
+def matrix_form_h0(rows: UnsqueezedRows) -> H0Result:
+    """H0 of modes (k, k') summed over their un-squeezed rows, order by order.
+
+    The route ``metrology.qfi_analytic_h0`` took before it read the
+    coefficients of e^{2 p r}: with the orders A1 (and A2) of ``rows``,
+    C1 = A1[:, pair] + A1[:, pair]^T and tr C2 = sum A1^2 (+ 2 tr A2), so
+      H0 = sum A1^2 - ||A1[:, pair] + A1[:, pair]^T||_F^2 / 4 (+ 2 tr A2),
+    summed over the (4, 2N) scaled entries themselves.  The same zero
+    decision (|H0| within 2N eps (A + B/4 + |2 tr A2|) is 0.0), the same
+    truncation change (the partial sum of A1^2 over the modes above N // 2,
+    over H0; nan when N // 2 does not cover the pair) and NumericError on
+    sums that overflow float64.
+    """
+    a1 = rows.orders[1]
+    pair = rows.pair
+    n = a1.shape[1] // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = a1 * a1
+        column_sum = terms.sum()
+        c1 = a1[:, pair] + a1[:, pair].T
+        c1_term = 0.25 * np.sum(c1 * c1)
+        value = column_sum - c1_term
+        rounding = 2 * n * np.finfo(float).eps
+        bound = rounding * column_sum + rounding * c1_term
+        if len(rows.orders) == 3:
+            second = 2.0 * np.trace(rows.orders[2][:, pair])
+            value += second
+            bound += rounding * abs(second)
+    if not math.isfinite(bound):
+        raise NumericError(f"H0 overflows float64 at squeezing r = {rows.r}")
+    value = 0.0 if abs(value) <= bound else float(value)
+    half = n // 2
+    if max(pair) >= 2 * half:
+        change = math.nan
+    elif value == 0.0:
+        change = 0.0
+    else:
+        change = float(terms[:, 2 * half :].sum() / value)
+    return H0Result(value, change)
 
 
 def squeezed_frame_ladder_state(

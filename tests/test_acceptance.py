@@ -16,7 +16,6 @@ from cavqfi import (
     cramer_rao,
     fidelity_two_mode,
     initial_product_squeezed,
-    qfi_analytic_h0,
     qfi_numeric,
     transform_reduced,
 )
@@ -26,8 +25,8 @@ from conftest import fock_squeezed_overlap_sq, random_physical_two_mode
 from oracles import (
     mach_zehnder_qfi,
     resonant_beta_slope,
+    series_h0,
     series_symplectic_defect,
-    series_unsqueezed_rows,
     transform_full_oracle,
     vacuum,
 )
@@ -154,7 +153,7 @@ def test_criterion_4_analytic_numeric_cross_validation():
             numeric = qfi_numeric(
                 lambda h: transform_reduced(init, series, h, 1, 2), 0.0
             )
-            analytic = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
+            analytic = series_h0(series, r, 1, 2).value
             rel = abs(analytic - numeric) / abs(numeric)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -9,7 +9,6 @@ from cavqfi import (
     CavityScenario,
     build_scenario_series,
     initial_product_squeezed,
-    qfi_analytic_h0,
     transform_reduced,
     unsqueezed_rows,
 )
@@ -22,6 +21,7 @@ from oracles import (
     check_physical,
     evaluate_series,
     identity_defects,
+    series_h0,
     series_symplectic_defect,
     series_unsqueezed_rows,
     squeezed_frame_ladder_state,
@@ -354,7 +354,7 @@ def test_unsqueezed_state_map_matches_lab_frame(rng, r, n_max, tau, second_order
     # the ladder's states: h = 0 and steps around where H h^2 = 1e-6, up to
     # states whose entries have grown past 1e3
     series = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=n_max))
-    h_target = 1e-3 / math.sqrt(qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value)
+    h_target = 1e-3 / math.sqrt(series_h0(series, r, 1, 2).value)
     if second_order:
         series = with_second_order(series, rng)
     hs = [0.0] + [f * h_target for f in (0.5, 1, 2, 30, 1e3, 1e5)]

@@ -206,13 +206,16 @@ def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
 def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
     # a point builds rows k and k' alone: one kernel call per row parity,
     # through the module attribute that the benchmark's tracer wraps, for
-    # its tau and the two tau probes at once; each of the three row sets is
-    # un-squeezed once, and no point builds the whole series
+    # its tau and the two tau probes at once; one H0 call takes all three
+    # from their coefficients, the qfi ladder un-squeezes the rows at tau
+    # once, a sweep point un-squeezes none, and no point builds the whole
+    # series
     kernel = count_calls(monkeypatch, kernels, "time_dependent_coefficients")
+    h0 = count_calls(monkeypatch, metrology, "qfi_analytic_h0")
     rows = count_calls(monkeypatch, bogoliubov, "unsqueezed_rows")
     whole = count_calls(monkeypatch, cavity, "build_scenario_series")
     assert main(["qfi"]) == 0
-    assert (len(kernel), len(rows), len(whole)) == (2, 3, 0)
+    assert (len(kernel), len(h0), len(rows), len(whole)) == (2, 1, 1, 0)
     eps = np.finfo(float).eps
     for _, _, tau, alpha_static, _, row, cols in kernel:
         assert tau.ravel().tolist() == [30.0, 30.0 * (1 - 16 * eps), 30.0 * (1 + 16 * eps)]
@@ -226,12 +229,12 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
         },
     )
     for command, points in (("figure2", 9), ("sweep", 3)):
-        for calls in (kernel, rows):
+        for calls in (kernel, h0, rows):
             calls.clear()
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == points + 1
-        assert (len(kernel), len(rows), len(whole)) == (2 * points, 3 * points, 0)
+        assert (len(kernel), len(h0), len(rows), len(whole)) == (2 * points, points, 0, 0)
 
 
 def test_readme_qfi_sample_matches_cli(capsys):
@@ -371,13 +374,9 @@ def tau_spread(scenario):
     """|H0| share by which the tau probes move a point's H0, measured as cli.evaluate_scenario does."""
     taus = scenario.tau * cli._TAU_PROBES
     alpha1, beta1 = cavity.build_rows(scenario, (scenario.k, scenario.kprime), taus)
-    h0 = [
-        metrology.qfi_analytic_h0(
-            bogoliubov.unsqueezed_rows(a, b, scenario.squeezing, scenario.k, scenario.kprime)
-        ).value
-        for a, b in zip(alpha1, beta1)
-    ]
-    return max(abs(value - h0[0]) for value in h0[1:]) / abs(h0[0])
+    coefficients = metrology.h0_coefficients(alpha1, beta1, scenario.k, scenario.kprime, None)
+    h0 = metrology.qfi_analytic_h0(coefficients, scenario.squeezing)
+    return max(abs(value - h0.value) for value in h0.probes) / abs(h0.value)
 
 
 @pytest.mark.parametrize(
@@ -387,6 +386,8 @@ def tau_spread(scenario):
         (65.0, "1.019e+10", {}),
         # one measurement keeps N H0 finite, and a probe's H0 overflows
         (201.0, "inf", {"n_measurements": 1}),
+        # the crossover on the reference lattice: r = 45 passes (spread 1.4e-7)
+        (46.0, "1.069e-06", {}),
     ],
 )
 def test_qfi_refuses_h0_that_tau_rounding_moves(tmp_path, capsys, r, spread, extra):
@@ -413,6 +414,18 @@ def test_qfi_keeps_h0_that_tau_rounding_does_not_move(tmp_path, capsys, scenario
     # e^{4r} coefficient is not a rounding residue
     assert main(["qfi", "--config", write_config(tmp_path, {"scenario": scenario})]) == 0
     assert "QFI (analytic H0)" in capsys.readouterr().out
+
+
+def test_h0_overflow_boundary_off_lattice():
+    # at tau = 2.00013 s (one measurement, so N H0 stays finite) H0 is
+    # finite at r = 178 and overflows float64 at r = 179, the integer
+    # squeezings where the orders-based sum first left float64; e^{4r}
+    # alone leaves float64 from r = 177.5, so a term weighted by it whole
+    # would overflow at r = 178 already
+    base = CavityScenario(tau=2.00013, n_measurements=1.0)
+    assert 1e300 < cli.evaluate_scenario(dataclasses.replace(base, squeezing=178.0))["qfi"] < math.inf
+    with pytest.raises(cli.NumericError, match=r"H0 overflows float64 at squeezing r = 179\.0"):
+        cli.evaluate_scenario(dataclasses.replace(base, squeezing=179.0))
 
 
 def test_tau_spread_margin_on_emitted_grids():
@@ -688,33 +701,36 @@ def test_zero_qfi_sweep_rows_pinned(tmp_path, fmt, probe):
     assert out.read_text() == expected
 
 
-# probes at margins H0 h^2 below, at and above validity_threshold (1e-2) for
-# FAST_SCENARIO (H0 = 2.3911502862815090e5); the "at" probe is the largest
-# valid acceleration itself, whose margin rounds to exactly 1e-2
+# probes at margins H0 h^2 below and above validity_threshold (1e-2) for
+# FAST_SCENARIO (H0 = 2.3911502862815087e5), and at it: the largest valid
+# acceleration at tau = 0.4 s (H0 = 1.5303361832201655e5) has a margin
+# that rounds to exactly 1e-2 (at tau = 0.5 s it rounds to
+# 0.009999999999999998, and no probe's margin is 1e-2)
 LARGEST_VALID_A = 0.00020450153094523024
+AT_THRESHOLD = {"duration_s": 0.4}
+AT_THRESHOLD_A = 0.0002556269136815378
 
 
 @pytest.mark.parametrize(
-    "probe, margin, valid",
+    "overrides, probe, margin, valid, largest",
     [
-        pytest.param(2e-4, 0.009564601145126037, True, id="below"),
-        pytest.param(LARGEST_VALID_A, 0.01, False, id="at"),
-        pytest.param(2.1e-4, 0.010544972762501456, False, id="above"),
-        pytest.param(-2.1e-4, 0.010544972762501456, False, id="above-negative"),
+        pytest.param({}, 2e-4, 0.009564601145126035, True, LARGEST_VALID_A, id="below"),
+        pytest.param(AT_THRESHOLD, AT_THRESHOLD_A, 0.01, False, AT_THRESHOLD_A, id="at"),
+        pytest.param({}, 2.1e-4, 0.010544972762501454, False, LARGEST_VALID_A, id="above"),
+        pytest.param({}, -2.1e-4, 0.010544972762501454, False, LARGEST_VALID_A, id="above-negative"),
     ],
 )
-def test_qfi_json_validity_fields(tmp_path, capsys, probe, margin, valid):
+def test_qfi_json_validity_fields(tmp_path, capsys, overrides, probe, margin, valid, largest):
     # a margin equal to the threshold is out of range: the validity domain
     # is H0 h^2 < validity_threshold, strictly
-    cfg = write_config(
-        tmp_path, {"scenario": {**FAST_SCENARIO, "probe_acceleration_m_per_s2": probe}}
-    )
+    scenario = {**FAST_SCENARIO, **overrides, "probe_acceleration_m_per_s2": probe}
+    cfg = write_config(tmp_path, {"scenario": scenario})
     out = tmp_path / "qfi.json"
     assert main(["qfi", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     payload = json.loads(out.read_text())
     assert payload["validity_margin"] == margin
     assert payload["qfi_valid"] is valid
-    assert payload["max_valid_acceleration_m_per_s2"] == LARGEST_VALID_A
+    assert payload["max_valid_acceleration_m_per_s2"] == largest
     flag = "[OK]" if valid else "[OUT OF VALIDITY RANGE]"
     assert capsys.readouterr().out.rstrip().endswith(flag)
 

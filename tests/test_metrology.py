@@ -13,6 +13,7 @@ from cavqfi import (
     build_scenario_series,
     cramer_rao,
     fidelity_two_mode,
+    h0_coefficients,
     initial_product_squeezed,
     qfi_analytic_h0,
     qfi_numeric,
@@ -30,6 +31,8 @@ from oracles import (
     evaluate_series,
     mach_zehnder_bound,
     mach_zehnder_qfi,
+    matrix_form_h0,
+    series_h0,
     series_unsqueezed_rows,
     thermal_two_mode,
     transform_full_oracle,
@@ -229,7 +232,7 @@ def test_interaction_and_lab_frames_agree(r, tau):
     # apply the lab-frame phases G_m = e^{-i w_m tau} explicitly
     sc, series = scenario_series(tau=tau, squeezing=r)
     phases = free_phases(sc)
-    h0 = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
+    h0 = series_h0(series, r, 1, 2).value
     lab_h0 = mp_matrix_form_h0(series, r, 1, 2, phases=phases)
     assert abs(h0 - lab_h0) <= 1e-12 * lab_h0
     init = initial_product_squeezed(r, r)
@@ -390,11 +393,39 @@ def test_qfi_numeric_no_plateau_carries_ladder(rng):
 
 
 def test_analytic_zero_series_is_zero():
-    assert qfi_analytic_h0(series_unsqueezed_rows(trivial_series(4), 0.0, 1, 2)).value == 0.0
-    assert qfi_analytic_h0(series_unsqueezed_rows(trivial_series(4), 2.0, 1, 2)).value == 0.0
+    assert series_h0(trivial_series(4), 0.0, 1, 2).value == 0.0
+    assert series_h0(trivial_series(4), 2.0, 1, 2).value == 0.0
     # a zero H0 reports a zero truncation change, not 0/0
-    zero = qfi_analytic_h0(series_unsqueezed_rows(trivial_series(4), 2.0, 1, 2))
+    zero = series_h0(trivial_series(4), 2.0, 1, 2)
     assert zero == H0Result(0.0, 0.0)
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+def test_coefficient_h0_matches_matrix_form_oracle(rng, second_order):
+    # H0 from the coefficients of e^{2 p r} matches the matrix form summed
+    # over the un-squeezed rows themselves within 2N eps (A + B/4 + |2 tr A2|),
+    # the rounding bound of either, on random canonical series of several
+    # sizes and scales, with and without a second order, in both pair orders
+    eps = np.finfo(float).eps
+    for _ in range(12):
+        n = int(rng.integers(3, 12))
+        series = canonical_series(rng, n, scale=10.0 ** rng.uniform(-3.0, 1.0))
+        if second_order:
+            completion = -0.5 * np.sum(np.abs(series.alpha1) ** 2, axis=1) + 1j * rng.normal(size=n)
+            series = BogoliubovSeries(n, series.alpha1, series.beta1, alpha2=completion)
+        k, kp = (int(m) for m in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        for pair in ((k, kp), (kp, k)):
+            for r in (-1.3, 0.0, 0.6, 2.0, 10.0):
+                rows = series_unsqueezed_rows(series, r, *pair)
+                a1 = rows.orders[1]
+                c1 = a1[:, rows.pair] + a1[:, rows.pair].T
+                parts = np.sum(a1 * a1) + np.sum(c1 * c1) / 4
+                if second_order:
+                    parts += abs(2.0 * np.trace(rows.orders[2][:, rows.pair]))
+                expected = matrix_form_h0(rows)
+                got = series_h0(series, r, *pair)
+                assert abs(got.value - expected.value) <= 2 * n * eps * parts, (n, pair, r)
+                assert math.isnan(got.truncation_change) == math.isnan(expected.truncation_change)
 
 
 def test_analytic_cancellation_residue_is_zero():
@@ -405,9 +436,9 @@ def test_analytic_cancellation_residue_is_zero():
     for r in (0.0, 2.0, 10.0):
         for tau in np.linspace(0.05, 3.0, 60):
             residue = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=3))
-            assert qfi_analytic_h0(series_unsqueezed_rows(residue, r, 1, 2)).value == 0.0
+            assert series_h0(residue, r, 1, 2).value == 0.0
             covered = build_scenario_series(CavityScenario(squeezing=r, tau=tau, n_max=4))
-            assert qfi_analytic_h0(series_unsqueezed_rows(covered, r, 1, 2)).value > 0.0
+            assert series_h0(covered, r, 1, 2).value > 0.0
 
 
 def test_analytic_r0_reduction(rng):
@@ -420,7 +451,7 @@ def test_analytic_r0_reduction(rng):
         np.sum(np.abs(mat[2:, col]) ** 2) for mat in (series.alpha1, series.beta1) for col in (0, 1)
     )
     expected = 2.0 * f_sums + 4.0 * abs(series.alpha1[0, 1]) ** 2
-    got = qfi_analytic_h0(series_unsqueezed_rows(series, 0.0, 1, 2)).value
+    got = series_h0(series, 0.0, 1, 2).value
     assert got == pytest.approx(expected, rel=1e-10)
     numeric = qfi_numeric(
         lambda h: transform_reduced(initial_product_squeezed(0, 0), series, h, 1, 2), 0.0
@@ -433,28 +464,33 @@ def test_analytic_matches_numeric(rng):
     for r in (0.0, 0.6, 1.4):
         init = initial_product_squeezed(r, r)
         numeric = qfi_numeric(lambda h: transform_reduced(init, series, h, 1, 2), 0.0)
-        analytic = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
+        analytic = series_h0(series, r, 1, 2).value
         assert analytic == pytest.approx(numeric, rel=1e-5)
 
 
 def test_analytic_range_check(rng):
     # the mode pair is checked where its rows are taken, once per point
-    # (bogoliubov.unsqueezed_rows)
+    # (metrology.h0_coefficients, and bogoliubov.unsqueezed_rows for the
+    # states)
     series = canonical_series(rng, 3)
     alpha1, beta1 = series.alpha1[[0, 1]], series.beta1[[0, 1]]
-    with pytest.raises(ValueError, match="outside truncation range"):
-        unsqueezed_rows(alpha1, beta1, 1.0, 1, 5)
-    with pytest.raises(ValueError, match="must differ"):
-        unsqueezed_rows(alpha1, beta1, 1.0, 2, 2)
-    with pytest.raises(ValueError, match="rows k, k' of equal length"):
-        unsqueezed_rows(series.alpha1, series.beta1, 1.0, 1, 2)
+    for take in (
+        lambda a, b, k, kp: unsqueezed_rows(a, b, 1.0, k, kp),
+        lambda a, b, k, kp: h0_coefficients(a, b, k, kp, None),
+    ):
+        with pytest.raises(ValueError, match="outside truncation range"):
+            take(alpha1, beta1, 1, 5)
+        with pytest.raises(ValueError, match="must differ"):
+            take(alpha1, beta1, 2, 2)
+        with pytest.raises(ValueError, match="rows k, k' of equal length"):
+            take(series.alpha1, series.beta1, 1, 2)
 
 
 def test_analytic_symmetric_under_pair_swap(rng):
     series = canonical_series(rng, 6)
     for r in (0.0, 0.9):
-        forward = qfi_analytic_h0(series_unsqueezed_rows(series, r, 1, 2)).value
-        swapped = qfi_analytic_h0(series_unsqueezed_rows(series, r, 2, 1)).value
+        forward = series_h0(series, r, 1, 2).value
+        swapped = series_h0(series, r, 2, 1).value
         assert swapped == pytest.approx(forward, rel=1e-12)
 
 
@@ -542,7 +578,7 @@ def test_analytic_matches_mpmath_matrix_form(r, tau, pinned, pinned_rel, pair, n
     k, kp = pair
     sc, series = scenario_series(tau=tau, squeezing=r, k=k, kprime=kp, n_max=n_max)
     exact = mp_matrix_form_h0(series, r, k, kp)
-    got = qfi_analytic_h0(series_unsqueezed_rows(series, r, k, kp)).value
+    got = series_h0(series, r, k, kp).value
     assert abs(got - exact) <= 1e-12 * abs(exact)
     lab_exact = mp_matrix_form_h0(series, r, k, kp, phases=free_phases(sc))
     assert abs(got - lab_exact) <= 1e-12 * abs(lab_exact)
@@ -565,7 +601,7 @@ def test_analytic_within_rounding_bound_of_mpmath(n_max):
             c1 = a1[:, rows.pair] + a1[:, rows.pair].T
             bound = 2 * n_max * eps * (np.sum(a1 * a1) + np.sum(c1 * c1) / 4)
             exact = float(mp_matrix_form_h0(series, r, 1, 2))
-            assert abs(qfi_analytic_h0(rows).value - exact) <= bound, (r, tau)
+            assert abs(series_h0(series, r, 1, 2).value - exact) <= bound, (r, tau)
 
 
 def mp_cavity_rows(scenario, dps=60):
@@ -619,14 +655,14 @@ def test_emitted_h0_matches_60_digit_rows(overrides):
     sc = CavityScenario(**overrides)
     emitted = evaluate_scenario(sc)["qfi"]
     alpha1, beta1 = build_rows(sc, (sc.k, sc.kprime), sc.tau * cli._TAU_PROBES)
-    rows = [unsqueezed_rows(a, b, sc.squeezing, sc.k, sc.kprime) for a, b in zip(alpha1, beta1)]
-    h0 = [qfi_analytic_h0(r).value for r in rows]
-    assert h0[0] == emitted
-    a1 = rows[0].orders[1]
-    c1 = a1[:, rows[0].pair] + a1[:, rows[0].pair].T
+    h0 = qfi_analytic_h0(h0_coefficients(alpha1, beta1, sc.k, sc.kprime, None), sc.squeezing)
+    assert h0.value == emitted
+    rows = unsqueezed_rows(alpha1[0], beta1[0], sc.squeezing, sc.k, sc.kprime)
+    a1 = rows.orders[1]
+    c1 = a1[:, rows.pair] + a1[:, rows.pair].T
     eps = np.finfo(float).eps
     bound = 2 * sc.n_max * eps * (np.sum(a1 * a1) + np.sum(c1 * c1) / 4)
-    spread = max(abs(value - emitted) for value in h0[1:])
+    spread = max(abs(value - emitted) for value in h0.probes)
     exact = mp_matrix_form_h0(mp_cavity_rows(sc), sc.squeezing, sc.k, sc.kprime)
     assert abs(emitted - float(exact)) <= bound + spread
 
@@ -641,12 +677,12 @@ def test_analytic_second_order_passive_mixer_on_vacuum(rng):
     zeros = np.zeros_like(canon.beta1)
     first_order = BogoliubovSeries(6, canon.alpha1, zeros)
     for k, kp in ((1, 2), (5, 3)):
-        scale = qfi_analytic_h0(series_unsqueezed_rows(first_order, 0.0, k, kp)).value
+        scale = series_h0(first_order, 0.0, k, kp).value
         assert scale > 1.0
         for _ in range(3):
             completion = -0.5 * np.sum(np.abs(canon.alpha1) ** 2, axis=1) + 1j * rng.normal(size=6)
             completed = BogoliubovSeries(6, canon.alpha1, zeros, alpha2=completion)
-            got = qfi_analytic_h0(series_unsqueezed_rows(completed, 0.0, k, kp)).value
+            got = series_h0(completed, 0.0, k, kp).value
             assert abs(got) <= 1e-14 * scale
 
 
@@ -656,8 +692,8 @@ def test_truncation_change_matches_halved_build(r):
     # partial sum over the upper columns is exactly H0(n_max) - H0(n_max // 2)
     _, full = scenario_series(tau=2.00013, squeezing=r, n_max=50)
     _, half = scenario_series(tau=2.00013, squeezing=r, n_max=25)
-    res = qfi_analytic_h0(series_unsqueezed_rows(full, r, 1, 2))
-    dropped = res.value - qfi_analytic_h0(series_unsqueezed_rows(half, r, 1, 2)).value
+    res = series_h0(full, r, 1, 2)
+    dropped = res.value - series_h0(half, r, 1, 2).value
     assert res.truncation_change > 0.0
     assert abs(res.truncation_change * res.value - dropped) <= 4 * np.finfo(float).eps * res.value
 
@@ -668,8 +704,8 @@ def test_truncation_change_matches_halved_build(r):
 def test_truncation_change_bounds_doubling(r, tau):
     _, s50 = scenario_series(tau=tau, squeezing=r, n_max=50)
     _, s100 = scenario_series(tau=tau, squeezing=r, n_max=100)
-    res = qfi_analytic_h0(series_unsqueezed_rows(s50, r, 1, 2))
-    h100 = qfi_analytic_h0(series_unsqueezed_rows(s100, r, 1, 2)).value
+    res = series_h0(s50, r, 1, 2)
+    h100 = series_h0(s100, r, 1, 2).value
     assert abs(h100 - res.value) / res.value <= res.truncation_change
 
 
