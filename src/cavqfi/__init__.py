@@ -6,7 +6,7 @@ and Cramer-Rao acceleration bounds for the driven-cavity accelerometer
 scenario.
 """
 
-from .bogoliubov import BogoliubovSeries, transform_reduced, unsqueezed_rows
+from .bogoliubov import BogoliubovSeries, transform_reduced, unsqueezed_state_map
 from .cavity import (
     CavityScenario,
     acceleration_from_h,
@@ -43,5 +43,5 @@ __all__ = [
     "qfi_numeric",
     "symplectic_form",
     "transform_reduced",
-    "unsqueezed_rows",
+    "unsqueezed_state_map",
 ]

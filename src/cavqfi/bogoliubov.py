@@ -6,16 +6,16 @@ alpha(h) = 1 + h alpha1 (+ h^2 diag(alpha2)), beta(h) = h beta1.
 
 Every two-mode state is built one way, from rows k and k' of the real
 symplectic matrix S(h) = 1 + h S1 (+ h^2 S2 on the pair columns), never
-from the full 2N x 2N matrix.  ``unsqueezed_rows`` takes those rows order
-by order from rows k and k' of the coefficients, mapped by the
-un-squeezing of a squeezing r, once per row set;
-``unsqueezed_state_map`` forms their Gram matrix once, with the vacuum on
-the spectator columns and a given covariance on the pair columns, and
-gives each state as a 4x4 sum.  They serve the states alone: the QFI
-ladder reads the rows of a point in the frame where the squeezed initial
-state is the vacuum, and ``cavqfi fidelity`` reads them at r = 0.  The
-matrix-form QFI forms no un-squeezed rows: it reads coefficients of
-e^{2 p r} summed over rows k and k' at r = 0 (metrology.h0_coefficients).
+from the full 2N x 2N matrix.  ``unsqueezed_state_map`` takes rows k and
+k' of the coefficients, forms those rows of S(h) order by order
+(symplectic_blocks), mapped by the un-squeezing of a squeezing r, builds
+their Gram matrix once, with the vacuum on the spectator columns and a
+given covariance on the pair columns, and gives each state as a 4x4 sum.
+It serves the states alone: the QFI ladder reads a point's rows in the
+frame where the squeezed initial state is the vacuum, and
+``cavqfi fidelity`` reads them at r = 0.  The matrix-form QFI forms no
+states: it reads coefficients of e^{2 p r} summed over rows k and k' at
+r = 0 (metrology.h0_coefficients).
 ``transform_reduced`` is the r = 0 case: the state of modes k, k' after
 the series, for any two-mode initial covariance.
 """
@@ -23,10 +23,10 @@ the series, for any two-mode initial covariance.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericError
 from .gaussian import GaussianState, _frozen
 
@@ -80,86 +80,66 @@ def pair_columns(k: int, kprime: int) -> list:
     return [2 * k - 2, 2 * k - 1, 2 * kprime - 2, 2 * kprime - 1]
 
 
-@dataclasses.dataclass(frozen=True)
-class UnsqueezedRows:
-    """Rows k, k' of the series in the frame where the initial state is the vacuum.
+def symplectic_blocks(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Real (2m x 2n) matrix of 2x2 blocks for m x n coefficient inputs.
 
-    Rows k, k' of S(h) are 1 + h S1 (+ h^2 S2 on the pair columns): S1 is
-    the real (4, 2N) kernels.symplectic_blocks of rows k, k' of alpha1 and
-    beta1, and S2 the 4x4 diagonal block of alpha2_k and alpha2_k'; the
-    identity and S2 act on the four pair columns alone.  Rows 0, 1 belong
-    to mode k, rows 2, 3 to mode k'.  Both modes start squeezed by r,
-    covariance sigma0 = diag(e^{2r}, e^{-2r}, e^{2r}, e^{-2r}).  The
-    symplectic un-squeezing t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}) takes it
-    to the identity and changes no fidelity and no QFI (Banchi, Braunstein
-    and Pirandola, arXiv:1507.01941).  With T = t on the pair columns and 1
-    elsewhere, the state of modes (k, k') is then M(h) M(h)^T for
-    M(h) = t S(h) T^-1 = A0 + h A1 (+ h^2 A2).  orders stacks those
-    (4, 2N) orders, read-only: A0 is the identity on the pair columns,
-    A1 = t S1 T^-1, and A2 = t S2 t^-1 on the pair columns when the series
-    has a second order.  At r = 0, t and T are exactly 1 and the orders are
-    those of S(h) itself.  pair holds the four pair columns
-    (pair_columns(k, kprime)).  Entries that overflow float64 (they grow as
-    e^{2r}) are kept as they come; each reader raises NumericError on them.
+    The block of the pair (a, b) = (alpha_ij, beta_ij) is
+    [[Re(a - b), Im(a + b)], [-Im(a - b), Re(a + b)]].
     """
+    diff = alpha - beta
+    total = alpha + beta
+    m, n = diff.shape
+    s = np.empty((2 * m, 2 * n))
+    s[0::2, 0::2] = diff.real
+    s[0::2, 1::2] = total.imag
+    s[1::2, 0::2] = -diff.imag
+    s[1::2, 1::2] = total.real
+    return s
 
-    r: float
-    pair: tuple
-    orders: np.ndarray
 
+def unsqueezed_state_map(alpha1, beta1, r: float, k: int, kprime: int, sigma0=_VACUUM, alpha2=None):
+    """h -> the state of modes (k, k') after a series, from rows k, k' of it, built once.
 
-def unsqueezed_rows(alpha1, beta1, r: float, k: int, kprime: int, alpha2=None) -> UnsqueezedRows:
-    """Rows k, k' of a series, un-squeezed by r, from those rows of its coefficients.
+    alpha1 and beta1 are (2, N) arrays: rows k and k' (in that order) of
+    the first-order matrices, sliced from a series or built alone
+    (cavity.build_rows); alpha2, when given, holds (alpha2_k, alpha2_k').
+    Rows of another shape, or a mode pair outside 1..N, raise ValueError.
 
-    alpha1 and beta1 are (2, N) arrays, N the number of modes: rows k and
-    k' (in that order) of the first-order matrices.  alpha2, when given,
-    holds the second-order diagonal entries (alpha2_k, alpha2_k').  A
-    caller holding a whole series passes those rows of it; a cavity point
-    builds them alone (cavity.build_rows).  Rows of another shape, or
-    a mode pair outside 1..N, raise ValueError.
+    Rows k, k' of S(h) are 1 + h S1 (+ h^2 S2 on the pair columns), with
+    S1 and S2 the symplectic_blocks of the rows and of alpha2.  The state
+    is formed where modes squeezed by r start in the vacuum: the
+    un-squeezing t = diag(e^{-r}, e^{r}, e^{-r}, e^{r}) changes no fidelity
+    and no QFI (Banchi, Braunstein and Pirandola, arXiv:1507.01941).  With
+    T = t on the pair columns and 1 elsewhere, the rows are
+    t S(h) T^-1 = A0 + h A1 (+ h^2 A2), those of S(h) itself at r = 0.
+    sigma0 is the covariance of modes (k, k') in that frame, the vacuum by
+    default; every other mode starts in the vacuum.  For own_i the pair
+    columns of A_i and spect_i the rest, the Gram block (i, j),
+    spect_i spect_j^T + own_i sigma0 own_j^T, is formed once, so each state
+    is the 4x4 sum of h^(i+j) times block (i, j), and sigma0 at h = 0.  An
+    h that is not finite and >= 0 raises ValueError; a state at h > 0 whose
+    covariance or Gram blocks overflow float64 (they grow as e^{4r}) raises
+    NumericError.
     """
     n_modes = np.shape(alpha1)[-1]
     if np.shape(alpha1) != (2, n_modes) or np.shape(beta1) != (2, n_modes):
         raise ValueError("alpha1 and beta1 must be rows k, k' of equal length")
     _check_mode_pair(n_modes, k, kprime)
     pair = pair_columns(k, kprime)
-    stacked = np.zeros((2 if alpha2 is None else 3, 4, 2 * n_modes))
+    q = 2 if alpha2 is None else 3
+    stacked = np.zeros((q, 4, 2 * n_modes))
     stacked[0][:, pair] = np.eye(4)
-    stacked[1] = kernels.symplectic_blocks(alpha1, beta1)
+    stacked[1] = symplectic_blocks(alpha1, beta1)
     if alpha2 is not None:
-        stacked[2][:, pair] = kernels.symplectic_blocks(np.diag(alpha2), np.zeros((2, 2)))
+        stacked[2][:, pair] = symplectic_blocks(np.diag(alpha2), np.zeros((2, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.exp([-r, r, -r, r])
         cols = np.ones(stacked.shape[2])
         cols[pair] = t
         orders = stacked * t[:, None] / cols
-    orders.setflags(write=False)
-    return UnsqueezedRows(r, tuple(pair), orders)
-
-
-def unsqueezed_state_map(rows: UnsqueezedRows, sigma0: np.ndarray = _VACUUM):
-    """h -> the state of modes (k, k') in the frame of ``rows``, built once.
-
-    sigma0 is the 4x4 covariance of modes (k, k') before the series, in
-    that frame; every other mode starts in the vacuum.  The default, the
-    vacuum, is the squeezed initial state un-squeezed by rows.r.  For the
-    orders A_i of ``rows``, with own_i their four pair columns and spect_i
-    the rest, the Gram block (i, j) is
-    spect_i spect_j^T + own_i sigma0 own_j^T.  It is formed once, so each
-    state is the 4x4 sum over i, j of h^(i+j) times block (i, j); the
-    h = 0 state is sigma0 itself (the identity for a cavity series in the
-    un-squeezed frame).  The QFI ladder (metrology.qfi_numeric) and
-    transform_reduced read it.  A state at h > 0 whose covariance or Gram
-    blocks overflow float64 (the blocks grow as e^{4r}) raises
-    NumericError.
-    """
-    q = len(rows.orders)
-    pair = list(rows.pair)
-    with np.errstate(over="ignore", invalid="ignore"):
-        own = rows.orders[:, :, pair].reshape(4 * q, 4)
-        spect = rows.orders.copy()
-        spect[:, :, pair] = 0.0
-        spect = spect.reshape(4 * q, -1)
+        own = orders[:, :, pair].reshape(4 * q, 4)
+        orders[:, :, pair] = 0.0
+        spect = orders.reshape(4 * q, -1)
         blocks = (spect @ spect.T + own @ sigma0 @ own.T).reshape(q, 4, q, 4)
         # the coefficient of h^p sums the Gram blocks (i, j) with i + j = p;
         # it is symmetrized here, once, so that every state is exactly
@@ -171,8 +151,8 @@ def unsqueezed_state_map(rows: UnsqueezedRows, sigma0: np.ndarray = _VACUUM):
         coeffs = (0.5 * (coeffs + coeffs.transpose(0, 2, 1))).reshape(-1, 16)
 
     def state_at(h: float) -> GaussianState:
-        if h < 0:
-            raise ValueError("h must be >= 0")
+        if not (math.isfinite(h) and h >= 0):
+            raise ValueError(f"h must be finite and >= 0, got {h!r}")
         if h == 0:
             # not [1, 0, 0, ...] @ coeffs: 0 * inf is nan once a higher
             # order has overflowed
@@ -198,13 +178,15 @@ def transform_reduced(
     The initial two-mode state lives on (k, kprime); all other modes start in
     vacuum.  This is unsqueezed_state_map at r = 0, where the rows are those
     of S(h) itself, with the initial covariance on the pair columns.
-    A negative h raises ValueError; a covariance or Gram block that
-    overflows float64 raises NumericError.
+    An h that is not finite and >= 0 raises ValueError; a covariance or
+    Gram block that overflows float64 raises NumericError.
     """
     if initial.num_modes != 2:
         raise ValueError("initial state must have exactly two modes")
     _check_mode_pair(series.n_modes, k, kprime)
     rows = [k - 1, kprime - 1]
     alpha2 = None if series.alpha2 is None else series.alpha2[rows]
-    unsqueezed = unsqueezed_rows(series.alpha1[rows], series.beta1[rows], 0.0, k, kprime, alpha2)
-    return unsqueezed_state_map(unsqueezed, initial.cov)(h)
+    state_at = unsqueezed_state_map(
+        series.alpha1[rows], series.beta1[rows], 0.0, k, kprime, initial.cov, alpha2
+    )
+    return state_at(h)

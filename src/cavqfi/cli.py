@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .bogoliubov import unsqueezed_rows, unsqueezed_state_map
+from .bogoliubov import unsqueezed_state_map
 from .cavity import (
     CavityScenario,
     acceleration_from_h,
@@ -189,12 +189,11 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     H0 > 0, the fidelity-ladder QFI of the same point is added as
     "qfi_numeric"; its numeric failures propagate.  At H0 <= 0 no ladder
     runs: there is no information to cross-check.  The ladder steps the
-    states of bogoliubov.unsqueezed_state_map of the point's rows at tau,
-    taken into the frame where the squeezed initial state is the vacuum
-    (bogoliubov.unsqueezed_rows), which sit near the vacuum, so their
-    fidelities take the float64 path; with the pilot's growth test in
-    qfi_numeric, none takes the mpmath path, and no lab-frame state is
-    formed.  The bounds are cramer_rao's (inf at H0 <= 0), and
+    states of one bogoliubov.unsqueezed_state_map of the point's rows at
+    tau, in the frame where the squeezed initial state is the vacuum.
+    They sit near the vacuum, so their fidelities take the float64 path;
+    with the pilot's growth test in qfi_numeric, none takes the mpmath
+    path, and no lab-frame state is formed.  The bounds are cramer_rao's (inf at H0 <= 0), and
     "validity_margin" is H0 h^2 at the probe amplitude, nan without a
     probe.  Returns a plain dict of floats.
 
@@ -220,8 +219,7 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
         "tail_estimate": h0.truncation_change,
     }
     if want_numeric and qfi > 0.0:
-        rows = unsqueezed_rows(alpha1[0], beta1[0], r, k, kprime)
-        out["qfi_numeric"] = qfi_numeric(unsqueezed_state_map(rows), 0.0)
+        out["qfi_numeric"] = qfi_numeric(unsqueezed_state_map(alpha1[0], beta1[0], r, k, kprime), 0.0)
     out["delta_h"], out["delta_a_m_per_s2"] = cramer_rao(
         qfi, scenario.n_measurements, scenario.length, scenario.sound_speed
     )
@@ -472,9 +470,9 @@ def cmd_fidelity(args, cfg, scenario):
     # the un-squeezing is exactly 1, with each initial covariance on the
     # pair columns
     k, kprime = scenario.k, scenario.kprime
-    rows = unsqueezed_rows(*build_rows(scenario, (k, kprime), scenario.tau), 0.0, k, kprime)
+    alpha1, beta1 = build_rows(scenario, (k, kprime), scenario.tau)
     state_a, state_b = (
-        unsqueezed_state_map(rows, initial_product_squeezed(r_k, r_kp).cov)(h)
+        unsqueezed_state_map(alpha1, beta1, 0.0, k, kprime, initial_product_squeezed(r_k, r_kp).cov)(h)
         for r_k, r_kp, h in states
     )
     fb = fidelity_two_mode(state_a, state_b)

@@ -10,9 +10,7 @@ Kernels:
     tau.  perfbench reports its time per point as
     ``kernels.time_dependent_coefficients.ms`` (the BENCH_*.json files keep
     the measured values; its wide_truncation workload runs n_max 1000),
-  * ``symplectic_blocks``: the 2x2 real block layout of (alpha, beta)
-    coefficient pairs, which builds rows k, k' of the symplectic matrix in
-    bogoliubov.unsqueezed_rows.
+  * ``phase_integral``: the closed-form drive integral that it evaluates.
 
 Callers reach the first one as ``kernels.time_dependent_coefficients``;
 perfbench's per-layer tracer wraps that module attribute by name.
@@ -64,21 +62,4 @@ def time_dependent_coefficients(
     alpha1 = 1j * alpha_static * diff * phase_integral(diff, omega_drive, tau)
     beta1 = 1j * beta_static * total * phase_integral(total, omega_drive, tau)
     return alpha1, beta1
-
-
-def symplectic_blocks(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Real (2m x 2n) matrix of 2x2 blocks for m x n coefficient inputs.
-
-    The block of the pair (a, b) = (alpha_ij, beta_ij) is
-    [[Re(a - b), Im(a + b)], [-Im(a - b), Re(a + b)]].
-    """
-    diff = alpha - beta
-    total = alpha + beta
-    m, n = diff.shape
-    s = np.empty((2 * m, 2 * n))
-    s[0::2, 0::2] = diff.real
-    s[0::2, 1::2] = total.imag
-    s[1::2, 0::2] = -diff.imag
-    s[1::2, 1::2] = total.real
-    return s
 

@@ -29,12 +29,11 @@ how much of H0 the modes above a halved truncation carry.  The
 finite-difference step ladder on the fidelity with Richardson
 extrapolation (qfi_numeric) is the independent cross-check: ``cavqfi qfi``
 reports both, and the test suite compares them.  ``cavqfi qfi`` feeds the
-ladder the states of bogoliubov.unsqueezed_state_map of the rows at the
-point's duration, un-squeezed once (bogoliubov.unsqueezed_rows, which
-serves only the ladder and ``cavqfi fidelity``), which sit near the
-vacuum, and the ladder's pilot shrinks a step whose state has grown past
-extended_precision_above without taking its fidelity, so every fidelity
-stays on the float64 path.
+ladder the states of one bogoliubov.unsqueezed_state_map of the rows at
+the point's duration, in the frame where the squeezed initial state is
+the vacuum.  They sit near the vacuum, and the ladder's pilot shrinks a
+step whose state has grown past extended_precision_above without taking
+its fidelity, so every fidelity stays on the float64 path.
 
 cramer_rao turns a QFI into the two Cramer-Rao bounds and nothing more.
 Whether a probe amplitude lies inside the perturbative domain (H0 h^2
@@ -306,7 +305,7 @@ def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficient
     (alpha2_k, alpha2_k').  Rows of another shape, or a mode pair outside
     1..N, raise ValueError.
 
-    The un-squeezed first order A1 = t S1 T^-1 (bogoliubov.UnsqueezedRows)
+    The un-squeezed first order A1 = t S1 T^-1 (bogoliubov.unsqueezed_state_map)
     scales entry (i, j) of S1, the rows at r = 0, by t_i / T_j, a power of
     e^r: row i is an x row (t_i = e^{-r}) or a p row (e^r), and T_j is t_j
     on the pair columns and 1 on the spectators.  So A and B/4 are sums of

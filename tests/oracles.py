@@ -3,8 +3,10 @@
 None of these is on a path that ``cavqfi`` runs: the series evaluated at
 one amplitude as whole coefficient matrices, the full-symplectic state
 transform (the ground truth for ``bogoliubov.transform_reduced``), the
-un-squeezed rows and the H0 of a whole series, the matrix-form H0 summed
-over the un-squeezed rows (the reference for ``metrology.qfi_analytic_h0``),
+un-squeezed rows order by order (the orders whose Gram sum
+``bogoliubov.unsqueezed_state_map`` forms), the state map and the H0 of a
+whole series, the matrix-form H0 summed over the un-squeezed rows (the
+reference for ``metrology.qfi_analytic_h0``),
 the squeezed-frame route to the un-squeezed ladder state (the reference for
 ``bogoliubov.unsqueezed_state_map``), the exact-transform identities and
 symplectic defects, the physicality check, reference states, the
@@ -30,10 +32,10 @@ import numpy as np
 from cavqfi import kernels
 from cavqfi.bogoliubov import (
     BogoliubovSeries,
-    UnsqueezedRows,
     _check_mode_pair,
     pair_columns,
-    unsqueezed_rows,
+    symplectic_blocks,
+    unsqueezed_state_map,
 )
 from cavqfi.cavity import CavityScenario
 from cavqfi.errors import NumericError
@@ -157,8 +159,8 @@ def identity_defects(coeffs: BogoliubovCoefficients):
 
 
 def assemble_symplectic(coeffs: BogoliubovCoefficients) -> np.ndarray:
-    """Real 2N x 2N matrix of the 2x2 blocks of kernels.symplectic_blocks (read-only)."""
-    return _frozen(kernels.symplectic_blocks(coeffs.alpha, coeffs.beta), float)
+    """Real 2N x 2N matrix of the 2x2 blocks of bogoliubov.symplectic_blocks (read-only)."""
+    return _frozen(symplectic_blocks(coeffs.alpha, coeffs.beta), float)
 
 
 def symplectic_defect(s: np.ndarray) -> float:
@@ -206,15 +208,69 @@ def transform_full_oracle(
     return partial_trace(full, [k, kprime])
 
 
-def series_unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: int):
-    """bogoliubov.unsqueezed_rows of rows k, k' sliced from a whole series.
+@dataclasses.dataclass(frozen=True)
+class UnsqueezedRows:
+    """Rows k, k' of a series, order by order, in the frame where the initial state is the vacuum.
+
+    orders stacks the (4, 2N) orders A0, A1 (and A2) of
+    M(h) = t S(h) T^-1 that bogoliubov.unsqueezed_state_map forms and
+    keeps to itself; rows 0, 1 belong to mode k, rows 2, 3 to mode k'.
+    pair holds the four pair columns (pair_columns(k, kprime)).
+    """
+
+    r: float
+    pair: tuple
+    orders: np.ndarray
+
+
+def unsqueezed_rows(alpha1, beta1, r: float, k: int, kprime: int, alpha2=None) -> UnsqueezedRows:
+    """The orders of rows k, k' un-squeezed by r, with the arithmetic of unsqueezed_state_map.
+
+    alpha1 and beta1 are rows k and k' of the first-order matrices (and
+    alpha2 the entries (alpha2_k, alpha2_k')), as unsqueezed_state_map
+    takes them.  Each order's entry (i, j) is its r = 0 value times
+    t_i / T_j, formed as that function forms it, so the Gram sum of these
+    orders is the state map's covariance bit for bit.  Entries that
+    overflow float64 (they grow as e^{2r}) are kept as they come.
+    """
+    n_modes = np.shape(alpha1)[-1]
+    _check_mode_pair(n_modes, k, kprime)
+    pair = pair_columns(k, kprime)
+    stacked = np.zeros((2 if alpha2 is None else 3, 4, 2 * n_modes))
+    stacked[0][:, pair] = np.eye(4)
+    stacked[1] = symplectic_blocks(alpha1, beta1)
+    if alpha2 is not None:
+        stacked[2][:, pair] = symplectic_blocks(np.diag(alpha2), np.zeros((2, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.exp([-r, r, -r, r])
+        cols = np.ones(stacked.shape[2])
+        cols[pair] = t
+        orders = stacked * t[:, None] / cols
+    return UnsqueezedRows(r, tuple(pair), orders)
+
+
+def pair_rows(series: BogoliubovSeries, k: int, kprime: int):
+    """(alpha1, beta1, alpha2) of rows k, k' sliced from a whole series.
 
     The package builds a point's rows alone (cavity.build_rows); tests
     that hold a whole series, random or built, pass its rows this way.
+    alpha2 is None when the series has no second order.
     """
     rows = [k - 1, kprime - 1]
     alpha2 = None if series.alpha2 is None else series.alpha2[rows]
-    return unsqueezed_rows(series.alpha1[rows], series.beta1[rows], r, k, kprime, alpha2)
+    return series.alpha1[rows], series.beta1[rows], alpha2
+
+
+def series_unsqueezed_rows(series: BogoliubovSeries, r: float, k: int, kprime: int):
+    """unsqueezed_rows of rows k, k' sliced from a whole series."""
+    alpha1, beta1, alpha2 = pair_rows(series, k, kprime)
+    return unsqueezed_rows(alpha1, beta1, r, k, kprime, alpha2)
+
+
+def series_state_map(series: BogoliubovSeries, r: float, k: int, kprime: int):
+    """bogoliubov.unsqueezed_state_map of rows k, k' sliced from a whole series, vacuum sigma0."""
+    alpha1, beta1, alpha2 = pair_rows(series, k, kprime)
+    return unsqueezed_state_map(alpha1, beta1, r, k, kprime, alpha2=alpha2)
 
 
 def series_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> H0Result:
@@ -224,10 +280,8 @@ def series_h0(series: BogoliubovSeries, r: float, k: int, kprime: int) -> H0Resu
     their coefficients (metrology.h0_coefficients); tests that hold a whole
     series, random or built, take its H0 this way.
     """
-    rows = [k - 1, kprime - 1]
-    alpha2 = None if series.alpha2 is None else series.alpha2[rows]
-    coefficients = h0_coefficients(series.alpha1[rows], series.beta1[rows], k, kprime, alpha2)
-    return qfi_analytic_h0(coefficients, r)
+    alpha1, beta1, alpha2 = pair_rows(series, k, kprime)
+    return qfi_analytic_h0(h0_coefficients(alpha1, beta1, k, kprime, alpha2), r)
 
 
 def matrix_form_h0(rows: UnsqueezedRows) -> H0Result:
@@ -287,10 +341,10 @@ def squeezed_frame_ladder_state(
     _check_mode_pair(series.n_modes, k, kprime)
     rows = [k - 1, kprime - 1]
     pair = pair_columns(k, kprime)
-    s = h * kernels.symplectic_blocks(series.alpha1[rows], series.beta1[rows])
+    s = h * symplectic_blocks(series.alpha1[rows], series.beta1[rows])
     s[:, pair] += np.eye(4)
     if series.alpha2 is not None:
-        s2 = kernels.symplectic_blocks(np.diag(series.alpha2[rows]), np.zeros((2, 2)))
+        s2 = symplectic_blocks(np.diag(series.alpha2[rows]), np.zeros((2, 2)))
         s[:, pair] += h * h * s2
     sigma0 = np.diag([math.exp(2 * r), math.exp(-2 * r)] * 2)
     # the spectator columns act on the vacuum, the pair columns on sigma0

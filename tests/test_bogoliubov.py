@@ -10,9 +10,9 @@ from cavqfi import (
     build_scenario_series,
     initial_product_squeezed,
     transform_reduced,
-    unsqueezed_rows,
+    unsqueezed_state_map,
 )
-from cavqfi.bogoliubov import pair_columns, unsqueezed_state_map
+from cavqfi.bogoliubov import pair_columns, symplectic_blocks
 from cavqfi.errors import NumericError
 from conftest import canonical_series
 from oracles import (
@@ -21,13 +21,16 @@ from oracles import (
     check_physical,
     evaluate_series,
     identity_defects,
+    pair_rows,
     series_h0,
+    series_state_map,
     series_symplectic_defect,
     series_unsqueezed_rows,
     squeezed_frame_ladder_state,
     symplectic_defect,
     transform_full_oracle,
     trivial_series,
+    unsqueezed_rows,
     vacuum,
 )
 
@@ -259,7 +262,7 @@ def test_zero_amplitude_is_identity_for_every_series(rng):
             for init in (initial_product_squeezed(0.8, -0.3), random_physical_two_mode(rng)):
                 assert transform_reduced(init, s, 0.0, k, kp).cov.tobytes() == init.cov.tobytes()
             for r in (0.0, 0.7, -1.3, 5.0):
-                cov = unsqueezed_state_map(series_unsqueezed_rows(s, r, k, kp))(0.0).cov
+                cov = series_state_map(s, r, k, kp)(0.0).cov
                 assert cov.tobytes() == np.eye(4).tobytes()
     # also when the higher Gram orders have overflowed float64 (0 * inf is
     # nan): the undriven state of `cavqfi fidelity` at r = 348
@@ -335,7 +338,7 @@ def with_second_order(series, rng):
 
 
 def assert_map_matches_squeezed_frame(series, r, hs, k=1, kp=2):
-    state_at = unsqueezed_state_map(series_unsqueezed_rows(series, r, k, kp))
+    state_at = series_state_map(series, r, k, kp)
     for h in hs:
         new = state_at(h).cov
         old = squeezed_frame_ladder_state(series, r, h, k, kp).cov
@@ -360,7 +363,7 @@ def test_unsqueezed_state_map_matches_lab_frame(rng, r, n_max, tau, second_order
     hs = [0.0] + [f * h_target for f in (0.5, 1, 2, 30, 1e3, 1e5)]
     assert_map_matches_squeezed_frame(series, r, hs)
     # at h = 0 the state is exactly the vacuum
-    assert (unsqueezed_state_map(series_unsqueezed_rows(series, r, 1, 2))(0.0).cov == np.eye(4)).all()
+    assert (series_state_map(series, r, 1, 2)(0.0).cov == np.eye(4)).all()
 
 
 def test_unsqueezed_state_map_random_series(rng):
@@ -372,19 +375,90 @@ def test_unsqueezed_state_map_random_series(rng):
 
 
 def test_unsqueezed_state_map_validation(rng):
-    rows = series_unsqueezed_rows(canonical_series(rng, 4), 1.0, 1, 2)
-    assert not rows.orders.flags.writeable
-    state_at = unsqueezed_state_map(rows)
+    series = canonical_series(rng, 4)
+    state_at = unsqueezed_state_map(series.alpha1[[0, 1]], series.beta1[[0, 1]], 1.0, 1, 2)
     with pytest.raises(ValueError):
         state_at(-1e-3)
-    series = canonical_series(rng, 4)
     with pytest.raises(ValueError):
-        unsqueezed_rows(series.alpha1[[0, 1]], series.beta1[[0, 1]], 1.0, 1, 5)
+        unsqueezed_state_map(series.alpha1[[0, 1]], series.beta1[[0, 1]], 1.0, 1, 5)
     # the Gram blocks grow as e^{4r} and leave float64 long before r = 400:
     # a driven state is a NumericError, with no numpy warning on the way,
     # while the h = 0 state is the vacuum
     with np.errstate(over="raise", invalid="raise"):
-        state_at = unsqueezed_state_map(series_unsqueezed_rows(canonical_series(rng, 4), 400.0, 1, 2))
+        state_at = series_state_map(canonical_series(rng, 4), 400.0, 1, 2)
         with pytest.raises(NumericError, match="overflows"):
             state_at(1e-9)
         assert state_at(0.0).cov.tobytes() == np.eye(4).tobytes()
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -1.0])
+def test_amplitude_must_be_finite_and_nonnegative(rng, h):
+    # an amplitude that is not finite and >= 0 is an argument error that
+    # names h, not an overflow of the transformed covariance
+    series = build_scenario_series(CavityScenario(n_max=8))
+    with pytest.raises(ValueError, match="h must be finite and >= 0"):
+        transform_reduced(initial_product_squeezed(1, 1), series, h, 1, 2)
+    with pytest.raises(ValueError, match="h must be finite and >= 0"):
+        series_state_map(canonical_series(rng, 4), 2.0, 1, 2)(h)
+
+
+def gram_sum(rows, sigma0, h):
+    """The covariance at h of the Gram sum of the orders of ``rows``.
+
+    The own (pair) columns act on sigma0 and the spectator columns on the
+    vacuum; the coefficient of h^p sums the Gram blocks (i, j) with
+    i + j = p and is symmetrized once.
+    """
+    q, pair = len(rows.orders), list(rows.pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        own = rows.orders[:, :, pair].reshape(4 * q, 4)
+        spect = rows.orders.copy()
+        spect[:, :, pair] = 0.0
+        spect = spect.reshape(4 * q, -1)
+        blocks = (spect @ spect.T + own @ sigma0 @ own.T).reshape(q, 4, q, 4)
+        coeffs = np.zeros((2 * q - 1, 4, 4))
+        for i in range(q):
+            for j in range(q):
+                coeffs[i + j] += blocks[i, :, j]
+        coeffs = (0.5 * (coeffs + coeffs.transpose(0, 2, 1))).reshape(-1, 16)
+        return (np.array([h**p for p in range(len(coeffs))]) @ coeffs).reshape(4, 4)
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+def test_state_map_is_gram_sum_of_oracle_orders(rng, second_order):
+    # the state map forms the un-squeezed orders itself and keeps them; its
+    # states equal, bit for bit, the Gram sum of the orders that the oracle
+    # forms with the same arithmetic, so the one call changes no entry
+    n = 6
+    series = canonical_series(rng, n)
+    if second_order:
+        series = with_second_order(series, rng)
+    squeezed = initial_product_squeezed(0.8, -0.3).cov
+    for k, kp in ((1, 2), (4, 1)):
+        alpha1, beta1, alpha2 = pair_rows(series, k, kp)
+        for r in (0.0, 2.0, 10.0):
+            orders = unsqueezed_rows(alpha1, beta1, r, k, kp, alpha2)
+            for sigma0, state_at in (
+                (np.eye(4), unsqueezed_state_map(alpha1, beta1, r, k, kp, alpha2=alpha2)),
+                (squeezed, unsqueezed_state_map(alpha1, beta1, r, k, kp, squeezed, alpha2)),
+            ):
+                for h in (1e-9, 1e-4):
+                    assert (state_at(h).cov == gram_sum(orders, sigma0, h)).all(), (k, kp, r, h)
+
+
+def block(alpha, beta):
+    return symplectic_blocks(np.array([[alpha]], dtype=complex), np.array([[beta]], dtype=complex))
+
+
+def test_symplectic_blocks_identity():
+    assert np.array_equal(block(1, 0), np.eye(2))
+
+
+def test_symplectic_blocks_phase_rotation():
+    assert np.allclose(block(1j, 0), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def test_symplectic_blocks_single_mode_squeezer():
+    s = 0.8
+    blk = block(np.cosh(s), np.sinh(s))
+    assert np.allclose(blk, np.diag([np.exp(-s), np.exp(s)]))

@@ -207,15 +207,15 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
     # a point builds rows k and k' alone: one kernel call per row parity,
     # through the module attribute that the benchmark's tracer wraps, for
     # its tau and the two tau probes at once; one H0 call takes all three
-    # from their coefficients, the qfi ladder un-squeezes the rows at tau
-    # once, a sweep point un-squeezes none, and no point builds the whole
+    # from their coefficients, the qfi ladder forms one state map of the
+    # rows at tau, a sweep point forms none, and no point builds the whole
     # series
     kernel = count_calls(monkeypatch, kernels, "time_dependent_coefficients")
     h0 = count_calls(monkeypatch, metrology, "qfi_analytic_h0")
-    rows = count_calls(monkeypatch, bogoliubov, "unsqueezed_rows")
+    maps = count_calls(monkeypatch, bogoliubov, "unsqueezed_state_map")
     whole = count_calls(monkeypatch, cavity, "build_scenario_series")
     assert main(["qfi"]) == 0
-    assert (len(kernel), len(h0), len(rows), len(whole)) == (2, 1, 1, 0)
+    assert (len(kernel), len(h0), len(maps), len(whole)) == (2, 1, 1, 0)
     eps = np.finfo(float).eps
     for _, _, tau, alpha_static, _, row, cols in kernel:
         assert tau.ravel().tolist() == [30.0, 30.0 * (1 - 16 * eps), 30.0 * (1 + 16 * eps)]
@@ -229,12 +229,12 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
         },
     )
     for command, points in (("figure2", 9), ("sweep", 3)):
-        for calls in (kernel, h0, rows):
+        for calls in (kernel, h0, maps):
             calls.clear()
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == points + 1
-        assert (len(kernel), len(h0), len(rows), len(whole)) == (2 * points, points, 0, 0)
+        assert (len(kernel), len(h0), len(maps), len(whole)) == (2 * points, points, 0, 0)
 
 
 def test_readme_qfi_sample_matches_cli(capsys):

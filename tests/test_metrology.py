@@ -18,9 +18,8 @@ from cavqfi import (
     qfi_analytic_h0,
     qfi_numeric,
     transform_reduced,
-    unsqueezed_rows,
+    unsqueezed_state_map,
 )
-from cavqfi.bogoliubov import unsqueezed_state_map
 from cavqfi import cli
 from cavqfi.cavity import build_rows, free_phases
 from cavqfi.cli import evaluate_scenario
@@ -33,10 +32,12 @@ from oracles import (
     mach_zehnder_qfi,
     matrix_form_h0,
     series_h0,
+    series_state_map,
     series_unsqueezed_rows,
     thermal_two_mode,
     transform_full_oracle,
     trivial_series,
+    unsqueezed_rows,
     vacuum,
 )
 
@@ -189,7 +190,7 @@ def test_fidelity_float_stacked_matches_separate_determinants(rng):
     states = [vacuum(2), initial_product_squeezed(1.3, -0.4), initial_product_squeezed(4.5, 4.5)]
     states += [random_physical_two_mode(rng, mixed=bool(i % 2)) for i in range(40)]
     series = build_scenario_series(CavityScenario(squeezing=10.0, n_max=20))
-    state_at = unsqueezed_state_map(series_unsqueezed_rows(series, 10.0, 1, 2))
+    state_at = series_state_map(series, 10.0, 1, 2)
     states += [state_at(h) for h in (0.0, 1e-11, 3e-11)]
     for s1 in states:
         for s2 in states:
@@ -470,12 +471,12 @@ def test_analytic_matches_numeric(rng):
 
 def test_analytic_range_check(rng):
     # the mode pair is checked where its rows are taken, once per point
-    # (metrology.h0_coefficients, and bogoliubov.unsqueezed_rows for the
-    # states)
+    # (metrology.h0_coefficients, and bogoliubov.unsqueezed_state_map for
+    # the states)
     series = canonical_series(rng, 3)
     alpha1, beta1 = series.alpha1[[0, 1]], series.beta1[[0, 1]]
     for take in (
-        lambda a, b, k, kp: unsqueezed_rows(a, b, 1.0, k, kp),
+        lambda a, b, k, kp: unsqueezed_state_map(a, b, 1.0, k, kp),
         lambda a, b, k, kp: h0_coefficients(a, b, k, kp, None),
     ):
         with pytest.raises(ValueError, match="outside truncation range"):
