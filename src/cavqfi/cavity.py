@@ -76,10 +76,15 @@ class CavityScenario:
 
     @property
     def drive_omega(self) -> float:
+        """The drive frequency: omega, or w_k + w_kprime at the sum resonance.
+
+        Each w_n is the scalar pi * n * c_s / L of mode_frequencies, so the
+        sum has the bits of the sum of those two array entries.
+        """
         if self.omega is not None:
             return self.omega
-        omegas = mode_frequencies(self)
-        return float(omegas[self.k - 1] + omegas[self.kprime - 1])
+        c_s, length = self.sound_speed, self.length
+        return math.pi * self.k * c_s / length + math.pi * self.kprime * c_s / length
 
 
 def h_from_acceleration(a: float, scenario: CavityScenario) -> float:

@@ -10,7 +10,8 @@ Kernels:
     tau.  perfbench reports its time per point as
     ``kernels.time_dependent_coefficients.ms`` (the BENCH_*.json files keep
     the measured values; its wide_truncation workload runs n_max 1000),
-  * ``phase_integral``: the closed-form drive integral that it evaluates.
+  * ``drive_entries``: the per-entry formula that it evaluates, one complex
+    exponential per half-phase of the closed-form drive integral.
 
 Callers reach the first one as ``kernels.time_dependent_coefficients``;
 perfbench's per-layer tracer wraps that module attribute by name.
@@ -21,20 +22,27 @@ from __future__ import annotations
 import numpy as np
 
 
-def phase_integral(x, omega, tau):
-    """Closed form of int_0^tau sin(omega t) exp(i x t) dt, stable at resonance.
+def drive_entries(scale, x, omega, tau):
+    """scale * i I(x), with I(x) = int_0^tau sin(omega t) exp(i x t) dt, entry by entry.
 
-    Uses int_0^tau exp(i y t) dt = tau * exp(i y tau / 2) * sinc(y tau / 2),
-    which is exact for all y including y = 0, so no separate resonant branch
-    is needed.
+    I(x) = (e(x + omega) - e(x - omega)) / 2i, where
+      e(y) = int_0^tau exp(i y t) dt = tau z sinc(h),  z = exp(i h),  h = y tau / 2.
+    The sinc comes from the same exponential, Im(z) / h, exactly 1 at
+    h = 0, so resonance needs no branch and each half-phase is reduced
+    once.  The i of the entry cancels the 1/2i, so the result is the real
+    factor scale / 2 times the one complex difference e(x + omega) -
+    e(x - omega).  scale, x and tau broadcast against each other; each
+    entry's arithmetic depends on its own inputs alone.
     """
-    x = np.asarray(x, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    half_tau = 0.5 * tau
 
     def e(y):
-        half = 0.5 * y * tau
-        return tau * np.exp(1j * half) * np.sinc(half / np.pi)
+        h = np.asarray(y * half_tau)
+        z = np.exp(1j * h)
+        return tau * z * np.divide(z.imag, h, out=np.ones_like(h), where=h != 0.0)
 
-    return (e(x + omega) - e(x - omega)) / 2j
+    return 0.5 * scale * (e(x + omega) - e(x - omega))
 
 
 def time_dependent_coefficients(
@@ -44,10 +52,11 @@ def time_dependent_coefficients(
 
       alpha1[m, n] = i alpha_static[m, n] (w_m - w_n) I(w_m - w_n)
       beta1[m, n]  = i beta_static[m, n]  (w_m + w_n) I(w_m + w_n)
-    with I the sinusoidal drive integral above.  The free rotation
-    G_m = e^{-i w_m tau} of row m (cavity.free_phases) is left out; that
-    diagonal unitary keeps the series canonical in both frames (alpha
-    alpha^dag - beta beta^dag = 1 and alpha beta^T symmetric to O(h^2)).
+    with I the sinusoidal drive integral, each entry formed by
+    drive_entries.  The free rotation G_m = e^{-i w_m tau} of row m
+    (cavity.free_phases) is left out; that diagonal unitary keeps the
+    series canonical in both frames (alpha alpha^dag - beta beta^dag = 1
+    and alpha beta^T symmetric to O(h^2)).
 
     rows and cols (each a slice or an index array of 0-based modes m - 1,
     default all) select the entries built; alpha_static and beta_static hold
@@ -59,7 +68,6 @@ def time_dependent_coefficients(
     omegas = np.asarray(omegas, dtype=float)
     diff = omegas[rows][:, None] - omegas[cols][None, :]
     total = omegas[rows][:, None] + omegas[cols][None, :]
-    alpha1 = 1j * alpha_static * diff * phase_integral(diff, omega_drive, tau)
-    beta1 = 1j * beta_static * total * phase_integral(total, omega_drive, tau)
+    alpha1 = drive_entries(alpha_static * diff, diff, omega_drive, tau)
+    beta1 = drive_entries(beta_static * total, total, omega_drive, tau)
     return alpha1, beta1
-

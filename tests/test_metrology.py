@@ -21,7 +21,7 @@ from cavqfi import (
     unsqueezed_state_map,
 )
 from cavqfi import cli
-from cavqfi.cavity import build_rows, free_phases
+from cavqfi.cavity import build_rows, free_phases, mode_frequencies
 from cavqfi.cli import evaluate_scenario
 from cavqfi import metrology
 from cavqfi.errors import ConditioningError, NoPlateauError, NumericError
@@ -666,6 +666,36 @@ def test_emitted_h0_matches_60_digit_rows(overrides):
     spread = max(abs(value - emitted) for value in h0.probes)
     exact = mp_matrix_form_h0(mp_cavity_rows(sc), sc.squeezing, sc.k, sc.kprime)
     assert abs(emitted - float(exact)) <= bound + spread
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"squeezing": 2.0, "n_max": 1000, "tau": 7.3456789},
+        {"squeezing": 10.0, "n_max": 50, "tau": 2.00013},
+    ],
+)
+def test_emitted_tail_matches_60_digit_rows_off_the_lattice(overrides):
+    # off the lattice the modes above n_max // 2 carry a real part of H0
+    # (1.0097e-20 and 3.268e-14 of it here), far above the rounding bound
+    # that zeroes the lattice residue; it matches the share in rows k and k'
+    # rebuilt at 60 digits within the phase rounding 2 eps |y| tau of the
+    # largest drive detuning y (1.8e-9 and 8.4e-12 of it)
+    sc = CavityScenario(**overrides)
+    emitted = evaluate_scenario(sc)["tail_estimate"]
+    rows = mp_cavity_rows(sc)
+    with mpmath.workdps(60):
+        e2r = mpmath.exp(2 * mpmath.mpf(sc.squeezing))
+        upper = 0
+        for m in (sc.k - 1, sc.kprime - 1):
+            for n in range(sc.n_max // 2, sc.n_max):
+                a, b = mpmath.mpc(rows.alpha1[m, n]), mpmath.mpc(rows.beta1[m, n])
+                upper += abs(a - mpmath.conj(b)) ** 2 / e2r + abs(a + mpmath.conj(b)) ** 2 * e2r
+        exact = float(upper / mp_matrix_form_h0(rows, sc.squeezing, sc.k, sc.kprime))
+    omegas = mode_frequencies(sc)
+    phase = (omegas[-1] + omegas[sc.kprime - 1] + sc.drive_omega) * sc.tau
+    assert exact > 0.0
+    assert abs(emitted - exact) <= 2 * np.finfo(float).eps * phase * exact
 
 
 def test_analytic_second_order_passive_mixer_on_vacuum(rng):
