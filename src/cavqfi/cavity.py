@@ -4,10 +4,11 @@ The cavity holds a phononic field with Dirichlet walls; mode angular
 frequencies are w_n = pi * n * c_s / L, which gives w_n = 2*pi*500*n Hz for
 the reference parameter set (the CavityScenario defaults: L = 1 um,
 c_s = 1e-3 m/s, modes 1 and 2 at their sum resonance, r = 10, tau = 30 s,
-N = 1e11).  The drive is a sinusoidal
-acceleration a(t) = a sin(omega t) whose dimensionless amplitude is
-h = a L / c_s^2; all first-order response coefficients below carry the
-per-unit-h shape, with the amplitude factored out.
+N = 1e11).  The drive is a sinusoidal acceleration a(t) = a sin(omega t)
+whose dimensionless amplitude is h = a L / c_s^2; all first-order response
+coefficients below carry the per-unit-h shape, with the amplitude factored
+out.  build_rows forms each of them from its static entry (static_matrices)
+and the drive integral (drive_entries).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .bogoliubov import BogoliubovSeries
 
 # Largest truncation: static_matrices forms (m + n)^3 in integers, exact in
@@ -140,6 +140,29 @@ def free_phases(scenario: CavityScenario) -> np.ndarray:
     return np.exp(-1j * mode_frequencies(scenario) * scenario.tau)
 
 
+def drive_entries(scale, x, omega, tau):
+    """scale * i I(x), with I(x) = int_0^tau sin(omega t) exp(i x t) dt, entry by entry.
+
+    I(x) = (e(x + omega) - e(x - omega)) / 2i, where
+      e(y) = int_0^tau exp(i y t) dt = tau z sinc(h),  z = exp(i h),  h = y tau / 2.
+    The sinc comes from the same exponential, Im(z) / h, exactly 1 at
+    h = 0, so resonance needs no branch and each half-phase is reduced
+    once.  The i of the entry cancels the 1/2i, so the result is the real
+    factor scale / 2 times the one complex difference e(x + omega) -
+    e(x - omega).  scale, x and tau broadcast against each other; each
+    entry's arithmetic depends on its own inputs alone.
+    """
+    tau = np.asarray(tau, dtype=float)
+    half_tau = 0.5 * tau
+
+    def e(y):
+        h = np.asarray(y * half_tau)
+        z = np.exp(1j * h)
+        return tau * z * np.divide(z.imag, h, out=np.ones_like(h), where=h != 0.0)
+
+    return 0.5 * scale * (e(x + omega) - e(x - omega))
+
+
 def build_rows(scenario: CavityScenario, modes, taus) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``modes`` of the first-order alpha1 and beta1, at each duration of taus.
 
@@ -147,13 +170,16 @@ def build_rows(scenario: CavityScenario, modes, taus) -> tuple[np.ndarray, np.nd
     in place of scenario.tau.  Returns (alpha1, beta1), each of shape
     np.shape(taus) + (len(modes), n_max), owned by the caller: entry
     [..., i, :] is row modes[i] of the series of the scenario at that
-    duration.  Each mode takes one kernel call, looked up on the module, for
-    its row against the columns of the other parity, with the durations
-    broadcast as tau; the parity selection rule zeroes the same-parity
-    entries, which stay +0.0 and never reach the drive integral.  The work
-    is O(n_max) per row and duration, and no temporary is larger than one
-    row.  This is the only code that forms coefficient rows, so every entry
-    has the bits of the same entry whatever rows are built with it.
+    duration, in the interaction picture.  Row m holds, against each column
+    n of the other parity, with the durations broadcast as tau,
+      alpha1[m, n] = i alpha_static[m, n] (w_m - w_n) I(w_m - w_n)
+      beta1[m, n]  = i beta_static[m, n]  (w_m + w_n) I(w_m + w_n)
+    with I the sinusoidal drive integral (drive_entries).  The parity rule
+    zeroes the same-parity entries, which stay +0.0 and never reach the
+    drive integral.  The work is O(n_max) per row and duration, and no
+    temporary is larger than one row.  This is the only code that forms
+    coefficient rows, so every entry has the bits of the same entry
+    whatever rows are built with it.
     """
     n_max = scenario.n_max
     omegas = mode_frequencies(scenario)
@@ -165,9 +191,10 @@ def build_rows(scenario: CavityScenario, modes, taus) -> tuple[np.ndarray, np.nd
         # 0-based row mode - 1 against the columns of the other parity
         rows, cols = slice(mode - 1, mode), slice(mode % 2, None, 2)
         alpha_static, beta_static = static_matrices(n_max, rows, cols)
-        alpha1[..., i : i + 1, cols], beta1[..., i : i + 1, cols] = kernels.time_dependent_coefficients(
-            omegas, omega, tau, alpha_static, beta_static, rows, cols
-        )
+        diff = omegas[rows][:, None] - omegas[cols][None, :]
+        total = omegas[rows][:, None] + omegas[cols][None, :]
+        alpha1[..., i : i + 1, cols] = drive_entries(alpha_static * diff, diff, omega, tau)
+        beta1[..., i : i + 1, cols] = drive_entries(beta_static * total, total, omega, tau)
     return alpha1, beta1
 
 

@@ -258,14 +258,14 @@ def _sweep_axis(cfg):
         raise ConfigError(f"sweep parameter must be one of {tuple(_SWEEP_AXES)}")
     if not start < stop:
         raise ConfigError("sweep start must be < stop")
-    if spacing == "linear":
-        values = np.linspace(start, stop, count)
-    elif spacing == "log":
-        if start <= 0:
-            raise ConfigError("log spacing requires start > 0")
-        values = np.geomspace(start, stop, count)
-    else:
+    if spacing not in ("linear", "log"):
         raise ConfigError("sweep spacing must be linear or log")
+    if spacing == "log" and start <= 0:
+        raise ConfigError("log spacing requires start > 0")
+    try:
+        values = (np.linspace if spacing == "linear" else np.geomspace)(start, stop, count)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the size before allocating
+        raise ConfigError(f"sweep.count = {count} is more points than can be allocated") from exc
     return name, [float(v) for v in values]
 
 

@@ -295,6 +295,7 @@ class H0Coefficients:
     second: np.ndarray
 
 
+@np.errstate(over="ignore")
 def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficients:
     """H0's coefficients of e^{2 p r} from rows k and k' of alpha1 and beta1 at r = 0.
 
@@ -304,7 +305,8 @@ def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficient
     alpha2 is None for a series with no second order (a cavity series has
     none), or the (..., 2) array of the second-order diagonal entries
     (alpha2_k, alpha2_k').  Rows of another shape, or a mode pair outside
-    1..N, raise ValueError.
+    1..N, raise ValueError.  Entries that square past float64 give
+    infinite coefficients, with no warning, which qfi_analytic_h0 refuses.
 
     The un-squeezed first order A1 = t S1 T^-1 (bogoliubov.unsqueezed_state_map)
     scales entry (i, j) of S1, the rows at r = 0, by t_i / T_j, a power of
@@ -326,7 +328,7 @@ def h0_coefficients(alpha1, beta1, k: int, kprime: int, alpha2) -> H0Coefficient
     t S2 t^-1 keeps the diagonal of S2, so 2 tr A2 = 2 tr S2.
 
     The rounding bound of the upper part: each entry of the rows is a
-    difference of two float64 terms (kernels.drive_entries), so an entry
+    difference of two float64 terms (cavity.drive_entries), so an entry
     whose exact value is zero, such as an off-resonant drive integral on
     the round-trip lattice, keeps a residue of about eps times its scale.
     For that scale take the modulus of the largest entry, the resonant

@@ -70,22 +70,6 @@ def fock_squeezed_overlap_sq(r, cutoff=60):
     return float(psi[0] ** 2)
 
 
-def kernel_coverage(calls, n_max):
-    """What a series build's kernel calls covered: (hits, expected, rows).
-
-    calls holds the (rows, cols) slices of each kernels.time_dependent_coefficients
-    call.  hits counts the calls that reached each entry; expected marks the
-    opposite-parity entries, the only ones the parity selection rule leaves
-    nonzero; rows lists the 0-based rows of each call, in call order.
-    """
-    hits = np.zeros((n_max, n_max), dtype=int)
-    for rows, cols in calls:
-        hits[rows, cols] += 1
-    n = np.arange(n_max)
-    expected = (n[:, None] + n[None, :]) % 2 == 1
-    return hits, expected, [n[rows].tolist() for rows, _ in calls]
-
-
 def child_env(**overrides):
     """Environment for a child interpreter that imports this session's cavqfi.
 

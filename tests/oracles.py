@@ -29,7 +29,6 @@ import math
 
 import numpy as np
 
-from cavqfi import kernels
 from cavqfi.bogoliubov import (
     BogoliubovSeries,
     _check_mode_pair,
@@ -37,7 +36,7 @@ from cavqfi.bogoliubov import (
     symplectic_blocks,
     unsqueezed_state_map,
 )
-from cavqfi.cavity import CavityScenario
+from cavqfi.cavity import CavityScenario, drive_entries
 from cavqfi.errors import NumericError
 from cavqfi.gaussian import SYMMETRY_TOL, GaussianState, _frozen, symplectic_form
 from cavqfi.metrology import H0Result, h0_coefficients, qfi_analytic_h0
@@ -427,21 +426,21 @@ def whole_matrix_coefficients(
     omega, tau = scenario.drive_omega, scenario.tau
     diff = omegas[rows][:, None] - omegas[None, :]
     total = omegas[rows][:, None] + omegas[None, :]
-    alpha1 = kernels.drive_entries(alpha_static * diff, diff, omega, tau)
-    beta1 = kernels.drive_entries(beta_static * total, total, omega, tau)
+    alpha1 = drive_entries(alpha_static * diff, diff, omega, tau)
+    beta1 = drive_entries(beta_static * total, total, omega, tau)
     return alpha1, beta1
 
 
 def phase_integral(x, omega, tau):
     """Closed form of int_0^tau sin(omega t) exp(i x t) dt, stable at resonance.
 
-    It is the kernel's per-entry formula, kernels.drive_entries, at
+    It is the per-entry formula of the row build, cavity.drive_entries, at
     scale 1, over i: one exponential z = exp(i h) per half-phase
     h = (x +- omega) tau / 2, whose sinc Im(z) / h is exactly 1 at h = 0, so
     no separate resonant branch is needed.  Multiplying by -i only swaps
-    the parts and flips a sign, so this is exactly what the kernel forms.
+    the parts and flips a sign, so this is exactly what the row build forms.
     """
-    return -1j * kernels.drive_entries(1.0, x, omega, tau)
+    return -1j * drive_entries(1.0, x, omega, tau)
 
 
 def lattice_qfi(scenario: CavityScenario) -> float:
@@ -455,7 +454,7 @@ def lattice_qfi(scenario: CavityScenario) -> float:
     the reduced-state QFI is
       H0 = 4 |beta1_kk'|^2 + 4 (|alpha1_k,2k+k'|^2 + |alpha1_k',k+2k'|^2) sinh^2 r.
     The static moduli come from static_first_order, so nothing here reads
-    cavity.static_matrices, kernels.drive_entries or the H0 matrix algebra.
+    cavity.static_matrices, cavity.drive_entries or the H0 matrix algebra.
     The partners enter analytically, whatever n_max is.  A drive off the
     sum resonance or a tau off the lattice raises ValueError.
     """

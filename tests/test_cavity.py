@@ -12,10 +12,9 @@ from cavqfi import (
     build_scenario_series,
     h_from_acceleration,
 )
-from cavqfi import cavity, kernels
+from cavqfi import cavity
 from cavqfi.bogoliubov import BogoliubovSeries
-from cavqfi.cavity import mode_frequencies, static_matrices
-from conftest import kernel_coverage
+from cavqfi.cavity import build_rows, mode_frequencies, static_matrices
 from oracles import (
     evaluate_series,
     mode_frequency,
@@ -335,33 +334,49 @@ def test_first_order_identities_hold_for_random_scenarios():
         assert series.beta1[odd].tobytes() == beta1[odd].tobytes()
 
 
+def static_coverage(calls, n_max):
+    """What a series build's static_matrices calls covered: (hits, expected, rows).
+
+    calls holds the (rows, cols) selection of each cavity.static_matrices
+    call.  hits counts the calls that reached each entry; expected marks the
+    opposite-parity entries, the only ones the parity selection rule leaves
+    nonzero; rows lists the 0-based rows of each call, in call order.
+    """
+    hits = np.zeros((n_max, n_max), dtype=int)
+    for rows, cols in calls:
+        hits[rows, cols] += 1
+    n = np.arange(n_max)
+    expected = (n[:, None] + n[None, :]) % 2 == 1
+    return hits, expected, [n[rows].tolist() for rows, _ in calls]
+
+
 @pytest.mark.parametrize("n_max", [3, 50, 210, 333])
 def test_build_passes_only_opposite_parity_entries(monkeypatch, n_max):
-    # one kernel call per row, through the module attribute, reaches every
-    # opposite-parity entry once; the same-parity ones stay +0.0
-    original = kernels.time_dependent_coefficients
+    # one static_matrices call per row, in row order, selects every
+    # opposite-parity entry once for the drive integral; the same-parity
+    # ones stay +0.0
+    original = cavity.static_matrices
     calls = []
 
-    def counted(omegas, omega, tau, alpha_static, beta_static, rows, cols):
+    def counted(n_max, rows, cols):
         calls.append((rows, cols))
-        return original(omegas, omega, tau, alpha_static, beta_static, rows, cols)
+        return original(n_max, rows, cols)
 
-    monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
+    monkeypatch.setattr(cavity, "static_matrices", counted)
     build_scenario_series(reference_scenario(n_max=n_max))
-    hits, expected, rows = kernel_coverage(calls, n_max)
+    hits, expected, rows = static_coverage(calls, n_max)
     assert rows == [[m] for m in range(n_max)]
     assert np.array_equal(hits, expected)
 
 
-def test_row_index_array_equals_whole_matrix_rows():
+def test_non_adjacent_pair_rows_equal_whole_matrix_rows():
+    # rows k = 3 and k' = 8, built together, carry the bits of those rows
+    # of the whole-matrix formula, with +0.0 on the same-parity entries
     sc = reference_scenario(n_max=210, tau=2.00013, k=3, kprime=8)
-    alpha1, beta1 = whole_matrix_coefficients(sc)
-    rows = np.array([sc.k - 1, sc.kprime - 1])
-    a_rows, b_rows = kernels.time_dependent_coefficients(
-        mode_frequencies(sc), sc.drive_omega, sc.tau, *static_matrices(sc.n_max, rows), rows
-    )
-    assert a_rows.tobytes() == alpha1[rows].tobytes()
-    assert b_rows.tobytes() == beta1[rows].tobytes()
+    rows = [sc.k - 1, sc.kprime - 1]
+    built = build_rows(sc, (sc.k, sc.kprime), sc.tau)
+    for built_rows, expected in zip(built, whole_matrix_coefficients(sc, rows)):
+        assert_oracle_bits(built_rows, expected, opposite_parity(sc.n_max)[rows])
 
 
 def test_build_allocates_no_square_temporary():
@@ -397,9 +412,10 @@ def test_build_arrays_adopted_not_copied(monkeypatch):
 @pytest.mark.parametrize("n_max", [3, 50, 91, 210, 1000])
 def test_pair_rows_equal_whole_build_rows(n_max):
     # a point's rows k and k', at its tau and at the probes tau (1 -/+ 16 eps)
-    # that one broadcast kernel call per row covers, carry the bits of rows
-    # k and k' of the whole-matrix formula at each duration, with +0.0 on
-    # the same-parity entries; the last two rows are taken at the fixed drive
+    # that one broadcast drive_entries call per row and matrix covers, carry
+    # the bits of rows k and k' of the whole-matrix formula at each duration,
+    # with +0.0 on the same-parity entries; the last two rows are taken at
+    # the fixed drive
     eps = np.finfo(float).eps
     odd = opposite_parity(n_max)
     for tau in (0.0, 1e-300, 2.00013, 26.42274984585618, 30.0, 200.0):

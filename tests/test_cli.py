@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavqfi import CavityScenario, bogoliubov, cavity, cli, kernels, metrology
+from cavqfi import CavityScenario, bogoliubov, cavity, cli, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
 from conftest import child_env
@@ -184,7 +184,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args)
 
-    for bound in (bogoliubov, cavity, kernels, metrology, cli):
+    for bound in (bogoliubov, cavity, metrology, cli):
         if getattr(bound, name, None) is original:
             monkeypatch.setattr(bound, name, counted)
     return calls
@@ -204,23 +204,22 @@ def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
 
 
 def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
-    # a point builds rows k and k' alone: one kernel call per row parity,
-    # through the module attribute that the benchmark's tracer wraps, for
-    # its tau and the two tau probes at once; one H0 call takes all three
-    # from their coefficients, the qfi ladder forms one state map of the
-    # rows at tau, a sweep point forms none, and no point builds the whole
-    # series
-    kernel = count_calls(monkeypatch, kernels, "time_dependent_coefficients")
+    # a point builds rows k and k' alone: one drive_entries call per row
+    # and matrix (alpha1, beta1), against the 25 columns of the other
+    # parity, for its tau and the two tau probes at once; one H0 call takes
+    # all three from their coefficients, the qfi ladder forms one state map
+    # of the rows at tau, a sweep point forms none, and no point builds the
+    # whole series
+    entries = count_calls(monkeypatch, cavity, "drive_entries")
     h0 = count_calls(monkeypatch, metrology, "qfi_analytic_h0")
     maps = count_calls(monkeypatch, bogoliubov, "unsqueezed_state_map")
     whole = count_calls(monkeypatch, cavity, "build_scenario_series")
     assert main(["qfi"]) == 0
-    assert (len(kernel), len(h0), len(maps), len(whole)) == (2, 1, 1, 0)
+    assert (len(entries), len(h0), len(maps), len(whole)) == (4, 1, 1, 0)
     eps = np.finfo(float).eps
-    for _, _, tau, alpha_static, _, row, cols in kernel:
+    for _, x, _, tau in entries:
         assert tau.ravel().tolist() == [30.0, 30.0 * (1 - 16 * eps), 30.0 * (1 + 16 * eps)]
-        assert tau.shape == (3, 1, 1) and alpha_static.shape == (1, 25)
-        assert row.stop - row.start == 1 and (row.start - cols.start) % 2 == 1
+        assert tau.shape == (3, 1, 1) and x.shape == (1, 25)
     cfg = write_config(
         tmp_path,
         {
@@ -229,12 +228,12 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
         },
     )
     for command, points in (("figure2", 9), ("sweep", 3)):
-        for calls in (kernel, h0, maps):
+        for calls in (entries, h0, maps):
             calls.clear()
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == points + 1
-        assert (len(kernel), len(h0), len(maps), len(whole)) == (2 * points, points, 0, 0)
+        assert (len(entries), len(h0), len(maps), len(whole)) == (4 * points, points, 0, 0)
 
 
 def test_readme_qfi_sample_matches_cli(capsys):
@@ -519,6 +518,31 @@ def test_scenario_beyond_float64_exit_two(tmp_path, capsys, scenario, message):
     assert main(["qfi", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid scenario: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure2"])
+@pytest.mark.parametrize("count", [10**15, 10**44], ids=["1e15", "1e44"])
+def test_unallocatable_sweep_count_exit_two(tmp_path, capsys, command, count):
+    # numpy refuses both grids before allocating anything (7.11 PiB, and a
+    # size past its maximum); each ended in a traceback
+    cfg = write_config(
+        tmp_path, {"sweep": {"parameter": "tau", "start": 1.0, "stop": 2.0, "count": count}}
+    )
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "sweep.count" in err
+
+
+@pytest.mark.parametrize("duration", [1e160, 1e200])
+def test_overflowing_h0_rows_exit_one_without_warnings(tmp_path, capsys, duration):
+    # the rows of so long a drive square past float64 in h0_coefficients:
+    # one numeric-failure line and no RuntimeWarning, which the suite turns
+    # into an error
+    cfg = write_config(tmp_path, {"scenario": {"duration_s": duration}})
+    assert main(["qfi", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: H0 overflows float64 at squeezing r = 10.0\n"
 
 
 def test_unknown_scenario_field_exit_two(tmp_path, capsys):
@@ -1002,7 +1026,7 @@ def test_coeffs_streams_one_row_at_a_time(tmp_path, flags):
 )
 def test_coeffs_bytes_pinned(tmp_path, flags, digest):
     # the bytes of the whole-matrix dump, lab-frame and static; the
-    # lab-frame digests are those of the one-exponential drive kernel
+    # lab-frame digests are those of the one-exponential drive formula
     out = tmp_path / "coeffs.out"
     assert main(["coeffs", "--nmax", "210", "--out", str(out), *flags]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -18,8 +18,8 @@ def test_phase_integral_resonance_continuity():
 def mp_drive_integral(x, omega, tau):
     """int_0^tau sin(omega t) e^{i x t} dt at 40 digits, for the float detunings x +- omega.
 
-    The detunings are taken as float64 sums, as the kernel forms them, and
-    every float is taken exactly, so the difference to the kernel is the
+    The detunings are taken as float64 sums, as cavity.drive_entries forms them, and
+    every float is taken exactly, so the difference to drive_entries is the
     rounding of its own arithmetic from the half-phase on.
     """
     with mpmath.workdps(40):

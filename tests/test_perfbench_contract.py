@@ -13,13 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cavqfi
-from cavqfi import cavity, cli, kernels
+from cavqfi import cavity, cli
 from cavqfi.policy import DEFAULT_POLICY
-from conftest import kernel_coverage
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,12 +25,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # phase calibration and the spectator mode sums went with the matrix-form
 # H0; the series evaluated as whole matrices (now a test oracle) and the
 # reduced transform kernel went when every two-mode state came to be built
-# from one pair-row Gram map, both having recorded 0 calls on every workload
+# from one pair-row Gram map, both having recorded 0 calls on every workload;
+# the coefficient kernel went when cavity.build_rows came to form every
+# entry itself through cavity.drive_entries, which the tracer does not wrap
 ABSENT_LAYERS = {
     "metrology.calibrate_phases",
     "metrology.mode_sums",
     "bogoliubov.evaluate_series",
     "kernels.reduced_transform",
+    "kernels.time_dependent_coefficients",
 }
 
 
@@ -51,11 +52,20 @@ def load_perfbench(name):
 WORKLOADS = load_perfbench("workloads")
 
 
+def resolves(module_name, attr):
+    """Whether the tracer finds a layer: its module imports and holds a callable attr."""
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError:
+        return False
+    return callable(getattr(module, attr, None))
+
+
 def test_every_traced_layer_resolves():
     missing = {
         name
         for name, (module_name, attr) in load_perfbench("tracer").LAYERS.items()
-        if not callable(getattr(importlib.import_module(module_name), attr, None))
+        if not resolves(module_name, attr)
     }
     assert missing == ABSENT_LAYERS
 
@@ -77,25 +87,6 @@ def test_workload_names_import_from_package():
 def test_precision_path_threshold():
     # the tracer classifies a fidelity call as mpmath or float64 from this
     assert DEFAULT_POLICY.extended_precision_above == 1e4
-
-
-def test_series_build_calls_kernel_through_module_attribute(monkeypatch):
-    # the tracer's kernels.time_dependent_coefficients spans measure the
-    # build only while the build looks the kernel up on the module; it calls
-    # it once per row, and those calls must cover every opposite-parity
-    # entry once, and no other entry
-    original = kernels.time_dependent_coefficients
-    calls = []
-
-    def counted(*args):
-        calls.append(args[-2:])
-        return original(*args)
-
-    monkeypatch.setattr(kernels, "time_dependent_coefficients", counted)
-    cavity.build_scenario_series(cavity.CavityScenario(n_max=210))
-    hits, expected, rows = kernel_coverage(calls, 210)
-    assert rows == [[m] for m in range(210)]
-    assert np.array_equal(hits, expected)
 
 
 def test_coefficient_entries_count_first_order_only():

@@ -34,7 +34,7 @@ def parse_package():
             ):
                 source = (node.module or "").removeprefix("cavqfi").lstrip(".")
                 for alias in node.names:
-                    # `from . import kernels` binds a module, `from .x import y` a name
+                    # `from . import policy` binds a module, `from .x import y` a name
                     target = (alias.name, None) if not source else (source, alias.name)
                     imports[alias.asname or alias.name] = target
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
