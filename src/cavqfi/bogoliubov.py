@@ -158,7 +158,10 @@ def unsqueezed_state_map(alpha1, beta1, r: float, k: int, kprime: int, sigma0=_V
             # order has overflowed
             return GaussianState(2, sigma0)
         with np.errstate(over="ignore", invalid="ignore"):
-            cov = np.array([h**p for p in range(len(coeffs))]) @ coeffs
+            try:
+                cov = np.array([h**p for p in range(len(coeffs))]) @ coeffs
+            except OverflowError:  # h**p of a Python float leaves float64
+                cov = np.array([math.inf])
         if not np.isfinite(cov).all():
             raise NumericError("transformed covariance overflows float64")
         return GaussianState(2, cov.reshape(4, 4))

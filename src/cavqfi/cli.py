@@ -240,8 +240,13 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-# sweep axis -> CavityScenario field
-_SWEEP_AXES = {"tau": "tau", "r": "squeezing", "a": "a_probe", "omega": "omega"}
+# sweep axis -> (CavityScenario field, record column of its value, or None)
+_SWEEP_AXES = {
+    "tau": ("tau", None),
+    "r": ("squeezing", None),
+    "a": ("a_probe", "a_probe_m_per_s2"),
+    "omega": ("omega", "omega_rad_per_s"),
+}
 
 
 def _sweep_axis(cfg):
@@ -269,19 +274,19 @@ def _sweep_axis(cfg):
     return name, [float(v) for v in values]
 
 
-_AXIS_COLUMNS = {"a": "a_probe_m_per_s2", "omega": "omega_rad_per_s"}
-
-
-def run_sweep(scenarios, name):
-    """Point dicts of evaluate_scenario, one per scenario of a sweep along
-    axis name; an a or omega value is stored under its _AXIS_COLUMNS name."""
-    points = []
+def run_sweep(args, scenarios, axis):
+    """Evaluates the points of a sweep along axis, then writes their records to
+    --out: the CSV_COLUMNS of each point, and the axis's column if it has one."""
+    field, column = _SWEEP_AXES[axis]
+    header = CSV_COLUMNS if column is None else (*CSV_COLUMNS, column)
+    rows = []
     for scenario in scenarios:
         point = evaluate_scenario(scenario)
-        if name in _AXIS_COLUMNS:
-            point[_AXIS_COLUMNS[name]] = getattr(scenario, _SWEEP_AXES[name])
-        points.append(point)
-    return points
+        row = [point[c] for c in CSV_COLUMNS]
+        if column is not None:
+            row.append(getattr(scenario, field))
+        rows.append(row)
+    _write_records(args.out, args.format, header, [rows])
 
 
 def snapped_tau_grid(scenario, start, stop, count):
@@ -295,13 +300,8 @@ def snapped_tau_grid(scenario, start, stop, count):
     """
     period = 2.0 * scenario.length / scenario.sound_speed
     values = np.geomspace(start, stop, count)
-    snapped = np.maximum(np.round(values / period), 1.0) * period
-    # deduplicate while preserving order
-    out = []
-    for v in snapped:
-        if not out or v > out[-1]:
-            out.append(float(v))
-    return out
+    # distinct values in grid order; np.unique would import numpy.ma (1.4 MB)
+    return list(dict.fromkeys((np.maximum(np.round(values / period), 1.0) * period).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +363,6 @@ def _write_records(path, fmt, header, chunks):
         fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
-def _emit_records(points, out, fmt):
-    header = list(CSV_COLUMNS)
-    if points:
-        header.extend(c for c in _AXIS_COLUMNS.values() if c in points[0])
-    _write_records(out, fmt, header, [[[p[c] for c in header] for p in points]])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -425,9 +418,8 @@ def cmd_qfi(args, cfg, scenario):
 def cmd_sweep(args, cfg, scenario):
     if "sweep" not in cfg:
         raise ConfigError("sweep requires a sweep section in the config")
-    name, values = _sweep_axis(cfg)
-    scenarios = [point_scenario(scenario, **{_SWEEP_AXES[name]: value}) for value in values]
-    _emit_records(run_sweep(scenarios, name), args.out, args.format)
+    axis, values = _sweep_axis(cfg)
+    run_sweep(args, [point_scenario(scenario, **{_SWEEP_AXES[axis][0]: v}) for v in values], axis)
     return 0
 
 
@@ -451,7 +443,7 @@ def cmd_figure2(args, cfg, scenario):
     scenarios = [
         point_scenario(scenario, squeezing=r, tau=tau) for r in FIGURE2_SQUEEZINGS for tau in taus
     ]
-    _emit_records(run_sweep(scenarios, "tau"), args.out, args.format)
+    run_sweep(args, scenarios, "tau")
     return 0
 
 

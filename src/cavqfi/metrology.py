@@ -109,6 +109,10 @@ def _fidelity_mp(cov1, cov2):
 
 
 def _breakdown(gamma, lam1, lam2, delta):
+    # both precision paths end here; the mpmath one rounds its parts to
+    # float64, where determinants of large covariances overflow
+    if not all(map(math.isfinite, (gamma, lam1, lam2, delta))):
+        raise NumericError("fidelity determinants overflow float64")
     scale = max(1.0, abs(gamma), abs(delta))
     gamma = _clamp(gamma, scale, "Gamma")
     lam1 = _clamp(lam1, scale, "Lambda1", symmetric=True)

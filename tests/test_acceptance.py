@@ -189,13 +189,13 @@ def test_criterion_7_mach_zehnder_baseline():
 
 
 def test_criterion_8_figure2_properties():
-    from cavqfi.cli import FIGURE2_SQUEEZINGS, point_scenario, run_sweep, snapped_tau_grid
+    from cavqfi.cli import FIGURE2_SQUEEZINGS, evaluate_scenario, point_scenario, snapped_tau_grid
 
     scenario = default_scenario()
     taus = snapped_tau_grid(scenario, 2.0, 200.0, 25)
     curves = {}
     for r in FIGURE2_SQUEEZINGS:
-        records = run_sweep([point_scenario(scenario, squeezing=r, tau=tau) for tau in taus], "tau")
+        records = [evaluate_scenario(point_scenario(scenario, squeezing=r, tau=tau)) for tau in taus]
         curves[r] = np.array([rec["delta_a_m_per_s2"] for rec in records])
     decreasing = all(np.all(np.diff(curves[r]) < 0) for r in FIGURE2_SQUEEZINGS)
     ordered = bool(

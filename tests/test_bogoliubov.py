@@ -391,6 +391,14 @@ def test_unsqueezed_state_map_validation(rng):
         assert state_at(0.0).cov.tobytes() == np.eye(4).tobytes()
 
 
+def test_amplitude_whose_square_leaves_float64_is_numeric_error(rng):
+    # 1.4e154 ** 2 of a Python float raises OverflowError, not inf
+    series = canonical_series(rng, 4)
+    state_at = unsqueezed_state_map(series.alpha1[[0, 1]], series.beta1[[0, 1]], 0.0, 1, 2)
+    with pytest.raises(NumericError, match="transformed covariance overflows float64"):
+        state_at(1.4e154)
+
+
 @pytest.mark.parametrize("h", [math.nan, math.inf, -1.0])
 def test_amplitude_must_be_finite_and_nonnegative(rng, h):
     # an amplitude that is not finite and >= 0 is an argument error that

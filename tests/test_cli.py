@@ -295,6 +295,27 @@ def test_squeezing_overflow_exit_one(tmp_path, capsys, command, payload):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "h, message",
+    [(1e34, "fidelity determinants overflow float64"), (1.4e154, "transformed covariance overflows float64")],
+    ids=["1e34", "1.4e154"],
+)
+def test_fidelity_amplitude_overflow_exit_one(tmp_path, capsys, h, message):
+    # at 1e34 the 40-digit determinants round to inf in float64, which
+    # printed a fidelity of nan; at 1.4e154, h**2 of a Python float raised
+    # OverflowError.  1e32 is still a fidelity.  The suite turns warnings
+    # into errors.
+    out = tmp_path / "fid.json"
+    cfg = write_config(tmp_path, {"fidelity": {"state_a": {"amplitude_h": h}}})
+    assert main(["fidelity", "--config", cfg, "--out", str(out), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"numeric failure: {message}\n")
+    assert not out.exists()
+    cfg = write_config(tmp_path, {"fidelity": {"state_a": {"amplitude_h": 1e32}}})
+    assert main(["fidelity", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "fidelity            : 5.1427435497170700e-150\n"
+
+
 # values of another type than a field takes, and numbers at and beyond the
 # float64 range and the program's limits, for config mutations
 WRONG_TYPES = ("10", "", True, False, None, [], {}, [1.0], {"value": 1.0}, "NaN")
