@@ -8,7 +8,8 @@ N = 1e11).  The drive is a sinusoidal acceleration a(t) = a sin(omega t)
 whose dimensionless amplitude is h = a L / c_s^2; all first-order response
 coefficients below carry the per-unit-h shape, with the amplitude factored
 out.  build_rows forms each of them from its static entry (static_matrices)
-and the drive integral (drive_entries).
+and the drive integral (drive_entries), taking every part that does not
+depend on the duration from a row plan (row_plan).
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ class CavityScenario:
             raise ValueError("the mode frequencies, the drive or their phases over tau overflow float64")
         if not 0.0 < self.sound_speed * self.sound_speed < math.inf:
             raise ValueError("sound_speed^2 leaves the float64 range")
+
+    @property
+    def geometry(self) -> tuple:
+        """The fields a row plan reads (row_plan): all but tau, squeezing,
+        n_measurements and a_probe.  Points that agree on them share one plan."""
+        return (self.length, self.sound_speed, self.k, self.kprime, self.omega, self.n_max)
 
     @property
     def drive_omega(self) -> float:
@@ -163,11 +170,48 @@ def drive_entries(scale, x, omega, tau):
     return 0.5 * scale * (e(x + omega) - e(x - omega))
 
 
-def build_rows(scenario: CavityScenario, modes, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``modes`` of the first-order alpha1 and beta1, at each duration of taus.
+@dataclasses.dataclass(frozen=True)
+class RowPlan:
+    """The part of some rows of a scenario that does not depend on the duration.
 
-    modes are 1-based mode numbers; taus is a duration or an array of them,
-    in place of scenario.tau.  Returns (alpha1, beta1), each of shape
+    entries holds, per row m, (cols, alpha_scale, diff, beta_scale, total):
+    the 0-based columns n of the other parity, the detunings w_m - w_n and
+    the sums w_m + w_n against them (each of shape (1, len(cols))), and the
+    static entries times those (the scale that drive_entries takes).  omega
+    is the drive frequency.
+    """
+
+    n_max: int
+    omega: float
+    entries: tuple
+
+
+def row_plan(scenario: CavityScenario, modes) -> RowPlan:
+    """The plan of rows ``modes`` (1-based mode numbers) of the scenario's series.
+
+    It reads only scenario.geometry, so build_rows takes one plan at any
+    duration of any point of that geometry.  It holds four float arrays of
+    about n_max / 2 entries per row, so callers that build many rows (the
+    whole series, coeffs) plan one row at a time.
+    """
+    n_max = scenario.n_max
+    omegas = mode_frequencies(scenario)
+    entries = []
+    for mode in modes:
+        # 0-based row mode - 1 against the columns of the other parity
+        rows, cols = slice(mode - 1, mode), slice(mode % 2, None, 2)
+        alpha_static, beta_static = static_matrices(n_max, rows, cols)
+        diff = omegas[rows][:, None] - omegas[cols][None, :]
+        total = omegas[rows][:, None] + omegas[cols][None, :]
+        entries.append((cols, alpha_static * diff, diff, beta_static * total, total))
+    return RowPlan(n_max, scenario.drive_omega, tuple(entries))
+
+
+def build_rows(plan: RowPlan, taus) -> tuple[np.ndarray, np.ndarray]:
+    """The planned rows of the first-order alpha1 and beta1, at each duration of taus.
+
+    plan is row_plan(scenario, modes); taus is a duration or an array of
+    them.  Returns (alpha1, beta1), each of shape
     np.shape(taus) + (len(modes), n_max), owned by the caller: entry
     [..., i, :] is row modes[i] of the series of the scenario at that
     duration, in the interaction picture.  Row m holds, against each column
@@ -179,22 +223,15 @@ def build_rows(scenario: CavityScenario, modes, taus) -> tuple[np.ndarray, np.nd
     drive integral.  The work is O(n_max) per row and duration, and no
     temporary is larger than one row.  This is the only code that forms
     coefficient rows, so every entry has the bits of the same entry
-    whatever rows are built with it.
+    whatever rows are built with it, and whichever plan of the same
+    geometry it is built from.
     """
-    n_max = scenario.n_max
-    omegas = mode_frequencies(scenario)
-    omega = scenario.drive_omega
     tau = np.asarray(taus, dtype=float)[..., None, None]
-    shape = np.shape(taus) + (len(modes), n_max)
+    shape = np.shape(taus) + (len(plan.entries), plan.n_max)
     alpha1, beta1 = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    for i, mode in enumerate(modes):
-        # 0-based row mode - 1 against the columns of the other parity
-        rows, cols = slice(mode - 1, mode), slice(mode % 2, None, 2)
-        alpha_static, beta_static = static_matrices(n_max, rows, cols)
-        diff = omegas[rows][:, None] - omegas[cols][None, :]
-        total = omegas[rows][:, None] + omegas[cols][None, :]
-        alpha1[..., i : i + 1, cols] = drive_entries(alpha_static * diff, diff, omega, tau)
-        beta1[..., i : i + 1, cols] = drive_entries(beta_static * total, total, omega, tau)
+    for i, (cols, alpha_scale, diff, beta_scale, total) in enumerate(plan.entries):
+        alpha1[..., i : i + 1, cols] = drive_entries(alpha_scale, diff, plan.omega, tau)
+        beta1[..., i : i + 1, cols] = drive_entries(beta_scale, total, plan.omega, tau)
     return alpha1, beta1
 
 
@@ -209,11 +246,14 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     corresponding |beta1| entries grow linearly in tau with slope
     |beta_static| (w_k + w_kp) / 2.
 
-    It is build_rows over every mode at scenario.tau; the two outputs are
-    the only n_max x n_max arrays it allocates, and BogoliubovSeries adopts
-    them, read-only, without a copy.
+    It is build_rows at scenario.tau over every mode, one row's plan at a
+    time; the two outputs are the only n_max x n_max arrays it allocates,
+    and BogoliubovSeries adopts them, read-only, without a copy.
     """
-    alpha1, beta1 = build_rows(scenario, range(1, scenario.n_max + 1), scenario.tau)
+    n_max = scenario.n_max
+    alpha1, beta1 = np.empty((n_max, n_max), dtype=complex), np.empty((n_max, n_max), dtype=complex)
+    for m in range(n_max):
+        alpha1[m : m + 1], beta1[m : m + 1] = build_rows(row_plan(scenario, (m + 1,)), scenario.tau)
     alpha1.setflags(write=False)
     beta1.setflags(write=False)
     return BogoliubovSeries(scenario.n_max, alpha1, beta1)

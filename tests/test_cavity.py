@@ -15,7 +15,7 @@ from cavqfi import (
 )
 from cavqfi import cavity
 from cavqfi.bogoliubov import BogoliubovSeries
-from cavqfi.cavity import build_rows, mode_frequencies, static_matrices
+from cavqfi.cavity import build_rows, mode_frequencies, row_plan, static_matrices
 from oracles import (
     evaluate_series,
     mode_frequency,
@@ -375,7 +375,7 @@ def test_non_adjacent_pair_rows_equal_whole_matrix_rows():
     # of the whole-matrix formula, with +0.0 on the same-parity entries
     sc = reference_scenario(n_max=210, tau=2.00013, k=3, kprime=8)
     rows = [sc.k - 1, sc.kprime - 1]
-    built = build_rows(sc, (sc.k, sc.kprime), sc.tau)
+    built = build_rows(row_plan(sc, (sc.k, sc.kprime)), sc.tau)
     for built_rows, expected in zip(built, whole_matrix_coefficients(sc, rows)):
         assert_oracle_bits(built_rows, expected, opposite_parity(sc.n_max)[rows])
 
@@ -425,7 +425,7 @@ def test_pair_rows_equal_whole_build_rows(n_max):
             last = [(n_max - 1, n_max)] if omega is not None else []
             for k, kprime in [(1, 2), (2, 3)] + last:
                 sc = reference_scenario(n_max=n_max, tau=tau, omega=omega, k=k, kprime=kprime)
-                alpha1, beta1 = cavity.build_rows(sc, (k, kprime), taus)
+                alpha1, beta1 = cavity.build_rows(cavity.row_plan(sc, (k, kprime)), taus)
                 assert alpha1.shape == beta1.shape == (3, 2, n_max)
                 rows = [k - 1, kprime - 1]
                 for i, t in enumerate(taus):

@@ -180,9 +180,9 @@ def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for bound in (bogoliubov, cavity, metrology, cli):
         if getattr(bound, name, None) is original:
@@ -209,13 +209,15 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
     # parity, for its tau and the two tau probes at once; one H0 call takes
     # all three from their coefficients, the qfi ladder forms one state map
     # of the rows at tau, a sweep point forms none, and no point builds the
-    # whole series
+    # whole series; the static entries of rows k and k' are formed once per
+    # row plan, which a sweep shares across the points of one geometry
     entries = count_calls(monkeypatch, cavity, "drive_entries")
     h0 = count_calls(monkeypatch, metrology, "qfi_analytic_h0")
     maps = count_calls(monkeypatch, bogoliubov, "unsqueezed_state_map")
     whole = count_calls(monkeypatch, cavity, "build_scenario_series")
+    statics = count_calls(monkeypatch, cavity, "static_matrices")
     assert main(["qfi"]) == 0
-    assert (len(entries), len(h0), len(maps), len(whole)) == (4, 1, 1, 0)
+    assert (len(entries), len(h0), len(maps), len(whole), len(statics)) == (4, 1, 1, 0, 2)
     eps = np.finfo(float).eps
     for _, x, _, tau in entries:
         assert tau.ravel().tolist() == [30.0, 30.0 * (1 - 16 * eps), 30.0 * (1 + 16 * eps)]
@@ -227,13 +229,29 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
             "sweep": {"parameter": "tau", "start": 0.5, "stop": 2.0, "count": 3},
         },
     )
-    for command, points in (("figure2", 9), ("sweep", 3)):
-        for calls in (entries, h0, maps):
+    # the drive frequency is part of the plan, so an omega sweep plans at
+    # each point
+    omega_cfg = write_config(
+        tmp_path,
+        {
+            "scenario": FAST_SCENARIO,
+            "sweep": {"parameter": "omega", "start": 9000.0, "stop": 9500.0, "count": 3},
+        },
+        "omega.json",
+    )
+    for command, config, points, plans in (
+        ("figure2", cfg, 9, 1),
+        ("sweep", cfg, 3, 1),
+        ("sweep", omega_cfg, 3, 3),
+    ):
+        for calls in (entries, h0, maps, statics):
             calls.clear()
         out = tmp_path / f"{command}.csv"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert main([command, "--config", config, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == points + 1
-        assert (len(entries), len(h0), len(maps), len(whole)) == (4 * points, points, 0, 0)
+        assert (len(entries), len(h0), len(maps), len(whole), len(statics)) == (
+            4 * points, points, 0, 0, 2 * plans
+        )
 
 
 def test_readme_qfi_sample_matches_cli(capsys):
@@ -393,7 +411,7 @@ def test_mutated_readme_configs_exit_cleanly(tmp_path, capsys):
 def tau_spread(scenario):
     """|H0| share by which the tau probes move a point's H0, measured as cli.evaluate_scenario does."""
     taus = scenario.tau * cli._TAU_PROBES
-    alpha1, beta1 = cavity.build_rows(scenario, (scenario.k, scenario.kprime), taus)
+    alpha1, beta1 = cavity.build_rows(cavity.row_plan(scenario, (scenario.k, scenario.kprime)), taus)
     coefficients = metrology.h0_coefficients(alpha1, beta1, scenario.k, scenario.kprime, None)
     h0 = metrology.qfi_analytic_h0(coefficients, scenario.squeezing)
     return max(abs(value - h0.value) for value in h0.probes) / abs(h0.value)
@@ -1097,14 +1115,27 @@ def test_sweep_axis_validation(tmp_path):
     assert main(["sweep", "--config", write_config(tmp_path, bad, "c.json")]) == 2
 
 
+def points_alone(payload):
+    """The record lines of a sweep config's points, each from evaluate_scenario
+    called alone on its point (which then plans its own rows)."""
+    base = cli.scenario_from_config(payload)
+    axis, values = cli._sweep_axis(payload)
+    field, column = cli._SWEEP_AXES[axis]
+    lines = []
+    for value in values:
+        point = cli.point_scenario(base, **{field: value})
+        record = cli.evaluate_scenario(point)
+        row = [record[c] for c in cli.CSV_COLUMNS] + ([] if column is None else [value])
+        lines.append(",".join(cli._fmt(v) for v in row))
+    return lines
+
+
 def test_sweep_deterministic_and_round_trip(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "scenario": FAST_SCENARIO,
-            "sweep": {"parameter": "tau", "start": 0.1, "stop": 1.0, "count": 5, "spacing": "log"},
-        },
-    )
+    payload = {
+        "scenario": FAST_SCENARIO,
+        "sweep": {"parameter": "tau", "start": 0.1, "stop": 1.0, "count": 5, "spacing": "log"},
+    }
+    cfg = write_config(tmp_path, payload)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
@@ -1115,6 +1146,7 @@ def test_sweep_deterministic_and_round_trip(tmp_path):
     assert lines[0] == "tau_s,r,qfi,delta_h,delta_a_m_per_s2,validity_margin,tail_estimate"
     values = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert len(values) == 5
+    assert lines[1:] == points_alone(payload)
     # round-trip at full precision: re-format and compare
     for line, row in zip(lines[1:], values):
         for text, val in zip(line.split(","), row):
@@ -1165,17 +1197,16 @@ def test_sweep_truncation_change_nan_when_half_misses_pair(tmp_path):
 
 
 def test_sweep_over_a_adds_axis_column(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "scenario": FAST_SCENARIO,
-            "sweep": {"parameter": "a", "start": 1e-12, "stop": 1e-9, "count": 3, "spacing": "log"},
-        },
-    )
+    payload = {
+        "scenario": FAST_SCENARIO,
+        "sweep": {"parameter": "a", "start": 1e-12, "stop": 1e-9, "count": 3, "spacing": "log"},
+    }
+    cfg = write_config(tmp_path, payload)
     out = tmp_path / "a.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].endswith(",a_probe_m_per_s2")
+    assert lines[1:] == points_alone(payload)
     margins = [float(line.split(",")[5]) for line in lines[1:]]
     assert margins[0] < margins[-1]
 
@@ -1208,23 +1239,23 @@ def test_sweep_over_omega_axis(tmp_path):
     # the sum resonance sits at 3000 pi rad/s and is ~1/tau wide, so center
     # the axis on it exactly
     resonance = 3000.0 * math.pi
-    cfg = write_config(
-        tmp_path,
-        {
-            "scenario": FAST_SCENARIO,
-            "sweep": {
-                "parameter": "omega",
-                "start": resonance - 1000.0,
-                "stop": resonance + 1000.0,
-                "count": 3,
-                "spacing": "linear",
-            },
+    payload = {
+        "scenario": FAST_SCENARIO,
+        "sweep": {
+            "parameter": "omega",
+            "start": resonance - 1000.0,
+            "stop": resonance + 1000.0,
+            "count": 3,
+            "spacing": "linear",
         },
-    )
+    }
+    cfg = write_config(tmp_path, payload)
     out = tmp_path / "omega.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].endswith(",omega_rad_per_s")
+    # each point plans its own drive: rows from one shared plan would differ
+    assert lines[1:] == points_alone(payload)
     qfis = [float(line.split(",")[2]) for line in lines[1:]]
     assert qfis[1] > 100 * qfis[0] and qfis[1] > 100 * qfis[2]
 

@@ -89,6 +89,34 @@ def test_precision_path_threshold():
     assert DEFAULT_POLICY.extended_precision_above == 1e4
 
 
+def test_sweeps_time_each_point(tmp_path):
+    # the untimed run's per-point latency comes from PointTimer, which
+    # replaces cli.evaluate_scenario and forwards every argument: each
+    # point of a figure2 or sweep call must go through that attribute once
+    timer = load_perfbench("tracer").PointTimer()
+    assert timer.available
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "scenario": {"n_max": 30},
+                "sweep": {"parameter": "tau", "start": 0.5, "stop": 2.0, "count": 3},
+            }
+        )
+    )
+    counts = []
+    for argv in (["figure2"], ["sweep", "--config", str(cfg)]):
+        timer.durations.clear()
+        timer.install()
+        try:
+            assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        finally:
+            timer.uninstall()
+        counts.append(len(timer.durations))
+    assert counts == [75, 3]
+    assert cli.evaluate_scenario is timer._original
+
+
 def test_coefficient_entries_count_first_order_only():
     # cavity.coefficients_built counts the complex arrays of the built series:
     # alpha1 and beta1, n_max^2 entries each (the series has no second order)
