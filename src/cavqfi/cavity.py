@@ -8,8 +8,10 @@ N = 1e11).  The drive is a sinusoidal acceleration a(t) = a sin(omega t)
 whose dimensionless amplitude is h = a L / c_s^2; all first-order response
 coefficients below carry the per-unit-h shape, with the amplitude factored
 out.  build_rows forms each of them from its static entry (static_matrices)
-and the drive integral (drive_entries), taking every part that does not
-depend on the duration from a row plan (row_plan).
+and the drive integral (drive_entries).  Every part that does not depend on
+the duration comes from a row plan, and the module holds one: the last plan
+built, keyed by the scenario's geometry and the rows.  It outlives the call
+that built it, so calls of one geometry and rows plan once.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ class CavityScenario:
 
     @property
     def geometry(self) -> tuple:
-        """The fields a row plan reads (row_plan): all but tau, squeezing,
-        n_measurements and a_probe.  Points that agree on them share one plan."""
+        """The fields a row plan reads: all but tau, squeezing, n_measurements
+        and a_probe.  build_rows reuses its held plan while they agree."""
         return (self.length, self.sound_speed, self.k, self.kprime, self.omega, self.n_max)
 
     @property
@@ -170,29 +172,14 @@ def drive_entries(scale, x, omega, tau):
     return 0.5 * scale * (e(x + omega) - e(x - omega))
 
 
-@dataclasses.dataclass(frozen=True)
-class RowPlan:
-    """The part of some rows of a scenario that does not depend on the duration.
+def _row_plan(scenario: CavityScenario, modes) -> tuple:
+    """The part of rows ``modes`` (1-based mode numbers) that does not depend
+    on the duration; it reads only scenario.geometry.
 
-    entries holds, per row m, (cols, alpha_scale, diff, beta_scale, total):
-    the 0-based columns n of the other parity, the detunings w_m - w_n and
-    the sums w_m + w_n against them (each of shape (1, len(cols))), and the
-    static entries times those (the scale that drive_entries takes).  omega
-    is the drive frequency.
-    """
-
-    n_max: int
-    omega: float
-    entries: tuple
-
-
-def row_plan(scenario: CavityScenario, modes) -> RowPlan:
-    """The plan of rows ``modes`` (1-based mode numbers) of the scenario's series.
-
-    It reads only scenario.geometry, so build_rows takes one plan at any
-    duration of any point of that geometry.  It holds four float arrays of
-    about n_max / 2 entries per row, so callers that build many rows (the
-    whole series, coeffs) plan one row at a time.
+    It holds, per row m, (cols, alpha_scale, diff, beta_scale, total): the
+    0-based columns n of the other parity, the detunings w_m - w_n and the
+    sums w_m + w_n against them (each of shape (1, len(cols)), read-only),
+    and the static entries times those (the scale that drive_entries takes).
     """
     n_max = scenario.n_max
     omegas = mode_frequencies(scenario)
@@ -203,35 +190,54 @@ def row_plan(scenario: CavityScenario, modes) -> RowPlan:
         alpha_static, beta_static = static_matrices(n_max, rows, cols)
         diff = omegas[rows][:, None] - omegas[cols][None, :]
         total = omegas[rows][:, None] + omegas[cols][None, :]
-        entries.append((cols, alpha_static * diff, diff, beta_static * total, total))
-    return RowPlan(n_max, scenario.drive_omega, tuple(entries))
+        arrays = (alpha_static * diff, diff, beta_static * total, total)
+        for array in arrays:
+            array.setflags(write=False)
+        entries.append((cols, *arrays))
+    return tuple(entries)
 
 
-def build_rows(plan: RowPlan, taus) -> tuple[np.ndarray, np.ndarray]:
-    """The planned rows of the first-order alpha1 and beta1, at each duration of taus.
+# The last row plan built, as one (key, plan) pair with key
+# (scenario.geometry, modes): the process holds this one plan, and
+# build_rows replaces it when a call's key differs.
+_held = (None, None)
 
-    plan is row_plan(scenario, modes); taus is a duration or an array of
-    them.  Returns (alpha1, beta1), each of shape
-    np.shape(taus) + (len(modes), n_max), owned by the caller: entry
-    [..., i, :] is row modes[i] of the series of the scenario at that
-    duration, in the interaction picture.  Row m holds, against each column
-    n of the other parity, with the durations broadcast as tau,
+
+def build_rows(scenario: CavityScenario, modes, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``modes`` (1-based mode numbers) of the first-order alpha1 and beta1,
+    at each duration of taus (a duration or an array of them).
+
+    Returns (alpha1, beta1), each of shape np.shape(taus) + (len(modes),
+    n_max), owned by the caller: entry [..., i, :] is row modes[i] of the
+    series of the scenario at that duration (scenario.tau is not read), in
+    the interaction picture.  Row m holds, against each column n of the
+    other parity, with the durations broadcast as tau,
       alpha1[m, n] = i alpha_static[m, n] (w_m - w_n) I(w_m - w_n)
       beta1[m, n]  = i beta_static[m, n]  (w_m + w_n) I(w_m + w_n)
     with I the sinusoidal drive integral (drive_entries).  The parity rule
     zeroes the same-parity entries, which stay +0.0 and never reach the
-    drive integral.  The work is O(n_max) per row and duration, and no
-    temporary is larger than one row.  This is the only code that forms
+    drive integral.  Everything that does not depend on tau (the static
+    entries, the detunings and the sums) comes from the held row plan
+    (_held), which outlives the call: it is planned anew only when
+    (scenario.geometry, modes) differs from the last call's, so points and
+    calls of one geometry and pair share it, and a series built a row at a
+    time plans at each row.  The work is O(n_max) per row and duration, and
+    no temporary is larger than one row.  This is the only code that forms
     coefficient rows, so every entry has the bits of the same entry
-    whatever rows are built with it, and whichever plan of the same
-    geometry it is built from.
+    whatever rows are built with it, and whether its plan was held or new.
     """
-    tau = np.asarray(taus, dtype=float)[..., None, None]
-    shape = np.shape(taus) + (len(plan.entries), plan.n_max)
+    global _held
+    key = (scenario.geometry, tuple(modes))
+    held_key, plan = _held
+    if held_key != key:
+        plan = _row_plan(scenario, modes)
+        _held = (key, plan)
+    omega, tau = scenario.drive_omega, np.asarray(taus, dtype=float)[..., None, None]
+    shape = np.shape(taus) + (len(plan), scenario.n_max)
     alpha1, beta1 = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    for i, (cols, alpha_scale, diff, beta_scale, total) in enumerate(plan.entries):
-        alpha1[..., i : i + 1, cols] = drive_entries(alpha_scale, diff, plan.omega, tau)
-        beta1[..., i : i + 1, cols] = drive_entries(beta_scale, total, plan.omega, tau)
+    for i, (cols, alpha_scale, diff, beta_scale, total) in enumerate(plan):
+        alpha1[..., i : i + 1, cols] = drive_entries(alpha_scale, diff, omega, tau)
+        beta1[..., i : i + 1, cols] = drive_entries(beta_scale, total, omega, tau)
     return alpha1, beta1
 
 
@@ -246,14 +252,15 @@ def build_scenario_series(scenario: CavityScenario) -> BogoliubovSeries:
     corresponding |beta1| entries grow linearly in tau with slope
     |beta_static| (w_k + w_kp) / 2.
 
-    It is build_rows at scenario.tau over every mode, one row's plan at a
-    time; the two outputs are the only n_max x n_max arrays it allocates,
-    and BogoliubovSeries adopts them, read-only, without a copy.
+    It is build_rows at scenario.tau over every mode, a row at a time, so
+    the held plan is one row's; the two outputs are the only n_max x n_max
+    arrays it allocates, and BogoliubovSeries adopts them, read-only,
+    without a copy.
     """
     n_max = scenario.n_max
     alpha1, beta1 = np.empty((n_max, n_max), dtype=complex), np.empty((n_max, n_max), dtype=complex)
     for m in range(n_max):
-        alpha1[m : m + 1], beta1[m : m + 1] = build_rows(row_plan(scenario, (m + 1,)), scenario.tau)
+        alpha1[m : m + 1], beta1[m : m + 1] = build_rows(scenario, (m + 1,), scenario.tau)
     alpha1.setflags(write=False)
     beta1.setflags(write=False)
     return BogoliubovSeries(scenario.n_max, alpha1, beta1)

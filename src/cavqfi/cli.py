@@ -37,7 +37,6 @@ from .cavity import (
     build_rows,
     free_phases,
     h_from_acceleration,
-    row_plan,
     static_matrices,
 )
 from .errors import ConditioningError, ConfigError, NoInformationError, NumericError
@@ -176,14 +175,12 @@ def scenario_from_config(cfg, nmax_override=None):
 _TAU_PROBES = np.array([1.0, 1.0 - 16 * np.finfo(float).eps, 1.0 + 16 * np.finfo(float).eps])
 
 
-def evaluate_scenario(scenario: CavityScenario, want_numeric=False, plan=None):
+def evaluate_scenario(scenario: CavityScenario, want_numeric=False):
     """Full single-point evaluation: pair rows, QFI, bounds.
 
     Rows k and k' of the interaction-picture series are built alone
     (cavity.build_rows), at the point's tau and at the probes
-    tau (1 -/+ 16 eps), from plan: cavity.row_plan(s, (k, k')) of any
-    scenario s with the point's geometry (run_sweep shares one across its
-    points), built here when None.  Their coefficients of e^{2 p r}
+    tau (1 -/+ 16 eps).  Their coefficients of e^{2 p r}
     (metrology.h0_coefficients) give the matrix-form H0 of all three at
     the point's squeezing in one call (qfi_analytic_h0), with no fitted
     inputs and no un-squeezed rows.  "tail_estimate" is the share of H0
@@ -211,9 +208,7 @@ def evaluate_scenario(scenario: CavityScenario, want_numeric=False, plan=None):
     point comes first.
     """
     r, k, kprime = scenario.squeezing, scenario.k, scenario.kprime
-    if plan is None:
-        plan = row_plan(scenario, (k, kprime))
-    alpha1, beta1 = build_rows(plan, scenario.tau * _TAU_PROBES)
+    alpha1, beta1 = build_rows(scenario, (k, kprime), scenario.tau * _TAU_PROBES)
     # a cavity series has no second order
     h0 = qfi_analytic_h0(h0_coefficients(alpha1, beta1, k, kprime, None), r)
     qfi = h0.value
@@ -283,18 +278,14 @@ def run_sweep(args, scenarios, axis):
     """Evaluates the points of a sweep along axis, then writes their records to
     --out: the CSV_COLUMNS of each point, and the axis's column if it has one.
 
-    A run of points that share a geometry (CavityScenario.geometry) shares
-    one row plan, and one plan is held at a time.  Only an omega sweep
-    changes the geometry, so a tau, r or a sweep, and figure2, plan once,
-    and an omega sweep plans at each point."""
+    Each point is one evaluate_scenario call, looked up on this module at
+    that point.  Points of one geometry (CavityScenario.geometry: all but an
+    omega sweep's) share the duration-free part that cavity.build_rows holds."""
     field, column = _SWEEP_AXES[axis]
     header = CSV_COLUMNS if column is None else (*CSV_COLUMNS, column)
     rows = []
-    geometry = plan = None
     for scenario in scenarios:
-        if scenario.geometry != geometry:
-            geometry, plan = scenario.geometry, row_plan(scenario, (scenario.k, scenario.kprime))
-        point = evaluate_scenario(scenario, plan=plan)
+        point = evaluate_scenario(scenario)
         row = [point[c] for c in CSV_COLUMNS]
         if column is not None:
             row.append(getattr(scenario, field))
@@ -475,7 +466,7 @@ def cmd_fidelity(args, cfg, scenario):
     # the un-squeezing is exactly 1, with each initial covariance on the
     # pair columns
     k, kprime = scenario.k, scenario.kprime
-    alpha1, beta1 = build_rows(row_plan(scenario, (k, kprime)), scenario.tau)
+    alpha1, beta1 = build_rows(scenario, (k, kprime), scenario.tau)
     state_a, state_b = (
         unsqueezed_state_map(alpha1, beta1, 0.0, k, kprime, initial_product_squeezed(r_k, r_kp).cov)(h)
         for r_k, r_kp, h in states
@@ -502,7 +493,7 @@ def cmd_coeffs(args, cfg, scenario):
                 # the series is in the interaction picture; row m times
                 # G_m is that row in the lab frame
                 g = phases[m]
-                alpha, beta = (g * row for row in build_rows(row_plan(scenario, [m + 1]), scenario.tau))
+                alpha, beta = (g * row for row in build_rows(scenario, (m + 1,), scenario.tau))
             yield [
                 [m + 1, j + 1, a.real, a.imag, b.real, b.imag, g.real, g.imag]
                 for j, (a, b) in enumerate(zip(alpha[0].tolist(), beta[0].tolist()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavqfi import BogoliubovSeries, GaussianState, symplectic_form
+from cavqfi import BogoliubovSeries, GaussianState, cavity, symplectic_form
 
 
 def canonical_series(rng, n_modes, scale=1.0):
@@ -91,3 +91,10 @@ def child_env(**overrides):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def empty_row_plan_hold():
+    """Each test starts with no row plan held, so counts of planning calls
+    (static_matrices) do not depend on which tests ran before it."""
+    cavity._held = (None, None)

@@ -15,7 +15,7 @@ from cavqfi import (
 )
 from cavqfi import cavity
 from cavqfi.bogoliubov import BogoliubovSeries
-from cavqfi.cavity import build_rows, mode_frequencies, row_plan, static_matrices
+from cavqfi.cavity import build_rows, mode_frequencies, static_matrices
 from oracles import (
     evaluate_series,
     mode_frequency,
@@ -375,7 +375,7 @@ def test_non_adjacent_pair_rows_equal_whole_matrix_rows():
     # of the whole-matrix formula, with +0.0 on the same-parity entries
     sc = reference_scenario(n_max=210, tau=2.00013, k=3, kprime=8)
     rows = [sc.k - 1, sc.kprime - 1]
-    built = build_rows(row_plan(sc, (sc.k, sc.kprime)), sc.tau)
+    built = build_rows(sc, (sc.k, sc.kprime), sc.tau)
     for built_rows, expected in zip(built, whole_matrix_coefficients(sc, rows)):
         assert_oracle_bits(built_rows, expected, opposite_parity(sc.n_max)[rows])
 
@@ -425,7 +425,7 @@ def test_pair_rows_equal_whole_build_rows(n_max):
             last = [(n_max - 1, n_max)] if omega is not None else []
             for k, kprime in [(1, 2), (2, 3)] + last:
                 sc = reference_scenario(n_max=n_max, tau=tau, omega=omega, k=k, kprime=kprime)
-                alpha1, beta1 = cavity.build_rows(cavity.row_plan(sc, (k, kprime)), taus)
+                alpha1, beta1 = cavity.build_rows(sc, (k, kprime), taus)
                 assert alpha1.shape == beta1.shape == (3, 2, n_max)
                 rows = [k - 1, kprime - 1]
                 for i, t in enumerate(taus):
@@ -434,6 +434,80 @@ def test_pair_rows_equal_whole_build_rows(n_max):
                     )
                     for built, expected in zip((alpha1[i], beta1[i]), oracle):
                         assert_oracle_bits(built, expected, odd[rows])
+
+
+def count_plans(monkeypatch):
+    """The calls of cavity.static_matrices: one per row planned."""
+    calls = []
+    original = cavity.static_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cavity, "static_matrices", counted)
+    return calls
+
+
+def test_held_plan_follows_geometry_and_rows(monkeypatch):
+    # the held plan serves every call whose geometry and rows match the
+    # last call's, whatever its tau, squeezing, a_probe or n_measurements;
+    # a change of omega, of the pair, of the rows or of n_max plans anew,
+    # and the process holds that one plan
+    plans = count_plans(monkeypatch)
+    sc = reference_scenario(n_max=40)
+    build_rows(sc, (1, 2), 0.5)
+    assert len(plans) == 2
+    held = cavity._held
+    for same in (
+        dict(tau=7.3),
+        dict(squeezing=2.0),
+        dict(a_probe=1e-6),
+        dict(n_measurements=10.0),
+    ):
+        build_rows(reference_scenario(n_max=40, **same), (1, 2), 0.0)
+        assert cavity._held is held and len(plans) == 2
+    for other, modes in (
+        (dict(omega=1234.5), (1, 2)),
+        (dict(omega=1234.5), (2, 3)),
+        (dict(omega=1234.5, k=2, kprime=3), (2, 3)),
+        (dict(), (2, 3)),
+        (dict(n_max=41), (2, 3)),
+    ):
+        before = len(plans)
+        scenario = reference_scenario(**{"n_max": 40, **other})
+        build_rows(scenario, modes, 0.5)
+        assert len(plans) == before + len(modes)
+        assert cavity._held[0] == (scenario.geometry, modes)
+
+
+def test_held_plan_is_read_only():
+    # the held plan outlives the call that built it, so none of its arrays
+    # can be written
+    build_rows(reference_scenario(n_max=20), (1, 2), 0.5)
+    _, plan = cavity._held
+    for cols, *arrays in plan:
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n_max", [3, 50, 1000])
+def test_held_plan_rows_equal_fresh_rows(n_max):
+    # rows built through a plan held from a call at another duration carry
+    # the bits of the rows built after the hold is emptied
+    eps = np.finfo(float).eps
+    for omega in (None, 1234.5):
+        for k, kprime in ((1, 2), (2, 3)):
+            sc = reference_scenario(n_max=n_max, omega=omega, k=k, kprime=kprime)
+            for tau in (0.0, 2.00013, 30.0, 149.99913):
+                taus = tau * np.array([1.0, 1.0 - 16 * eps, 1.0 + 16 * eps])
+                build_rows(sc, (k, kprime), 1.0)
+                held = build_rows(sc, (k, kprime), taus)
+                cavity._held = (None, None)
+                fresh = build_rows(sc, (k, kprime), taus)
+                for a, b in zip(held, fresh):
+                    assert a.tobytes() == b.tobytes()
 
 
 def test_phase_integral_resonance_continuity():

@@ -210,7 +210,8 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
     # all three from their coefficients, the qfi ladder forms one state map
     # of the rows at tau, a sweep point forms none, and no point builds the
     # whole series; the static entries of rows k and k' are formed once per
-    # row plan, which a sweep shares across the points of one geometry
+    # new row plan, which cavity holds across points and calls of one
+    # geometry (each test starts with none held)
     entries = count_calls(monkeypatch, cavity, "drive_entries")
     h0 = count_calls(monkeypatch, metrology, "qfi_analytic_h0")
     maps = count_calls(monkeypatch, bogoliubov, "unsqueezed_state_map")
@@ -222,6 +223,11 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
     for _, x, _, tau in entries:
         assert tau.ravel().tolist() == [30.0, 30.0 * (1 - 16 * eps), 30.0 * (1 + 16 * eps)]
         assert tau.shape == (3, 1, 1) and x.shape == (1, 25)
+    # a second qfi call of the same geometry reuses the held plan
+    for calls in (entries, h0, maps, statics):
+        calls.clear()
+    assert main(["qfi"]) == 0
+    assert (len(entries), len(h0), len(maps), len(whole), len(statics)) == (4, 1, 1, 0, 0)
     cfg = write_config(
         tmp_path,
         {
@@ -229,8 +235,9 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
             "sweep": {"parameter": "tau", "start": 0.5, "stop": 2.0, "count": 3},
         },
     )
-    # the drive frequency is part of the plan, so an omega sweep plans at
-    # each point
+    # figure2 plans for its new geometry, the tau sweep after it shares
+    # that geometry and plans not at all, and the drive frequency is part of
+    # the plan, so an omega sweep plans at each point
     omega_cfg = write_config(
         tmp_path,
         {
@@ -241,7 +248,7 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
     )
     for command, config, points, plans in (
         ("figure2", cfg, 9, 1),
-        ("sweep", cfg, 3, 1),
+        ("sweep", cfg, 3, 0),
         ("sweep", omega_cfg, 3, 3),
     ):
         for calls in (entries, h0, maps, statics):
@@ -252,6 +259,24 @@ def test_every_point_builds_pair_rows_once(tmp_path, monkeypatch, capsys):
         assert (len(entries), len(h0), len(maps), len(whole), len(statics)) == (
             4 * points, points, 0, 0, 2 * plans
         )
+
+
+def test_coeffs_between_qfi_calls_leaves_one_plan_held(monkeypatch, capsys):
+    # coeffs plans a row at a time and leaves its last row's plan held, the
+    # one plan, not a table of them: the qfi call after it plans rows k, k'
+    # again
+    statics = count_calls(monkeypatch, cavity, "static_matrices")
+    reference = CavityScenario()
+    for argv, plans, key in (
+        (["qfi"], 2, (reference.geometry, (1, 2))),
+        (["coeffs"], reference.n_max, (reference.geometry, (reference.n_max,))),
+        (["qfi"], 2, (reference.geometry, (1, 2))),
+    ):
+        statics.clear()
+        assert main(argv) == 0
+        assert len(statics) == plans, argv
+        assert cavity._held[0] == key
+    capsys.readouterr()
 
 
 def test_readme_qfi_sample_matches_cli(capsys):
@@ -411,7 +436,7 @@ def test_mutated_readme_configs_exit_cleanly(tmp_path, capsys):
 def tau_spread(scenario):
     """|H0| share by which the tau probes move a point's H0, measured as cli.evaluate_scenario does."""
     taus = scenario.tau * cli._TAU_PROBES
-    alpha1, beta1 = cavity.build_rows(cavity.row_plan(scenario, (scenario.k, scenario.kprime)), taus)
+    alpha1, beta1 = cavity.build_rows(scenario, (scenario.k, scenario.kprime), taus)
     coefficients = metrology.h0_coefficients(alpha1, beta1, scenario.k, scenario.kprime, None)
     h0 = metrology.qfi_analytic_h0(coefficients, scenario.squeezing)
     return max(abs(value - h0.value) for value in h0.probes) / abs(h0.value)

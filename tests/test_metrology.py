@@ -21,7 +21,7 @@ from cavqfi import (
     unsqueezed_state_map,
 )
 from cavqfi import cli
-from cavqfi.cavity import build_rows, free_phases, mode_frequencies, row_plan
+from cavqfi.cavity import build_rows, free_phases, mode_frequencies
 from cavqfi.cli import evaluate_scenario
 from cavqfi import metrology
 from cavqfi.errors import ConditioningError, NoPlateauError, NumericError
@@ -655,7 +655,7 @@ def test_emitted_h0_matches_60_digit_rows(overrides):
     # alone (6.5e-14) but inside the spread (1.8e-10)
     sc = CavityScenario(**overrides)
     emitted = evaluate_scenario(sc)["qfi"]
-    alpha1, beta1 = build_rows(row_plan(sc, (sc.k, sc.kprime)), sc.tau * cli._TAU_PROBES)
+    alpha1, beta1 = build_rows(sc, (sc.k, sc.kprime), sc.tau * cli._TAU_PROBES)
     h0 = qfi_analytic_h0(h0_coefficients(alpha1, beta1, sc.k, sc.kprime, None), sc.squeezing)
     assert h0.value == emitted
     rows = unsqueezed_rows(alpha1[0], beta1[0], sc.squeezing, sc.k, sc.kprime)
