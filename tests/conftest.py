@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavqfi import BogoliubovSeries, GaussianState, cavity, symplectic_form
+from cavqfi import BogoliubovSeries, GaussianState, bogoliubov, cavity, cli, metrology, symplectic_form
 
 
 def canonical_series(rng, n_modes, scale=1.0):
@@ -86,6 +86,21 @@ def child_env(**overrides):
     env["PYTHONPATH"] = package_root + (os.pathsep + inherited if inherited else "")
     env.update(overrides)
     return env
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one per call of module.name, through any package module that binds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for bound in (bogoliubov, cavity, metrology, cli):
+        if getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
+    return calls
 
 
 @pytest.fixture

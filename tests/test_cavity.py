@@ -16,6 +16,7 @@ from cavqfi import (
 from cavqfi import cavity
 from cavqfi.bogoliubov import BogoliubovSeries
 from cavqfi.cavity import build_rows, mode_frequencies, static_matrices
+from conftest import count_calls
 from oracles import (
     evaluate_series,
     mode_frequency,
@@ -436,25 +437,13 @@ def test_pair_rows_equal_whole_build_rows(n_max):
                         assert_oracle_bits(built, expected, odd[rows])
 
 
-def count_plans(monkeypatch):
-    """The calls of cavity.static_matrices: one per row planned."""
-    calls = []
-    original = cavity.static_matrices
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(cavity, "static_matrices", counted)
-    return calls
-
-
 def test_held_plan_follows_geometry_and_rows(monkeypatch):
     # the held plan serves every call whose geometry and rows match the
     # last call's, whatever its tau, squeezing, a_probe or n_measurements;
     # a change of omega, of the pair, of the rows or of n_max plans anew,
     # and the process holds that one plan
-    plans = count_plans(monkeypatch)
+    # one static_matrices call per row planned
+    plans = count_calls(monkeypatch, cavity, "static_matrices")
     sc = reference_scenario(n_max=40)
     build_rows(sc, (1, 2), 0.5)
     assert len(plans) == 2

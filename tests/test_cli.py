@@ -17,7 +17,7 @@ import pytest
 from cavqfi import CavityScenario, bogoliubov, cavity, cli, metrology
 from cavqfi.cli import SCENARIO_FIELDS, main
 from cavqfi.policy import DEFAULT_POLICY, NumericPolicy
-from conftest import child_env
+from conftest import child_env, count_calls
 from oracles import lattice_qfi, whole_matrix_coefficients
 
 
@@ -173,21 +173,6 @@ def test_sweep_cancellation_residue_is_no_information(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [float(row[0]) for row in rows] == [0.5, 0.6]
     assert [(float(row[2]), float(row[3])) for row in rows] == [(0.0, math.inf)] * 2
-
-
-def count_calls(monkeypatch, module, name):
-    """A list that grows by one per call of module.name, through any package module that binds it."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for bound in (bogoliubov, cavity, metrology, cli):
-        if getattr(bound, name, None) is original:
-            monkeypatch.setattr(bound, name, counted)
-    return calls
 
 
 def test_qfi_ladder_steps_the_state_map(monkeypatch, capsys):
